@@ -238,7 +238,7 @@ def cmd_variation(cfg):
         value = var.first_variation_analytic(P, D, nu=n, nv=n)
     elif mode == "v2-full":
         value = var.second_variation(P, D, mode="full", nu=n, nv=n)
-    elif mode == "v2-geom":
+    elif mode in ("v2-geometric", "v2-geom"):
         value = var.second_variation(P, D, mode="geometric", nu=n, nv=n)
     elif mode.startswith("numeric:"):
         order = int(mode.split(":", 1)[1])
@@ -332,7 +332,8 @@ def _build_parser():
     p.add_argument("--lam", type=float, help="scaling dilation factor")
     p.add_argument("--field", help="deformation field JSON or 'auto'")
     p.add_argument("--mode", help="variation mode: "
-                                  "v1|v2-full|v2-geom|numeric:1|numeric:2")
+                                  "v1|v2-full|v2-geometric (or v2-geom)|"
+                                  "numeric:1|numeric:2")
     p.add_argument("--family", help="stability family: bump-lattice"
                                     "[:<nc>,<nr>] or random:<count>,<seed>")
     p.add_argument("--config", help="flat JSON config file; flags override")

@@ -34,14 +34,18 @@ def _nthreads():
 
 
 def _eval_rows(fn, UU, VV):
-    """Evaluate fn over row blocks, possibly threaded, order-preserving."""
+    """Evaluate fn over row blocks, possibly threaded, order-preserving.
+
+    fn(U, V) returns a tuple of arrays shaped like its inputs; the row
+    blocks of each are concatenated back in order.
+    """
     n = _nthreads()
     if n == 1 or UU.shape[0] < 2 * n:
         return fn(UU, VV)
     blocks = np.array_split(np.arange(UU.shape[0]), n)
     with ThreadPoolExecutor(max_workers=n) as ex:
         parts = list(ex.map(lambda idx: fn(UU[idx], VV[idx]), blocks))
-    return np.concatenate(parts, axis=0)
+    return tuple(np.concatenate(cols, axis=0) for cols in zip(*parts))
 
 
 def pairwise_sum(values):
@@ -149,54 +153,55 @@ def _grid_for(P, nu, nv, rule):
     return QuadratureGrid(P.domain, nu or P.grid[0], nv or P.grid[1], rule)
 
 
-def _integrate_on(P, grid, node_values_fn):
-    """Integrate node_values_fn (density against du dv) over the grid.
+def _integrate_on(grid, block):
+    """Integrate a density against du dv over the grid.
 
-    node_values_fn(U, V) must return (values, mask, Wmass) arrays; masked
-    nodes are excluded from the integral and their weight*Wmass accumulated.
+    block(U, V) returns (values, W, omega) arrays.  Nodes inside the
+    characteristic band W <= 1e-8 max(1, |N|) are dropped from the integral;
+    their weighted W-mass is returned as the excluded mass.
     """
-    vals, mask, wmass = node_values_fn(grid.U, grid.V)
+    vals, W, om = _eval_rows(block, grid.U, grid.V)
+    normN = np.sqrt(W ** 2 + om ** 2)
+    mask = W <= 1e-8 * np.maximum(1.0, normN)
     wgt = grid.weights
-    good = ~mask
-    contrib = np.where(good, vals * wgt, 0.0)
-    excluded = float(np.sum(np.where(mask, np.abs(wmass) * wgt, 0.0)))
+    contrib = np.where(~mask, vals * wgt, 0.0)
+    excluded = float(np.sum(np.where(mask, np.abs(W) * wgt, 0.0)))
     return pairwise_sum(contrib), excluded
 
 
 def integrate_patch(P, density, nu=None, nv=None, rule="simpson",
-                    error_estimate=True):
+                    error_estimate=True, order=2):
     """Integral of density(u, v) * W du dv with characteristic exclusion.
 
     density(zz) receives the zy_second frame dict (arrays) and returns the
     factor multiplying W; density=None integrates the H-perimeter itself.
+    order=1 evaluates the frame on first-order jets, whose dict holds only
+    x, y, p, q, omega and W (bit-identical to order 2): perimeter, eps_area,
+    scaling_ratio, translation_ratio and the areas of numeric_variation use
+    it.  Densities that read Z/B derivatives (first and second variation,
+    quadratic_form) need the default order=2.
     """
     grid = _grid_for(P, nu, nv, rule)
 
-    def nodes(U, V):
-        def block(Ub, Vb):
-            zz = zy_second(P, None, Ub, Vb)
-            W = zz["W"]
-            fac = 1.0 if density is None else density(zz)
-            return np.stack([fac * W, W, zz["omega"]], axis=-1)
-        out = _eval_rows(block, U, V)
-        vals, W, om = out[..., 0], out[..., 1], out[..., 2]
-        normN = np.sqrt(W ** 2 + om ** 2)
-        mask = W <= 1e-8 * np.maximum(1.0, normN)
-        return vals, mask, W
+    def block(U, V):
+        zz = zy_second(P, None, U, V, order=order)
+        W = zz["W"]
+        vals = W if density is None else density(zz) * W
+        return vals, W, zz["omega"]
 
-    value, excluded = _integrate_on(P, grid, nodes)
+    value, excluded = _integrate_on(grid, block)
     est = None
     if error_estimate:
         half = grid.halved()
         if half is not None and (half.nu, half.nv) != (grid.nu, grid.nv):
-            v2, _ = _integrate_on(P, half, nodes)
+            v2, _ = _integrate_on(half, block)
             est = abs(value - v2)
     return IntegralResult(value, est, excluded, (grid.nu, grid.nv), rule)
 
 
 def perimeter(P, nu=None, nv=None, rule="simpson"):
     """H-perimeter of the patch: integral of W du dv."""
-    return integrate_patch(P, None, nu=nu, nv=nv, rule=rule)
+    return integrate_patch(P, None, nu=nu, nv=nv, rule=rule, order=1)
 
 
 def eps_area(P, eps, nu=None, nv=None, rule="simpson"):
@@ -210,7 +215,12 @@ def eps_area(P, eps, nu=None, nv=None, rule="simpson"):
     def density(zz):
         return np.sqrt(zz["W"] ** 2 + eps * zz["omega"] ** 2) / zz["W"]
 
-    return integrate_patch(P, density, nu=nu, nv=nv, rule=rule)
+    return integrate_patch(P, density, nu=nu, nv=nv, rule=rule, order=1)
+
+
+def _perimeter_value(P, nu, nv, rule):
+    return integrate_patch(P, None, nu=nu, nv=nv, rule=rule,
+                           error_estimate=False, order=1).value
 
 
 def scaling_ratio(P, lam, nu=None, nv=None, rule="simpson"):
@@ -218,16 +228,14 @@ def scaling_ratio(P, lam, nu=None, nv=None, rule="simpson"):
 
     Homogeneity gives exactly lam^(Q-1) = lam^3 on H^1.
     """
-    base = perimeter(P, nu=nu, nv=nv, rule=rule)
-    scaled = perimeter(dilate_patch(P, lam), nu=nu, nv=nv, rule=rule)
-    return scaled.value / base.value
+    base = _perimeter_value(P, nu, nv, rule)
+    return _perimeter_value(dilate_patch(P, lam), nu, nv, rule) / base
 
 
 def translation_ratio(P, g0, nu=None, nv=None, rule="simpson"):
     """Perimeter ratio under left translation by g0 (exactly 1)."""
-    base = perimeter(P, nu=nu, nv=nv, rule=rule)
-    moved = perimeter(left_translate_patch(P, g0), nu=nu, nv=nv, rule=rule)
-    return moved.value / base.value
+    base = _perimeter_value(P, nu, nv, rule)
+    return _perimeter_value(left_translate_patch(P, g0), nu, nv, rule) / base
 
 
 # ---------------------------------------------------------------------------
@@ -305,44 +313,36 @@ def ibp_residual(P, kind, zeta, f=None, index=1, nu=None, nv=None,
                      i = index in {1, 2}
     kind "green":    integral of (<grad f, grad zeta> + f hat-Laplacian zeta)
     """
-    grid = _grid_for(P, nu, nv, rule)
-
-    def nodes(U, V):
-        def block(Ub, Vb):
-            base, zf, zz = _zz_pair(P, f, zeta, Ub, Vb)
-            W, ob = base["W"], base["obar"]
-            pb, qb = base["pbar"], base["qbar"]
-            H = qb * base["Zpbar"] - pb * base["Zqbar"]
-            if kind == "Z":
-                expr = zz["Zf"] + zz["value"] * ob
-            elif kind == "TY":
-                if zf is None:
-                    raise ValueError("kind 'TY' needs the second function f")
-                expr = (zf["value"] * zz["Bf"] + zz["value"] * zf["Bf"]
-                        - zf["value"] * zz["value"] * ob * H)
-            elif kind == "gradient":
-                if index == 1:
-                    gi, pbi, ci = qb * zz["Zf"], pb, ob * qb
-                elif index == 2:
-                    gi, pbi, ci = -pb * zz["Zf"], qb, -ob * pb
-                else:
-                    raise ValueError("index must be 1 or 2")
-                expr = gi - zz["value"] * (H * pbi - ci)
-            elif kind == "green":
-                if zf is None:
-                    raise ValueError("kind 'green' needs the second function f")
-                hat = zz["Z2f"] + ob * zz["Zf"]
-                expr = zf["Zf"] * zz["Zf"] + zf["value"] * hat
+    def block(U, V):
+        base, zf, zz = _zz_pair(P, f, zeta, U, V)
+        W, ob = base["W"], base["obar"]
+        pb, qb = base["pbar"], base["qbar"]
+        H = qb * base["Zpbar"] - pb * base["Zqbar"]
+        if kind == "Z":
+            expr = zz["Zf"] + zz["value"] * ob
+        elif kind == "TY":
+            if zf is None:
+                raise ValueError("kind 'TY' needs the second function f")
+            expr = (zf["value"] * zz["Bf"] + zz["value"] * zf["Bf"]
+                    - zf["value"] * zz["value"] * ob * H)
+        elif kind == "gradient":
+            if index == 1:
+                gi, pbi, ci = qb * zz["Zf"], pb, ob * qb
+            elif index == 2:
+                gi, pbi, ci = -pb * zz["Zf"], qb, -ob * pb
             else:
-                raise ValueError("unknown kind %r" % kind)
-            return np.stack([expr * W, W, base["omega"]], axis=-1)
-        out = _eval_rows(block, U, V)
-        vals, W, om = out[..., 0], out[..., 1], out[..., 2]
-        normN = np.sqrt(W ** 2 + om ** 2)
-        mask = W <= 1e-8 * np.maximum(1.0, normN)
-        return vals, mask, W
+                raise ValueError("index must be 1 or 2")
+            expr = gi - zz["value"] * (H * pbi - ci)
+        elif kind == "green":
+            if zf is None:
+                raise ValueError("kind 'green' needs the second function f")
+            hat = zz["Z2f"] + ob * zz["Zf"]
+            expr = zf["Zf"] * zz["Zf"] + zf["value"] * hat
+        else:
+            raise ValueError("unknown kind %r" % kind)
+        return expr * W, W, base["omega"]
 
-    value, _ = _integrate_on(P, grid, nodes)
+    value, _ = _integrate_on(_grid_for(P, nu, nv, rule), block)
     return value
 
 
@@ -357,21 +357,12 @@ def stokes_residual(P, f, nu=None, nv=None, rule="simpson"):
     Zero for compactly supported f: the hat Laplacian is Z(Zf) + obar Zf,
     and the Z rule applied to Zf kills the whole integral.
     """
-    grid = _grid_for(P, nu, nv, rule)
+    def block(U, V):
+        zz = zy_second(P, f, U, V)
+        W, ob = zz["W"], zz["obar"]
+        return (zz["Z2f"] + ob * zz["Zf"]) * W, W, zz["omega"]
 
-    def nodes(U, V):
-        def block(Ub, Vb):
-            zz = zy_second(P, f, Ub, Vb)
-            W, ob = zz["W"], zz["obar"]
-            expr = (zz["Z2f"] + ob * zz["Zf"]) * W
-            return np.stack([expr, W, zz["omega"]], axis=-1)
-        out = _eval_rows(block, U, V)
-        vals, W, om = out[..., 0], out[..., 1], out[..., 2]
-        normN = np.sqrt(W ** 2 + om ** 2)
-        mask = W <= 1e-8 * np.maximum(1.0, normN)
-        return vals, mask, W
-
-    value, _ = _integrate_on(P, grid, nodes)
+    value, _ = _integrate_on(_grid_for(P, nu, nv, rule), block)
     return value
 
 

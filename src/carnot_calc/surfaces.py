@@ -12,7 +12,7 @@ import numpy as np
 
 from .groups import build_group, frame_at
 from .fields import (ANALYTIC, Jet, ScalarField, build_field, jet_partial,
-                     poly_field, seed_jets)
+                     jet_sqrt, poly_field, seed_jets)
 
 __all__ = [
     "CharacteristicPointError", "DegenerateSurfaceError", "SurfaceFrame",
@@ -221,41 +221,39 @@ def _fd_patch_jets(P, u, v, h):
     return out
 
 
-def _frame_ingredients(xj, yj, tj):
-    """p, q, omega and the theta_u/theta_v data from component jets."""
-    x, y = xj.v, yj.v
-    x_u, x_v = xj.g[0], xj.g[1]
-    y_u, y_v = yj.g[0], yj.g[1]
-    t_u, t_v = tj.g[0], tj.g[1]
+def _normal_components(x, y, dx, dy, dt):
+    """p, q, omega, W of the normal theta_u ^ theta_v = p X1 + q X2 + omega T.
+
+    x, y are component values and dx, dy, dt the (u, v)-partials of x, y, t,
+    all plain arrays or all first-order jets.
+    """
+    (x_u, x_v), (y_u, y_v), (t_u, t_v) = dx, dy, dt
     omega = x_u * y_v - x_v * y_u
-    p = y_u * t_v - y_v * t_u - 0.5 * y * omega
-    q = x_v * t_u - x_u * t_v + 0.5 * x * omega
-    gamma_u = t_u + 0.5 * (y * x_u - x * y_u)
-    gamma_v = t_v + 0.5 * (y * x_v - x * y_v)
-    return {"x": x, "y": y, "t": tj.v,
-            "x_u": x_u, "x_v": x_v, "y_u": y_u, "y_v": y_v,
-            "t_u": t_u, "t_v": t_v, "p": p, "q": q, "omega": omega,
-            "gamma_u": gamma_u, "gamma_v": gamma_v}
+    p = y_u * t_v - y_v * t_u - 0.5 * (y * omega)
+    q = x_v * t_u - x_u * t_v + 0.5 * (x * omega)
+    return p, q, omega, jet_sqrt(p * p + q * q)
 
 
-def _frame_arrays(P, u, v, engine=ANALYTIC):
-    if engine.mode == "analytic":
-        xj, yj, tj = P.jets(u, v, order=1)
-    else:
-        xj, yj, tj = _fd_patch_jets(P, u, v, engine.step1(np.asarray([u, v])))
-    ing = _frame_ingredients(xj, yj, tj)
-    ing["W"] = np.sqrt(ing["p"] ** 2 + ing["q"] ** 2)
-    ing["normN"] = np.sqrt(ing["W"] ** 2 + ing["omega"] ** 2)
-    return ing
+def _value_fields(xj, yj, tj):
+    """Frame values from first-order component jets (no derivatives kept)."""
+    p, q, omega, W = _normal_components(xj.v, yj.v, xj.g, yj.g, tj.g)
+    return {"x": xj.v, "y": yj.v, "p": p, "q": q, "omega": omega, "W": W}
 
 
 def frame_param(P, uv, engine=ANALYTIC, normalized=True):
-    """Surface frame from the parametric normal theta_u ^ theta_v."""
+    """Surface frame from the parametric normal theta_u ^ theta_v.
+
+    The finite-difference engine runs the same normal formulas on central
+    differences of the components, an independent check of the jets.
+    """
     u, v = float(uv[0]), float(uv[1])
-    ing = _frame_arrays(P, u, v, engine=engine)
+    if engine.mode == "analytic":
+        fl = patch_fields_jets(P, u, v, order=1)
+    else:
+        fl = _value_fields(*_fd_patch_jets(
+            P, u, v, engine.step1(np.asarray([u, v]))))
     fr = SurfaceFrame(P.group, P.point(u, v),
-                      [float(ing["p"]), float(ing["q"])],
-                      [float(ing["omega"])])
+                      [float(fl["p"]), float(fl["q"])], [float(fl["omega"])])
     if fr.normN <= 1e-12:
         raise DegenerateSurfaceError("theta_u ^ theta_v vanishes at %r" % (uv,))
     if normalized:
@@ -263,75 +261,50 @@ def frame_param(P, uv, engine=ANALYTIC, normalized=True):
     return fr
 
 
-def _surface_function_jet(P, f, u, v, engine):
-    """A surface function f(u, v) as a jet with its (u, v)-gradient."""
-    if engine.mode == "analytic":
-        uj, vj = seed_jets((u, v), order=2)
-        return _as_jet(f(uj, vj), uj)
-    h = engine.step1(np.asarray([u, v]))
-    f0 = float(f(u, v))
-    du = (float(f(u + h, v)) - float(f(u - h, v))) / (2 * h)
-    dv = (float(f(u, v + h)) - float(f(u, v - h))) / (2 * h)
-    return Jet(f0, np.array([du, dv]))
-
-
-def _zy_arrays(P, f, u, v, engine=ANALYTIC, ing=None):
-    if ing is None:
-        ing = _frame_arrays(P, u, v, engine=engine)
-    W = ing["W"]
-    pbar, qbar, obar = ing["p"] / W, ing["q"] / W, ing["omega"] / W
-    beta_u = ing["x_u"] * qbar - ing["y_u"] * pbar
-    beta_v = ing["x_v"] * qbar - ing["y_v"] * pbar
-    gamma_u, gamma_v = ing["gamma_u"], ing["gamma_v"]
-    det = beta_u * gamma_v - beta_v * gamma_u  # equals -W identically
-    fj = _surface_function_jet(P, f, u, v, engine)
-    f_u, f_v = fj.g[0], fj.g[1]
-    Zf = (f_u * gamma_v - f_v * gamma_u) / det
-    Bf = (beta_u * f_v - beta_v * f_u) / det
-    denom = 1.0 + obar ** 2
-    return {"Zf": Zf, "Bf": Bf, "Tf": Bf / denom, "Yf": -obar * Bf / denom,
-            "value": fj.v, "det": det, "ing": ing}
-
-
-def zy_derivative(P, f, uv, engine=ANALYTIC):
+def zy_derivative(P, f, uv):
     """Tangential derivatives of the surface function f at a patch point.
 
     Solves theta_u f = beta_u Zf + gamma_u Bf (same with v) for Zf and the
     invariant combination Bf = (T - obar Y)f, then splits Bf into the Yf/Tf
     pair of the extension of f constant along the Riemannian normal.  Zf and
-    Bf do not depend on any extension.
+    Bf do not depend on any extension.  f must be jet-safe.
     """
-    u, v = float(uv[0]), float(uv[1])
-    frame_param(P, uv, engine=engine)  # raise on characteristic/degenerate
-    out = _zy_arrays(P, f, u, v, engine=engine)
+    frame_param(P, uv)  # raise on characteristic/degenerate
+    out = zy_second(P, f, float(uv[0]), float(uv[1]))
     return {k: float(out[k]) for k in ("Zf", "Bf", "Yf", "Tf", "value")}
 
 
-# -- nested tangential derivatives via second-order jets ---------------------
+# -- the order-aware frame engine and nested tangential derivatives ---------
 
 
-def patch_fields_jets(P, u, v):
-    """Frame quantities on the patch as jets carrying (u, v)-gradients.
+def patch_fields_jets(P, u, v, order=2):
+    """Frame quantities on the patch; vectorizes over array-valued u, v.
 
-    Evaluates the components on second-order seeds and runs the frame
-    formulas in first-order jet arithmetic, so every returned quantity
-    (p, q, omega, W, pbar, qbar, obar, beta/gamma/det) knows its own u- and
-    v-derivatives exactly.  Vectorizes over array-valued u, v.
+    order=2 evaluates the components on second-order seeds and runs the
+    frame formulas in first-order jet arithmetic, so every returned quantity
+    (p, q, omega, W, pbar, qbar, obar, beta/gamma/det) is a jet that knows
+    its own u- and v-derivatives exactly; zy_second takes Z/B derivatives
+    from them.  order=1 evaluates on first-order seeds and returns plain
+    value arrays x, y, p, q, omega and W only, bit-identical to the order-2
+    values; quadratures of W and omega alone (perimeter, eps-area, the
+    dilation/translation ratios and numeric variations) run on it.
     """
+    if order == 1:
+        return _value_fields(*P.jets(u, v, order=1))
+    if order != 2:
+        raise ValueError("order must be 1 or 2")
     uj, vj = seed_jets((u, v), order=2)
     xj, yj, tj = (_as_jet(fc(uj, vj), uj) for fc in (P.x, P.y, P.t))
     x1, y1, t1 = Jet(xj.v, xj.g), Jet(yj.v, yj.g), Jet(tj.v, tj.g)
     x_u, x_v = jet_partial(xj, 0), jet_partial(xj, 1)
     y_u, y_v = jet_partial(yj, 0), jet_partial(yj, 1)
     t_u, t_v = jet_partial(tj, 0), jet_partial(tj, 1)
-    omega = x_u * y_v - x_v * y_u
-    p = y_u * t_v - y_v * t_u - 0.5 * (y1 * omega)
-    q = x_v * t_u - x_u * t_v + 0.5 * (x1 * omega)
     gamma_u = t_u + 0.5 * (y1 * x_u - x1 * y_u)
     gamma_v = t_v + 0.5 * (y1 * x_v - x1 * y_v)
     # characteristic nodes (W = 0) come out as NaN; bulk callers mask them
     with np.errstate(divide="ignore", invalid="ignore"):
-        W = (p * p + q * q).sqrt()
+        p, q, omega, W = _normal_components(x1, y1, (x_u, x_v), (y_u, y_v),
+                                            (t_u, t_v))
         pbar, qbar, obar = p / W, q / W, omega / W
         beta_u = x_u * qbar - y_u * pbar
         beta_v = x_v * qbar - y_v * pbar
@@ -356,13 +329,19 @@ def b_apply(flds, fj):
         / flds["det"].v
 
 
-def zy_second(P, f, u, v, flds=None):
+def zy_second(P, f, u, v, flds=None, order=2):
     """First and second tangential derivatives of f, exactly, on a patch.
 
     f(u, v) must be jet-safe to second order (or None, to get just the frame
     fields).  Returns plain arrays: Zf, Bf = (T - obar Y)f, Z2f = Z(Zf),
     BZf = (T - obar Y)(Zf), the frame quantities, and their Z/B derivatives.
+    order=1 (f None only) returns just the values of patch_fields_jets at
+    order 1: x, y, p, q, omega and W.
     """
+    if order != 2:
+        if f is not None:
+            raise ValueError("only order 2 carries tangential derivatives")
+        return patch_fields_jets(P, u, v, order=order)
     # characteristic nodes divide by W = 0 and surface as NaN; callers mask
     with np.errstate(divide="ignore", invalid="ignore"):
         return _zy_second_impl(P, f, u, v, flds)
@@ -388,23 +367,19 @@ def _zy_second_impl(P, f, u, v, flds=None):
         return out
     uj, vj = flds["seeds"]
     fj = _as_jet(f(uj, vj), uj)
-    denom = 1.0 + flds["obar"].v ** 2
     if fj.h is None:
         # f only carries first derivatives; no second tangential derivatives
-        Zf = (fj.g[0] * flds["gamma_v"].v - fj.g[1] * flds["gamma_u"].v) \
-            / flds["det"].v
-        Bf = (flds["beta_u"].v * fj.g[1] - flds["beta_v"].v * fj.g[0]) \
-            / flds["det"].v
-        out.update({"value": fj.v, "Zf": Zf, "Bf": Bf, "Tf": Bf / denom,
-                    "Yf": -flds["obar"].v * Bf / denom,
-                    "Z2f": None, "BZf": None})
-        return out
-    f_u, f_v = jet_partial(fj, 0), jet_partial(fj, 1)
-    Zf_j = (f_u * flds["gamma_v"] - f_v * flds["gamma_u"]) / flds["det"]
-    Bf_j = (flds["beta_u"] * f_v - flds["beta_v"] * f_u) / flds["det"]
-    out.update({"value": fj.v, "Zf": Zf_j.v, "Bf": Bf_j.v,
-                "Tf": Bf_j.v / denom, "Yf": -flds["obar"].v * Bf_j.v / denom,
-                "Z2f": z_apply(flds, Zf_j), "BZf": b_apply(flds, Zf_j)})
+        Zf, Bf = z_apply(flds, fj), b_apply(flds, fj)
+        Z2f = BZf = None
+    else:
+        f_u, f_v = jet_partial(fj, 0), jet_partial(fj, 1)
+        Zf_j = (f_u * flds["gamma_v"] - f_v * flds["gamma_u"]) / flds["det"]
+        Bf_j = (flds["beta_u"] * f_v - flds["beta_v"] * f_u) / flds["det"]
+        Zf, Bf = Zf_j.v, Bf_j.v
+        Z2f, BZf = z_apply(flds, Zf_j), b_apply(flds, Zf_j)
+    denom = 1.0 + flds["obar"].v ** 2
+    out.update({"value": fj.v, "Zf": Zf, "Bf": Bf, "Tf": Bf / denom,
+                "Yf": -flds["obar"].v * Bf / denom, "Z2f": Z2f, "BZf": BZf})
     return out
 
 

@@ -14,7 +14,7 @@ lam by finite differences.
 import numpy as np
 
 from .fields import bump1
-from .surfaces import ParamPatch, burgers, intrinsic_to_patch, zy_second
+from .surfaces import ParamPatch, patch_fields_jets, zy_second
 from .measure import QuadratureGrid, integrate_patch, pairwise_sum
 
 __all__ = [
@@ -69,7 +69,7 @@ def deform_patch(P, D, lam):
 def _area(P, D, lam, nu, nv, rule):
     Pd = deform_patch(P, D, lam)
     return integrate_patch(Pd, None, nu=nu, nv=nv, rule=rule,
-                           error_estimate=False).value
+                           error_estimate=False, order=1).value
 
 
 def numeric_variation(P, D, order=1, nu=None, nv=None, dlam=None,
@@ -79,9 +79,16 @@ def numeric_variation(P, D, order=1, nu=None, nv=None, dlam=None,
 
     Order 1 uses the fourth-order five-point first-difference; order 2 the
     five-point second-difference at steps d and d/2 with one Richardson
-    step, since the second derivative is the harder target.
+    step, since the second derivative is the harder target.  Each distinct
+    lam is integrated once (7 quadratures for order 2).
     """
-    A = lambda lam: _area(P, D, lam, nu, nv, rule)
+    areas = {}
+
+    def A(lam):
+        if lam not in areas:
+            areas[lam] = _area(P, D, lam, nu, nv, rule)
+        return areas[lam]
+
     if order == 1:
         d = 1e-3 if dlam is None else float(dlam)
         return (-A(2 * d) + 8 * A(d) - 8 * A(-d) + A(-2 * d)) / (12.0 * d)
@@ -174,12 +181,13 @@ def frame_variation_rates_fd(P, D, u, v, dlam=1e-5):
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
 
-    def pq(lam):
-        zz = zy_second(deform_patch(P, D, lam), None, u, v)
-        return zz["p"], zz["q"]
+    def pq(Q):
+        fl = patch_fields_jets(Q, u, v, order=1)
+        return fl["p"], fl["q"]
 
-    (pp, qp), (pm, qm) = pq(dlam), pq(-dlam)
-    p0, q0 = zy_second(P, None, u, v)["p"], zy_second(P, None, u, v)["q"]
+    (pp, qp), (pm, qm) = (pq(deform_patch(P, D, dlam)),
+                          pq(deform_patch(P, D, -dlam)))
+    p0, q0 = pq(P)
     pdot = (pp - pm) / (2 * dlam)
     qdot = (qp - qm) / (2 * dlam)
     return {"pdot": pdot, "qdot": qdot,

@@ -142,6 +142,18 @@ def test_variation_geometric_mode_on_minimal_graph(capsys):
     assert "value" in json.loads(out)
 
 
+def test_variation_geometric_mode_accepts_documented_spelling(capsys):
+    rc, out, _ = invoke(capsys, ["variation", "--surface", "xyt-graph",
+                                 "--mode", "v2-geometric", "--grid", "48"])
+    assert rc == 0
+    data = json.loads(out)
+    assert data["mode"] == "v2-geometric"
+    rc, short, _ = invoke(capsys, ["variation", "--surface", "xyt-graph",
+                                   "--mode", "v2-geom", "--grid", "48"])
+    assert rc == 0
+    assert json.loads(short)["value"] == data["value"]
+
+
 # -- stability ------------------------------------------------------------------
 
 def test_stability_finds_witness_on_unstable_graph(capsys):

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carnot_calc import (
+    FD,
     CharacteristicPointError,
+    DeformationField,
     DegenerateSurfaceError,
     IntrinsicGraph,
     LevelSetSurface,
@@ -13,6 +15,7 @@ from carnot_calc import (
     build_surface,
     burgers,
     catalog_ids,
+    deform_patch,
     dilate_levelset,
     dilate_patch,
     frame_levelset,
@@ -21,6 +24,7 @@ from carnot_calc import (
     horizontal_plane_residual,
     intrinsic_to_patch,
     left_translate_patch,
+    patch_fields_jets,
     restrict_to_patch,
     seed_jets,
     translate_levelset,
@@ -145,6 +149,66 @@ def test_cross_representation_agreement(rng):
         assert np.max(np.abs(fp.pbar - fl.pbar)) < 1e-8
         assert abs(fp.obar - fl.obar) < 1e-8
         assert np.max(np.abs(fp.nuH_vector() - fl.nuH_vector())) < 1e-8
+
+
+@pytest.mark.parametrize("sid", ["t-graph:parab", "xyt-graph", "intrinsic:xyt",
+                                 "vertical-plane:1,0.5,-0.25"])
+def test_param_frame_fd_engine_matches_analytic(sid):
+    P = build_surface(sid).patch
+    u0, u1, v0, v1 = P.domain
+    for u in np.linspace(u0, u1, 4)[1:-1]:
+        for v in np.linspace(v0, v1, 4)[1:-1]:
+            fa = frame_param(P, (u, v))
+            ff = frame_param(P, (u, v), engine=FD)
+            assert np.max(np.abs(ff.p - fa.p)) < 1e-6 * max(1.0, fa.W)
+            assert abs(ff.omega[0] - fa.omega[0]) < 1e-6 * max(1.0, fa.W)
+            assert ff.W == pytest.approx(fa.W, rel=1e-6)
+
+
+# -- order-aware patch-frame engine ----------------------------------------------
+
+def _engine_patches():
+    parab = build_surface("t-graph:parab").patch
+    xyt = build_surface("xyt-graph").patch
+    D = DeformationField(lambda u, v: 0.3 * u * v,
+                         lambda u, v: 0.1 * u - 0.2 * v * v,
+                         lambda u, v: 0.5 * u * u + 0.0 * v)
+    return {
+        "t-graph": parab,
+        "xyt-graph": xyt,
+        "vertical-plane": build_surface("vertical-plane:1,0.5,-0.25").patch,
+        "intrinsic": build_surface("intrinsic:xyt").patch,
+        "dilated": dilate_patch(parab, 1.7),
+        "translated": left_translate_patch(xyt, (0.3, -0.2, 0.5)),
+        "deformed": deform_patch(parab, D, 0.05),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_engine_patches()))
+def test_patch_fields_order1_values_equal_order2(name):
+    P = _engine_patches()[name]
+    u0, u1, v0, v1 = P.domain
+    U, V = np.meshgrid(np.linspace(u0, u1, 21), np.linspace(v0, v1, 17),
+                       indexing="ij")
+    f1 = patch_fields_jets(P, U, V, order=1)
+    f2 = patch_fields_jets(P, U, V, order=2)
+    assert set(f1) == {"x", "y", "p", "q", "omega", "W"}
+    for key in ("W", "omega", "p", "q", "x", "y"):
+        assert isinstance(f1[key], np.ndarray)
+        assert np.array_equal(f1[key], f2[key].v, equal_nan=True), key
+
+
+def test_zy_second_order1_is_the_value_frame():
+    P = build_surface("xyt-graph").patch
+    U, V = np.meshgrid(np.linspace(-2, 2, 9), np.linspace(-1, 1, 9))
+    zz1 = zy_second(P, None, U, V, order=1)
+    zz2 = zy_second(P, None, U, V)
+    for key in ("W", "omega", "p", "q"):
+        assert np.array_equal(zz1[key], zz2[key])
+    with pytest.raises(ValueError, match="tangential derivatives"):
+        zy_second(P, lambda u, v: u, U, V, order=1)
+    with pytest.raises(ValueError, match="order must be 1 or 2"):
+        zy_second(P, None, U, V, order=3)
 
 
 # -- tangential derivatives ------------------------------------------------------

@@ -98,6 +98,25 @@ def test_zero_deformation_gives_zero_rates():
         pytest.approx(0.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("order, calls", [(1, 4), (2, 7)])
+def test_numeric_variation_integrates_each_lambda_once(monkeypatch, order,
+                                                       calls):
+    import carnot_calc.variation as variation
+    P = build_surface("t-graph:parab").patch
+    D = DeformationField(ZERO, ZERO, lambda u, v: 0.1 * u * v)
+    expected = numeric_variation(P, D, order=order, nu=16, nv=16)
+    seen = []
+    inner = variation.integrate_patch
+
+    def counting(Q, *args, **kwargs):
+        seen.append(Q.name)
+        return inner(Q, *args, **kwargs)
+
+    monkeypatch.setattr(variation, "integrate_patch", counting)
+    assert numeric_variation(P, D, order=order, nu=16, nv=16) == expected
+    assert len(seen) == len(set(seen)) == calls
+
+
 def test_minimal_plane_is_critical():
     P = build_surface("vertical-plane:1,0,0", domain=(0, 1, 0, 1)).patch
     D = DeformationField(bump2(0.5, 0.5, 0.45, 0.45), ZERO, ZERO)
