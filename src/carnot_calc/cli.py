@@ -21,7 +21,7 @@ from . import variation as var
 from .curvature import IDENTITY_IDS, curvature_grid, identity_battery
 from .fields import bump2
 from .groups import build_group
-from .surfaces import build_surface, catalog_ids
+from .surfaces import _poly2, build_surface, catalog_ids
 
 IDENTITY_TOL = 1e-4
 FLOW_TOL = 1e-4
@@ -31,8 +31,8 @@ CSV columns by verb:
   curvature:  u, v, p, q, omega, W, H_param[, H_levelset], A, obar
   identities: identity_id, surface_id, grid, residual, tolerance, pass
   flow-check: u, v, residual, tolerance, pass
-Other verbs emit JSON.  The environment variable CARNOT_CALC_THREADS caps
-the quadrature worker count (results do not depend on it)."""
+Other verbs emit JSON; a JSON report that would hold a NaN or infinity
+fails with exit code 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +76,8 @@ def render_csv(rows, fieldnames=None):
 
 
 def render_json(obj):
-    return json.dumps(_plain(obj), indent=2) + "\n"
+    """JSON text of obj; a NaN or infinity raises ValueError (not JSON)."""
+    return json.dumps(_plain(obj), indent=2, allow_nan=False) + "\n"
 
 
 def emit_report(rows, format="csv", path=None, fieldnames=None):
@@ -133,19 +134,7 @@ def _parse_component(spec, domain):
         cu, cv, ru, rv = (float(z) for z in s[5:].split(","))
         return bump2(cu, cv, ru, rv)
     if s.startswith("poly:"):
-        terms = json.loads(s[5:])
-
-        def fn(u, v):
-            total = 0.0 * u + 0.0 * v
-            for c, (eu, ev) in terms:
-                term = float(c)
-                if eu:
-                    term = term * u ** int(eu)
-                if ev:
-                    term = term * v ** int(ev)
-                total = total + term
-            return total
-        return fn
+        return _poly2(json.loads(s[5:]))
     raise ValueError("cannot parse deformation component %r" % (spec,))
 
 

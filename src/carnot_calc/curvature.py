@@ -13,7 +13,7 @@ have curvature 1/R.
 
 import numpy as np
 
-from .fields import ANALYTIC, FD, CBRT_EPS, horizontal_jet
+from .fields import ANALYTIC, CBRT_EPS, horizontal_jet
 from .groups import frame_at, frame_jacobian
 from .surfaces import (CharacteristicPointError, burgers, frame_levelset,
                        zy_second)
@@ -124,7 +124,7 @@ def directional_fd(fn, g, vec, h=None):
     return (fn(g + h * vec) - fn(g - h * vec)) / (2.0 * h)
 
 
-def hmc_divergence(S, g, engine=FD, h=None):
+def hmc_divergence(S, g, h=None):
     """Curvature as the horizontal divergence sum_i X_i(pbar_i).
 
     The unit fields pbar_i are evaluated exactly (first derivatives of phi
@@ -152,8 +152,7 @@ def hmc_param(P, uv):
     """Curvature qbar Z(pbar) - pbar Z(qbar) on a patch (exact jets)."""
     u, v = float(uv[0]), float(uv[1])
     zz = zy_second(P, None, u, v)
-    H = zz["qbar"] * zz["Zpbar"] - zz["pbar"] * zz["Zqbar"]
-    return CurvatureReport(H, "param", zz["W"],
+    return CurvatureReport(zz["H"], "param", zz["W"],
                            {"Zpbar": float(zz["Zpbar"]),
                             "Zqbar": float(zz["Zqbar"])})
 
@@ -249,7 +248,7 @@ def geometry_aux(S, point):
     obar = np.array([float(zz["obar"])])
     return {"cHS": obar[0] * np.array([pbar[1], -pbar[0]]),
             "obar": obar, "pbar": pbar, "W": float(zz["W"]),
-            "H": float(zz["qbar"] * zz["Zpbar"] - zz["pbar"] * zz["Zqbar"]),
+            "H": float(zz["H"]),
             "A": float(-zz["Zobar"])}
 
 
@@ -332,12 +331,6 @@ def _fd_field(S, key):
     """The exact field g -> levelset_fields(S, g)[key] as a plain callable."""
     def field(gp):
         return levelset_fields(S, gp)[key]
-    return field
-
-
-def _combo(S, fn):
-    def field(gp):
-        return fn(levelset_fields(S, gp))
     return field
 
 
@@ -589,11 +582,10 @@ def curvature_grid(P, nu=None, nv=None, with_levelset=True):
     V = np.linspace(v0, v1, int(nv))
     UU, VV = np.meshgrid(U, V, indexing="ij")
     zz = zy_second(P, None, UU, VV)
-    H = zz["qbar"] * zz["Zpbar"] - zz["pbar"] * zz["Zqbar"]
     cols = {"u": UU.ravel(), "v": VV.ravel(),
             "p": zz["p"].ravel(), "q": zz["q"].ravel(),
             "omega": zz["omega"].ravel(), "W": zz["W"].ravel(),
-            "H_param": H.ravel(), "A": (-zz["Zobar"]).ravel(),
+            "H_param": zz["H"].ravel(), "A": (-zz["Zobar"]).ravel(),
             "obar": zz["obar"].ravel()}
     if with_levelset and P.levelset is not None:
         Hl = np.empty(UU.size)

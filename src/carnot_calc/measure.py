@@ -2,12 +2,10 @@
 
 The sub-Riemannian area element of a patch is dsigma_H = W du dv.  All
 integrals use deterministic composite rules with a fixed pairwise summation
-tree, so results are bit-stable for a given grid regardless of the worker
-count (env CARNOT_CALC_THREADS).
+tree over the row-major grid.  Densities are evaluated in row blocks, and
+every density is elementwise, so results are bit-stable for a given grid
+regardless of the block size.
 """
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -25,26 +23,20 @@ __all__ = [
     "mcf_residual",
 ]
 
-
-def _nthreads():
-    try:
-        return max(1, int(os.environ.get("CARNOT_CALC_THREADS", "1")))
-    except ValueError:
-        return 1
+# Nodes per evaluation block: small enough that the order-2 jet temporaries
+# of one block stay in cache instead of streaming whole-grid arrays.
+_BLOCK_NODES = 8192
 
 
 def _eval_rows(fn, UU, VV):
-    """Evaluate fn over row blocks, possibly threaded, order-preserving.
+    """Evaluate fn over consecutive row blocks of about _BLOCK_NODES nodes.
 
     fn(U, V) returns a tuple of arrays shaped like its inputs; the row
     blocks of each are concatenated back in order.
     """
-    n = _nthreads()
-    if n == 1 or UU.shape[0] < 2 * n:
-        return fn(UU, VV)
-    blocks = np.array_split(np.arange(UU.shape[0]), n)
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        parts = list(ex.map(lambda idx: fn(UU[idx], VV[idx]), blocks))
+    rows = max(1, _BLOCK_NODES // UU.shape[1])
+    parts = [fn(UU[i:i + rows], VV[i:i + rows])
+             for i in range(0, UU.shape[0], rows)]
     return tuple(np.concatenate(cols, axis=0) for cols in zip(*parts))
 
 
@@ -316,8 +308,7 @@ def ibp_residual(P, kind, zeta, f=None, index=1, nu=None, nv=None,
     def block(U, V):
         base, zf, zz = _zz_pair(P, f, zeta, U, V)
         W, ob = base["W"], base["obar"]
-        pb, qb = base["pbar"], base["qbar"]
-        H = qb * base["Zpbar"] - pb * base["Zqbar"]
+        pb, qb, H = base["pbar"], base["qbar"], base["H"]
         if kind == "Z":
             expr = zz["Zf"] + zz["value"] * ob
         elif kind == "TY":
@@ -390,9 +381,7 @@ def coordinate_laplacians(P, u, v):
         out["Z" + nm] = zz["Zf"]
     out.update({"pbar": base["pbar"], "qbar": base["qbar"],
                 "obar": base["obar"], "W": base["W"],
-                "x": flds["x"].v, "y": flds["y"].v,
-                "H": base["qbar"] * base["Zpbar"]
-                     - base["pbar"] * base["Zqbar"]})
+                "x": flds["x"].v, "y": flds["y"].v, "H": base["H"]})
     return out
 
 

@@ -334,7 +334,8 @@ def zy_second(P, f, u, v, flds=None, order=2):
 
     f(u, v) must be jet-safe to second order (or None, to get just the frame
     fields).  Returns plain arrays: Zf, Bf = (T - obar Y)f, Z2f = Z(Zf),
-    BZf = (T - obar Y)(Zf), the frame quantities, and their Z/B derivatives.
+    BZf = (T - obar Y)(Zf), the frame quantities, their Z/B derivatives and
+    the curvature H = qbar Z(pbar) - pbar Z(qbar).
     order=1 (f None only) returns just the values of patch_fields_jets at
     order 1: x, y, p, q, omega and W.
     """
@@ -363,6 +364,7 @@ def _zy_second_impl(P, f, u, v, flds=None):
            "Bqbar": b_apply(flds, flds["qbar"]),
            "Bobar": b_apply(flds, flds["obar"]),
            "flds": flds}
+    out["H"] = out["qbar"] * out["Zpbar"] - out["pbar"] * out["Zqbar"]
     if f is None:
         return out
     uj, vj = flds["seeds"]
@@ -395,7 +397,7 @@ class IntrinsicGraph:
         self.name = name
 
 
-def burgers(Gr, F, uv=None, engine=ANALYTIC):
+def burgers(Gr, F, uv=None):
     """Graph derivative B_phi(F) = F_u + phi F_v of an intrinsic graph.
 
     With uv=None returns a callable; the callable accepts floats, arrays, or
@@ -409,14 +411,9 @@ def burgers(Gr, F, uv=None, engine=ANALYTIC):
             if Fj.h is not None:
                 return jet_partial(Fj, 0) + phij * jet_partial(Fj, 1)
             return Fj.g[0] + phij.v * Fj.g[1]
-        if engine.mode == "analytic":
-            uj, vj = seed_jets((u, v), order=2)
-            res = bf(uj, vj)
-            return res.v if isinstance(res, Jet) else res
-        h = engine.step1(np.asarray([u, v]))
-        Fu = (F(u + h, v) - F(u - h, v)) / (2 * h)
-        Fv = (F(u, v + h) - F(u, v - h)) / (2 * h)
-        return Fu + Gr.phi(u, v) * Fv
+        uj, vj = seed_jets((u, v), order=2)
+        res = bf(uj, vj)
+        return res.v if isinstance(res, Jet) else res
 
     if uv is None:
         return bf

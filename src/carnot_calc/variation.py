@@ -119,8 +119,7 @@ def first_variation_analytic(P, D, nu=None, nv=None, rule="simpson"):
 
     def density(zz):
         a, b, k = _coeff_values(D, zz)
-        H = zz["qbar"] * zz["Zpbar"] - zz["pbar"] * zz["Zqbar"]
-        return H * (zz["pbar"] * a + zz["qbar"] * b + zz["obar"] * k)
+        return zz["H"] * (zz["pbar"] * a + zz["qbar"] * b + zz["obar"] * k)
 
     return integrate_patch(P, density, nu=nu, nv=nv, rule=rule,
                            error_estimate=False).value
@@ -134,8 +133,7 @@ def normal_first_variation(P, zeta, nu=None, nv=None, rule="simpson"):
         uj, vj = zz["flds"]["seeds"]
         z = np.asarray(zeta(np.asarray(uj.v, dtype=float),
                             np.asarray(vj.v, dtype=float)), dtype=float)
-        H = zz["qbar"] * zz["Zpbar"] - zz["pbar"] * zz["Zqbar"]
-        return H * z / zz["W"]
+        return zz["H"] * z / zz["W"]
 
     return integrate_patch(P, density, nu=nu, nv=nv, rule=rule,
                            error_estimate=False).value
@@ -145,15 +143,15 @@ def normal_first_variation(P, zeta, nu=None, nv=None, rule="simpson"):
 # pointwise rates of the frame components
 
 
+def _on_frame(P, flds, fns):
+    """zy_second dicts of the surface functions fns on the evaluated frame."""
+    uj, vj = flds["seeds"]
+    return [zy_second(P, f, uj.v, vj.v, flds=flds) for f in fns]
+
+
 def _rate_fields(P, D, u, v):
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
     base = zy_second(P, None, u, v)
-    flds = base["flds"]
-    za = zy_second(P, D.a, u, v, flds=flds)
-    zb = zy_second(P, D.b, u, v, flds=flds)
-    zk = zy_second(P, D.k, u, v, flds=flds)
-    return base, za, zb, zk
+    return (base, *_on_frame(P, base["flds"], (D.a, D.b, D.k)))
 
 
 def frame_variation_rates(P, D, u, v):
@@ -206,12 +204,7 @@ def second_variation_full(P, D, nu=None, nv=None, rule="simpson"):
     """
 
     def density(zz):
-        flds = zz["flds"]
-        u = np.asarray(flds["seeds"][0].v, dtype=float)
-        v = np.asarray(flds["seeds"][1].v, dtype=float)
-        za = zy_second(P, D.a, u, v, flds=flds)
-        zb = zy_second(P, D.b, u, v, flds=flds)
-        zk = zy_second(P, D.k, u, v, flds=flds)
+        za, zb, zk = _on_frame(P, zz["flds"], (D.a, D.b, D.k))
         ob, pb, qb = zz["obar"], zz["pbar"], zz["qbar"]
         a, b = za["value"], zb["value"]
         Za, Zb, Zk = za["Zf"], zb["Zf"], zk["Zf"]
@@ -234,8 +227,7 @@ def second_variation_full(P, D, nu=None, nv=None, rule="simpson"):
 
 
 def _require_minimal(zz, tol):
-    H = zz["qbar"] * zz["Zpbar"] - zz["pbar"] * zz["Zqbar"]
-    worst = float(np.max(np.abs(H)))
+    worst = float(np.max(np.abs(zz["H"])))
     if worst > tol:
         raise ValueError("surface is not H-minimal (max |H| = %g)" % worst)
 
@@ -247,9 +239,7 @@ def quadratic_form(P, F, nu=None, nv=None, rule="simpson",
 
     def density(zz):
         _require_minimal(zz, minimal_tol)
-        u = np.asarray(zz["flds"]["seeds"][0].v, dtype=float)
-        v = np.asarray(zz["flds"]["seeds"][1].v, dtype=float)
-        zf = zy_second(P, F, u, v, flds=zz["flds"])
+        zf, = _on_frame(P, zz["flds"], (F,))
         Acurv = -zz["Zobar"]
         return zf["Zf"] ** 2 + (2 * Acurv - zz["obar"] ** 2) \
             * zf["value"] ** 2
@@ -271,12 +261,7 @@ def second_variation_geometric(P, D, nu=None, nv=None, rule="simpson",
 
     def density(zz):
         _require_minimal(zz, minimal_tol)
-        flds = zz["flds"]
-        u = np.asarray(flds["seeds"][0].v, dtype=float)
-        v = np.asarray(flds["seeds"][1].v, dtype=float)
-        za = zy_second(P, D.a, u, v, flds=flds)
-        zb = zy_second(P, D.b, u, v, flds=flds)
-        zk = zy_second(P, D.k, u, v, flds=flds)
+        za, zb, zk = _on_frame(P, zz["flds"], (D.a, D.b, D.k))
         pb, qb, ob = zz["pbar"], zz["qbar"], zz["obar"]
         a, b, k = za["value"], zb["value"], zk["value"]
         F = pb * a + qb * b + ob * k
@@ -351,9 +336,9 @@ def stability_scan(P, bumps=None, n_centers=5, n_radii=5, nu=None, nv=None,
                    witness_threshold=-1e-6, minimal_tol=1e-6):
     """Evaluate the stability form over a family of normal-speed bumps.
 
-    Returns the full table (in lattice order), the minimum and its argmin,
-    and the first witness with Q < witness_threshold (None if the scan
-    stays nonnegative).
+    Returns the full table (in lattice order), the minimum and its argmin
+    (both None for an empty family), and the first witness with
+    Q < witness_threshold (None if the scan stays nonnegative).
     """
     if bumps is None:
         u0, u1, v0, v1 = P.domain
@@ -372,7 +357,7 @@ def stability_scan(P, bumps=None, n_centers=5, n_radii=5, nu=None, nv=None,
         argmin = min(table, key=lambda e: e["Q"])
         min_value = argmin["Q"]
     else:
-        argmin, min_value = None, np.nan
+        argmin = min_value = None
     return {"table": table, "min_value": min_value, "argmin": argmin,
             "witness": witness, "count": len(table)}
 

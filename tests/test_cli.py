@@ -4,10 +4,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import carnot_calc.cli as cli
 from carnot_calc.cli import emit_report, run
+from carnot_calc.fields import seed_jets
 
 
 def invoke(capsys, argv):
@@ -154,6 +156,19 @@ def test_variation_geometric_mode_accepts_documented_spelling(capsys):
     assert json.loads(short)["value"] == data["value"]
 
 
+def test_poly_component_matches_hand_written_polynomial():
+    terms = [[0.5, [2, 1]], [-1.25, [0, 3]], [2, [1, 0]], [0.75, [0, 0]]]
+    fn = cli._parse_component("poly:" + json.dumps(terms), (0, 1, 0, 1))
+    U, V = np.meshgrid(np.linspace(-1.0, 1.0, 5), np.linspace(-0.5, 2.0, 4),
+                       indexing="ij")
+    uj, vj = seed_jets((U, V), order=2)
+    got = fn(uj, vj)
+    want = (0.0 * uj + 0.0 * vj + 0.5 * uj ** 2 * vj ** 1
+            + -1.25 * vj ** 3 + 2.0 * uj ** 1 + 0.75)
+    for part in ("v", "g", "h"):
+        assert np.array_equal(getattr(got, part), getattr(want, part))
+
+
 # -- stability ------------------------------------------------------------------
 
 def test_stability_finds_witness_on_unstable_graph(capsys):
@@ -184,6 +199,35 @@ def test_stability_random_family(capsys):
     data = json.loads(out)
     assert len(data["table"]) == 10
     assert data["min_value"] >= -1e-8
+
+
+def _reject_constant(name):
+    raise ValueError("report holds a bare %s" % name)
+
+
+def test_stability_empty_family_is_valid_json(capsys):
+    rc, out, _ = invoke(capsys, ["stability", "--surface", "xyt-graph",
+                                 "--family", "random:0,1"])
+    assert rc == 0
+    data = json.loads(out, parse_constant=_reject_constant)
+    assert data["count"] == 0
+    assert data["min_value"] is None
+    assert data["argmin"] is None
+
+
+def test_nan_in_json_report_is_an_error(capsys):
+    # the corner node (0.5, 0.5) of this t-graph is characteristic, so its
+    # curvature columns are NaN: fine in CSV, not representable in JSON
+    surface = "t-graph:poly:[[-0.25, [1, 0]], [0.25, [0, 1]]]"
+    rc, out, _ = invoke(capsys, ["curvature", "--surface", surface,
+                                 "--points", "4"])
+    assert rc == 0
+    assert "nan" in out
+    rc, out, err = invoke(capsys, ["curvature", "--surface", surface,
+                                   "--points", "4", "--format", "json"])
+    assert rc == 2
+    assert out == ""
+    assert "error:" in err
 
 
 # -- flow check -----------------------------------------------------------------

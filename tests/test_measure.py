@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from carnot_calc import measure
 from carnot_calc import (
+    DeformationField,
     ambient_tangential_laplacian,
     build_field,
     build_group,
@@ -20,6 +22,7 @@ from carnot_calc import (
     pairwise_sum,
     perimeter,
     scaling_ratio,
+    second_variation_full,
     stokes_residual,
     surface_gradient,
     tangential_laplacian,
@@ -113,12 +116,21 @@ def test_pairwise_sum_matches_fsum(rng):
     assert pairwise_sum(x) == pytest.approx(math.fsum(x), abs=1e-10 * np.sum(np.abs(x)))
 
 
-def test_threaded_integration_is_deterministic(monkeypatch):
-    P = build_surface("t-graph:parab").patch
-    serial = perimeter(P, nu=128, nv=128).value
-    monkeypatch.setenv("CARNOT_CALC_THREADS", "4")
-    threaded = perimeter(P, nu=128, nv=128).value
-    assert threaded == serial  # byte-identical, not merely close
+def test_blocked_integration_is_bit_identical(monkeypatch):
+    # a characteristic node at the center is masked inside one block
+    P = build_surface("t-graph:zero", domain=(-1, 1, -1, 1)).patch
+    Q = build_surface("t-graph:parab").patch
+    D = DeformationField(bump2(1.0, 1.0, 0.4, 0.4), bump2(0.9, 1.1, 0.3, 0.3),
+                         bump2(1.0, 0.9, 0.35, 0.4))
+    results = []
+    # one block, then 7-row blocks (129 columns) and 15-row blocks
+    # (65 columns), each with a ragged last block
+    for block_nodes in (10 ** 9, 1000):
+        monkeypatch.setattr(measure, "_BLOCK_NODES", block_nodes)
+        r = perimeter(P, nu=128, nv=128)
+        results.append((r.value, r.excluded_mass, r.error_estimate,
+                        second_variation_full(Q, D, nu=64, nv=64)))
+    assert results[0] == results[1]  # byte-identical, not merely close
 
 
 # -- Riemannian approximation ------------------------------------------------------
