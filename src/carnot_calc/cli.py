@@ -29,6 +29,7 @@ FLOW_TOL = 1e-4
 _CSV_HELP = """\
 CSV columns by verb:
   curvature:  u, v, p, q, omega, W, H_param[, H_levelset], A, obar
+              (H_param, H_levelset, A, obar empty at characteristic nodes)
   identities: identity_id, surface_id, grid, residual, tolerance, pass
   flow-check: u, v, residual, tolerance, pass
 Other verbs emit JSON; a JSON report that would hold a NaN or infinity
@@ -164,8 +165,9 @@ def cmd_curvature(cfg):
     order = ["u", "v", "p", "q", "omega", "W", "H_param", "H_levelset",
              "A", "obar"]
     names = [nm for nm in order if nm in cols]
-    n = len(cols["u"])
-    rows = [{nm: cols[nm][i] for nm in names} for i in range(n)]
+    # characteristic nodes have no H, A or obar: null (JSON) or empty (CSV)
+    rows = [{nm: cols[nm][i] if np.isfinite(cols[nm][i]) else None
+             for nm in names} for i in range(len(cols["u"]))]
     return rows, "csv", names, True
 
 

@@ -60,11 +60,12 @@ def levelset_fields(S, g):
     """Exact frame/curvature data of a level set at g, from two jets of phi.
 
     Returns values and ambient coordinate gradients of p_i, omega_s, W and
-    their normalizations, the frame vectors, and (on H^1) the tangential
-    derivatives Z/Y/T of pbar, qbar, obar plus curvature H and the vertical
-    rate A = -Z(obar).  Everything here is exact given exact phi callbacks;
-    only quantities needing three derivatives of phi require an outer finite
-    difference on top (see directional_fd).
+    their normalizations, the frame vectors, and (on H^1) the directions
+    Z, Y, B = T - obar Y, the tangential derivatives Z/Y/T of pbar, qbar,
+    obar plus curvature H and the vertical rate A = -Z(obar).  Everything
+    here is exact given exact phi callbacks; only quantities needing three
+    derivatives of phi require an outer finite difference on top (see
+    directional_fd).
     """
     G = S.group
     g = np.asarray(g, dtype=float)
@@ -108,6 +109,7 @@ def levelset_fields(S, g):
             der[nm + "q"] = float(vec @ dp[:, 1])
         out.update(der)
         out.update({"X1v": X1, "X2v": X2, "Tv": T, "Zv": Zv, "Yv": Yv,
+                    "Bv": T - obar[0] * Yv,
                     "Acurv": -der["Zobar"],
                     "kappaY": pbar[1] * der["Ypbar"] - pbar[0] * der["Yqbar"],
                     "kappaT": pbar[1] * der["Tpbar"] - pbar[0] * der["Tqbar"],
@@ -138,10 +140,8 @@ def hmc_divergence(S, g, h=None):
 
     def pbar_at(i):
         def field(gp):
-            ph = S.phi.jet(gp, order=1)
-            comps = frame_at(G, gp).T @ np.asarray(ph.g, dtype=float)
-            p = comps[: G.m]
-            return p[i] / np.sqrt(np.sum(p ** 2))
+            fp = frame_levelset(S, gp, normalized=False)
+            return fp.p[i] / fp.W
         return field
 
     H = sum(directional_fd(pbar_at(i), g, A[:, i], h=h) for i in range(G.m))
@@ -174,9 +174,8 @@ def hmc_pauls(S, g, eps_list=(1e-2, 1e-3, 1e-4), h=None):
 
     def comp_field(i, eps):
         def field(gp):
-            ph = S.phi.jet(gp, order=1)
-            comps = frame_at(G, gp).T @ np.asarray(ph.g, dtype=float)
-            p, om = comps[:2], comps[2]
+            fp = frame_levelset(S, gp, normalized=False)
+            p, om = fp.p, fp.omega[0]
             W2 = np.sum(p ** 2)
             denom = np.sqrt(W2 + eps * om ** 2)
             return (p[i] if i < 2 else om) / denom
@@ -324,192 +323,132 @@ def pseudo_hermitian_check(S, point, h=None):
 #
 # Inner quantities (frame, curvature, first tangential derivatives) are exact
 # from jets of phi; each outermost derivative is one central finite
-# difference along a frozen direction.
+# difference along a frozen direction.  Each identity is an expression over
+# (f, d): f is levelset_fields at the point, d(q, D) the difference of q
+# along the direction D.
 
 
-def _fd_field(S, key):
-    """The exact field g -> levelset_fields(S, g)[key] as a plain callable."""
-    def field(gp):
-        return levelset_fields(S, gp)[key]
-    return field
-
-
-def _id_unit_gradient(S, g, fd):
-    f = levelset_fields(S, g)
+def _id_unit_gradient(f, d):
     return max(abs(f["pbar"][0] * f[D + "pbar"] + f["pbar"][1] * f[D + "qbar"])
                for D in ("Z", "Y", "T"))
 
 
-def _id_z_of_normal(S, g, fd):
-    f = levelset_fields(S, g)
+def _id_z_of_normal(f, d):
     return max(abs(f["Zpbar"] - f["pbar"][1] * f["H"]),
                abs(f["Zqbar"] + f["pbar"][0] * f["H"]))
 
 
-def _id_curvature_squared(S, g, fd):
-    f = levelset_fields(S, g)
+def _id_curvature_squared(f, d):
     return abs(f["Zpbar"] ** 2 + f["Zqbar"] ** 2 - f["H"] ** 2)
 
 
-def _id_frame_curvature(S, g, fd):
-    f = levelset_fields(S, g)
+def _id_frame_curvature(f, d):
     return abs(f["pbar"][1] * f["Zpbar"] - f["pbar"][0] * f["Zqbar"] - f["H"])
 
 
-def _id_y_antisymmetry(S, g, fd):
-    f = levelset_fields(S, g)
+def _id_y_antisymmetry(f, d):
     return abs(f["kappaY"] - (f["X2pbar"] - f["X1qbar"]))
 
 
-def _id_z_log_area(S, g, fd):
-    f = levelset_fields(S, g)
+def _id_z_log_area(f, d):
     return abs(f["ZW"] / f["W"] - (f["kappaY"] + f["obar"][0]))
 
 
-def _id_y_omega(S, g, fd):
-    f = levelset_fields(S, g)
+def _id_y_omega(f, d):
     return abs(f["Yom"] - f["TW"])
 
 
-def _id_z_omega(S, g, fd):
-    f = levelset_fields(S, g)
+def _id_z_omega(f, d):
     return abs(f["Zom"] / f["W"] - f["kappaT"])
 
 
-def _id_vertical_rate(S, g, fd):
-    f = levelset_fields(S, g)
+def _id_vertical_rate(f, d):
     ob = f["obar"][0]
     rhs = (f["pbar"][0] * (f["Tqbar"] - ob * f["Yqbar"])
            - f["pbar"][1] * (f["Tpbar"] - ob * f["Ypbar"]) + ob ** 2)
     return abs(f["Acurv"] - rhs)
 
 
-def _id_perp_forms(S, g, fd):
-    f = levelset_fields(S, g)
+def _id_perp_forms(f, d):
     pairs = (("Y", "T"), ("Y", "Z"), ("T", "Z"))
     return max(abs(f[a + "qbar"] * f[b + "pbar"] - f[a + "pbar"] * f[b + "qbar"])
                for a, b in pairs)
 
 
-def _id_wedge_curvature(S, g, fd):
-    f = levelset_fields(S, g)
+def _id_wedge_curvature(f, d):
     pb, qb = f["pbar"]
     val = (qb ** 2 * f["X1pbar"] - pb * qb * (f["X2pbar"] + f["X1qbar"])
            + pb ** 2 * f["X2qbar"])
     return abs(val - f["H"])
 
 
-def _commutator_residual(S, g, fd, first, second, rhs_fn):
-    """max over coordinate test functions f of |[first,second]f - rhs(f)|.
+def _commutator_residual(f, d, first, second, rhs):
+    """max over coordinates x_c of |[first, second] x_c - rhs(c)|.
 
-    first/second are direction keys; the inner derivative of a coordinate is
-    the corresponding component of the (exact) direction field, the outer one
-    is a finite difference along the frozen outer direction.
+    The inner derivative of a coordinate is the matching component of the
+    (exact) direction field; the outer one is a finite difference along the
+    other frozen direction.
     """
-    f0 = levelset_fields(S, g)
-    res = 0.0
-    for comp in range(3):
-        def inner_second(gp, c=comp):
-            return levelset_fields(S, gp)[second + "v"][c]
-
-        def inner_first(gp, c=comp):
-            return levelset_fields(S, gp)[first + "v"][c]
-
-        lhs = (fd(inner_second, g, f0[first + "v"])
-               - fd(inner_first, g, f0[second + "v"]))
-        res = max(res, abs(lhs - rhs_fn(f0, comp)))
-    return res
+    return max(abs(d(lambda fl: fl[second + "v"][c], first)
+                   - d(lambda fl: fl[first + "v"][c], second) - rhs(c))
+               for c in range(3))
 
 
-def _id_zy_commutator(S, g, fd):
-    def rhs(f, c):
-        return (f["Tv"][c] + f["H"] * f["Zv"][c] + f["kappaY"] * f["Yv"][c])
-    return _commutator_residual(S, g, fd, "Z", "Y", rhs)
+def _id_zy_commutator(f, d):
+    return _commutator_residual(f, d, "Z", "Y", lambda c: (
+        f["Tv"][c] + f["H"] * f["Zv"][c] + f["kappaY"] * f["Yv"][c]))
 
 
-def _id_zt_commutator(S, g, fd):
-    def rhs(f, c):
-        return f["kappaT"] * f["Yv"][c]
-    return _commutator_residual(S, g, fd, "Z", "T", rhs)
+def _id_zt_commutator(f, d):
+    return _commutator_residual(f, d, "Z", "T",
+                                lambda c: f["kappaT"] * f["Yv"][c])
 
 
-def _id_mixed_commutator(S, g, fd):
+def _id_mixed_commutator(f, d):
     # [T - obar Y, Z] f = obar { (T - obar Y) f + H Z f } on coordinates
-    f0 = levelset_fields(S, g)
-    Bv = f0["Tv"] - f0["obar"][0] * f0["Yv"]
-    res = 0.0
-    for comp in range(3):
-        def Zcomp(gp, c=comp):
-            return levelset_fields(S, gp)["Zv"][c]
-
-        def Bcomp(gp, c=comp):
-            f = levelset_fields(S, gp)
-            return f["Tv"][c] - f["obar"][0] * f["Yv"][c]
-
-        lhs = fd(Zcomp, g, Bv) - fd(Bcomp, g, f0["Zv"])
-        rhs = f0["obar"][0] * (Bv[comp] + f0["H"] * f0["Zv"][comp])
-        res = max(res, abs(lhs - rhs))
-    return res
+    return _commutator_residual(f, d, "B", "Z", lambda c: (
+        f["obar"][0] * (f["Bv"][c] + f["H"] * f["Zv"][c])))
 
 
-def _id_z_vertical_rate(S, g, fd):
+def _id_z_vertical_rate(f, d):
     # Z(A) = obar{(obar^2 - 3A) + H^2} - (T - obar Y)H.  The last term
     # vanishes wherever H is constant (in particular on H-minimal surfaces)
     # but is required in general; it follows from the z-of-normal,
     # vertical-rate and mixed-commutator identities by direct expansion.
-    f = levelset_fields(S, g)
-    ZA = fd(_fd_field(S, "Acurv"), g, f["Zv"])
-    BH = fd(_fd_field(S, "H"), g, f["Tv"] - f["obar"][0] * f["Yv"])
-    ob = f["obar"][0]
-    return abs(ZA - ob * (ob ** 2 - 3.0 * f["Acurv"] + f["H"] ** 2) + BH)
+    ob, H = f["obar"][0], f["H"]
+    return abs(d("Acurv", "Z") - ob * (ob ** 2 - 3.0 * f["Acurv"] + H ** 2)
+               + d("H", "B"))
 
 
-def _id_z_y_coefficient(S, g, fd):
-    f = levelset_fields(S, g)
-    Zk = fd(_fd_field(S, "kappaY"), g, f["Zv"])
-    YH = fd(_fd_field(S, "H"), g, f["Yv"])
-    return abs(Zk - f["kappaY"] ** 2 - f["kappaT"] - (YH + f["H"] ** 2))
+def _id_z_y_coefficient(f, d):
+    return abs(d("kappaY", "Z") - f["kappaY"] ** 2 - f["kappaT"]
+               - (d("H", "Y") + f["H"] ** 2))
 
 
-def _id_z_t_coefficient(S, g, fd):
-    f = levelset_fields(S, g)
-    Zk = fd(_fd_field(S, "kappaT"), g, f["Zv"])
-    TH = fd(_fd_field(S, "H"), g, f["Tv"])
-    return abs(Zk - (TH + f["kappaT"] * f["kappaY"]))
+def _id_z_t_coefficient(f, d):
+    return abs(d("kappaT", "Z") - (d("H", "T") + f["kappaT"] * f["kappaY"]))
 
 
-def _id_y_curvature(S, g, fd):
-    f = levelset_fields(S, g)
-    YZp = fd(_fd_field(S, "Zpbar"), g, f["Yv"])
-    YZq = fd(_fd_field(S, "Zqbar"), g, f["Yv"])
-    YH = fd(_fd_field(S, "H"), g, f["Yv"])
-    return abs(f["pbar"][1] * YZp - f["pbar"][0] * YZq - YH)
+def _id_y_curvature(f, d):
+    return abs(f["pbar"][1] * d("Zpbar", "Y") - f["pbar"][0] * d("Zqbar", "Y")
+               - d("H", "Y"))
 
 
-def _id_t_curvature(S, g, fd):
-    f = levelset_fields(S, g)
-    TZp = fd(_fd_field(S, "Zpbar"), g, f["Tv"])
-    TZq = fd(_fd_field(S, "Zqbar"), g, f["Tv"])
-    TH = fd(_fd_field(S, "H"), g, f["Tv"])
-    return abs(f["pbar"][1] * TZp - f["pbar"][0] * TZq - TH)
+def _id_t_curvature(f, d):
+    return abs(f["pbar"][1] * d("Zpbar", "T") - f["pbar"][0] * d("Zqbar", "T")
+               - d("H", "T"))
 
 
-def _id_z_frame_split(S, g, fd):
-    f = levelset_fields(S, g)
-    res = 0.0
-    for c in range(3):
-        lhs1 = f["Zpbar"] * f["X1v"][c] + f["Zqbar"] * f["X2v"][c]
-        lhs2 = f["Zqbar"] * f["X1v"][c] - f["Zpbar"] * f["X2v"][c]
-        res = max(res, abs(lhs1 - f["H"] * f["Zv"][c]),
-                  abs(lhs2 + f["H"] * f["Yv"][c]))
-    return res
+def _id_z_frame_split(f, d):
+    Zp, Zq, H = f["Zpbar"], f["Zqbar"], f["H"]
+    lhs1 = Zp * f["X1v"] + Zq * f["X2v"]
+    lhs2 = Zq * f["X1v"] - Zp * f["X2v"]
+    return max(np.max(np.abs(lhs1 - H * f["Zv"])),
+               np.max(np.abs(lhs2 + H * f["Yv"])))
 
 
-def _id_second_z(S, g, fd):
-    f = levelset_fields(S, g)
-    ZZp = fd(_fd_field(S, "Zpbar"), g, f["Zv"])
-    ZZq = fd(_fd_field(S, "Zqbar"), g, f["Zv"])
-    lhs = f["pbar"][0] * ZZp + f["pbar"][1] * ZZq
+def _id_second_z(f, d):
+    lhs = f["pbar"][0] * d("Zpbar", "Z") + f["pbar"][1] * d("Zqbar", "Z")
     return abs(lhs + f["Zpbar"] ** 2 + f["Zqbar"] ** 2)
 
 
@@ -545,23 +484,35 @@ def identity_battery(S, points, ids=None, h=None):
 
     points: iterable of ambient points on the surface.  Returns a list of
     {identity, point, residual} records; residuals are worst-case over the
-    sub-checks of each identity.
+    sub-checks of each identity.  levelset_fields runs once at each point
+    and once at each stencil point g +- h v of the directions v the
+    requested identities differentiate along.
     """
     ids = list(ids) if ids else IDENTITY_IDS
     unknown = [i for i in ids if i not in _IDENTITIES]
     if unknown:
         raise ValueError("unknown identities: %s" % ", ".join(unknown))
-
-    def fd(fn, g, vec):
-        return directional_fd(fn, g, vec, h=h)
-
     records = []
     for g in points:
         g = np.asarray(g, dtype=float)
+        f = levelset_fields(S, g)
+        near = {}
+
+        def at(gp):
+            key = gp.tobytes()
+            if key not in near:
+                near[key] = levelset_fields(S, gp)
+            return near[key]
+
+        def d(q, D):
+            # central difference of a field key (or a function of the
+            # fields) along the direction D in {Z, Y, T, B} frozen at g
+            val = q if callable(q) else (lambda fl: fl[q])
+            return directional_fd(lambda gp: val(at(gp)), g, f[D + "v"], h=h)
+
         for ident in ids:
-            res = _IDENTITIES[ident](S, g, fd)
             records.append({"identity": ident, "point": g,
-                            "residual": float(res)})
+                            "residual": float(_IDENTITIES[ident](f, d))})
     return records
 
 

@@ -10,7 +10,7 @@ regardless of the block size.
 import numpy as np
 
 from .surfaces import (dilate_patch, left_translate_patch, restrict_to_patch,
-                       zy_second)
+                       tangential, zy_second)
 from .curvature import levelset_fields
 from .fields import horizontal_jet
 
@@ -285,14 +285,6 @@ def ambient_tangential_laplacian(S, field, g, variant="plain"):
 # integral identities
 
 
-def _zz_pair(P, f, zeta, U, V):
-    base = zy_second(P, None, U, V)
-    flds = base["flds"]
-    zf = zy_second(P, f, U, V, flds=flds) if f is not None else None
-    zz = zy_second(P, zeta, U, V, flds=flds)
-    return base, zf, zz
-
-
 def ibp_residual(P, kind, zeta, f=None, index=1, nu=None, nv=None,
                  rule="simpson"):
     """Integration-by-parts residuals on the patch (zero for compactly
@@ -306,7 +298,9 @@ def ibp_residual(P, kind, zeta, f=None, index=1, nu=None, nv=None,
     kind "green":    integral of (<grad f, grad zeta> + f hat-Laplacian zeta)
     """
     def block(U, V):
-        base, zf, zz = _zz_pair(P, f, zeta, U, V)
+        base = zy_second(P, None, U, V)
+        zf = None if f is None else tangential(base["flds"], f)
+        zz = tangential(base["flds"], zeta)
         W, ob = base["W"], base["obar"]
         pb, qb, H = base["pbar"], base["qbar"], base["H"]
         if kind == "Z":
@@ -376,7 +370,7 @@ def coordinate_laplacians(P, u, v):
         fn = restrict_to_patch(P, {"x": lambda xc, yc, tc: xc,
                                    "y": lambda xc, yc, tc: yc,
                                    "t": lambda xc, yc, tc: tc}[nm])
-        zz = zy_second(P, fn, u, v, flds=flds)
+        zz = tangential(flds, fn)
         out["lap_" + nm] = zz["Z2f"]
         out["Z" + nm] = zz["Zf"]
     out.update({"pbar": base["pbar"], "qbar": base["qbar"],

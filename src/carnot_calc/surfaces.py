@@ -17,7 +17,8 @@ from .fields import (ANALYTIC, Jet, ScalarField, build_field, jet_partial,
 __all__ = [
     "CharacteristicPointError", "DegenerateSurfaceError", "SurfaceFrame",
     "LevelSetSurface", "ParamPatch", "IntrinsicGraph", "frame_levelset",
-    "frame_param", "zy_derivative", "zy_second", "patch_fields_jets",
+    "frame_param", "zy_derivative", "zy_second", "tangential",
+    "patch_fields_jets",
     "restrict_to_patch", "intrinsic_to_patch", "burgers",
     "horizontal_plane_residual", "build_surface", "CatalogSurface",
     "catalog_ids", "dilate_patch", "left_translate_patch", "dilate_levelset",
@@ -329,13 +330,13 @@ def b_apply(flds, fj):
         / flds["det"].v
 
 
-def zy_second(P, f, u, v, flds=None, order=2):
+def zy_second(P, f, u, v, order=2):
     """First and second tangential derivatives of f, exactly, on a patch.
 
     f(u, v) must be jet-safe to second order (or None, to get just the frame
-    fields).  Returns plain arrays: Zf, Bf = (T - obar Y)f, Z2f = Z(Zf),
-    BZf = (T - obar Y)(Zf), the frame quantities, their Z/B derivatives and
-    the curvature H = qbar Z(pbar) - pbar Z(qbar).
+    fields).  Returns plain arrays: the frame quantities, their Z/B
+    derivatives, the curvature H = qbar Z(pbar) - pbar Z(qbar) and the
+    evaluated frame "flds", plus f's derivatives from tangential(flds, f).
     order=1 (f None only) returns just the values of patch_fields_jets at
     order 1: x, y, p, q, omega and W.
     """
@@ -345,28 +346,33 @@ def zy_second(P, f, u, v, flds=None, order=2):
         return patch_fields_jets(P, u, v, order=order)
     # characteristic nodes divide by W = 0 and surface as NaN; callers mask
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _zy_second_impl(P, f, u, v, flds)
+        flds = patch_fields_jets(P, np.asarray(u, dtype=float),
+                                 np.asarray(v, dtype=float))
+        out = {"W": flds["W"].v, "p": flds["p"].v, "q": flds["q"].v,
+               "omega": flds["omega"].v, "pbar": flds["pbar"].v,
+               "qbar": flds["qbar"].v, "obar": flds["obar"].v,
+               "Zpbar": z_apply(flds, flds["pbar"]),
+               "Zqbar": z_apply(flds, flds["qbar"]),
+               "Zobar": z_apply(flds, flds["obar"]),
+               "ZW": z_apply(flds, flds["W"]),
+               "Bpbar": b_apply(flds, flds["pbar"]),
+               "Bqbar": b_apply(flds, flds["qbar"]),
+               "Bobar": b_apply(flds, flds["obar"]),
+               "flds": flds}
+        out["H"] = out["qbar"] * out["Zpbar"] - out["pbar"] * out["Zqbar"]
+    if f is not None:
+        out.update(tangential(flds, f))
+    return out
 
 
-def _zy_second_impl(P, f, u, v, flds=None):
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if flds is None:
-        flds = patch_fields_jets(P, u, v)
-    out = {"W": flds["W"].v, "p": flds["p"].v, "q": flds["q"].v,
-           "omega": flds["omega"].v, "pbar": flds["pbar"].v,
-           "qbar": flds["qbar"].v, "obar": flds["obar"].v,
-           "Zpbar": z_apply(flds, flds["pbar"]),
-           "Zqbar": z_apply(flds, flds["qbar"]),
-           "Zobar": z_apply(flds, flds["obar"]),
-           "ZW": z_apply(flds, flds["W"]),
-           "Bpbar": b_apply(flds, flds["pbar"]),
-           "Bqbar": b_apply(flds, flds["qbar"]),
-           "Bobar": b_apply(flds, flds["obar"]),
-           "flds": flds}
-    out["H"] = out["qbar"] * out["Zpbar"] - out["pbar"] * out["Zqbar"]
-    if f is None:
-        return out
+@np.errstate(divide="ignore", invalid="ignore")
+def tangential(flds, f):
+    """Tangential derivatives of the surface function f on an evaluated frame.
+
+    flds is a patch_fields_jets (order 2) dict, e.g. zy_second(...)["flds"].
+    Returns value, Zf, Bf = (T - obar Y)f, Tf, Yf and, when f carries second
+    derivatives, Z2f = Z(Zf) and BZf = (T - obar Y)(Zf) (else None).
+    """
     uj, vj = flds["seeds"]
     fj = _as_jet(f(uj, vj), uj)
     if fj.h is None:
@@ -380,9 +386,8 @@ def _zy_second_impl(P, f, u, v, flds=None):
         Zf, Bf = Zf_j.v, Bf_j.v
         Z2f, BZf = z_apply(flds, Zf_j), b_apply(flds, Zf_j)
     denom = 1.0 + flds["obar"].v ** 2
-    out.update({"value": fj.v, "Zf": Zf, "Bf": Bf, "Tf": Bf / denom,
-                "Yf": -flds["obar"].v * Bf / denom, "Z2f": Z2f, "BZf": BZf})
-    return out
+    return {"value": fj.v, "Zf": Zf, "Bf": Bf, "Tf": Bf / denom,
+            "Yf": -flds["obar"].v * Bf / denom, "Z2f": Z2f, "BZf": BZf}
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ lam by finite differences.
 import numpy as np
 
 from .fields import bump1
-from .surfaces import ParamPatch, patch_fields_jets, zy_second
+from .surfaces import ParamPatch, patch_fields_jets, tangential, zy_second
 from .measure import QuadratureGrid, integrate_patch, pairwise_sum
 
 __all__ = [
@@ -143,15 +143,9 @@ def normal_first_variation(P, zeta, nu=None, nv=None, rule="simpson"):
 # pointwise rates of the frame components
 
 
-def _on_frame(P, flds, fns):
-    """zy_second dicts of the surface functions fns on the evaluated frame."""
-    uj, vj = flds["seeds"]
-    return [zy_second(P, f, uj.v, vj.v, flds=flds) for f in fns]
-
-
 def _rate_fields(P, D, u, v):
     base = zy_second(P, None, u, v)
-    return (base, *_on_frame(P, base["flds"], (D.a, D.b, D.k)))
+    return (base, *(tangential(base["flds"], c) for c in (D.a, D.b, D.k)))
 
 
 def frame_variation_rates(P, D, u, v):
@@ -204,7 +198,7 @@ def second_variation_full(P, D, nu=None, nv=None, rule="simpson"):
     """
 
     def density(zz):
-        za, zb, zk = _on_frame(P, zz["flds"], (D.a, D.b, D.k))
+        za, zb, zk = (tangential(zz["flds"], c) for c in (D.a, D.b, D.k))
         ob, pb, qb = zz["obar"], zz["pbar"], zz["qbar"]
         a, b = za["value"], zb["value"]
         Za, Zb, Zk = za["Zf"], zb["Zf"], zk["Zf"]
@@ -239,7 +233,7 @@ def quadratic_form(P, F, nu=None, nv=None, rule="simpson",
 
     def density(zz):
         _require_minimal(zz, minimal_tol)
-        zf, = _on_frame(P, zz["flds"], (F,))
+        zf = tangential(zz["flds"], F)
         Acurv = -zz["Zobar"]
         return zf["Zf"] ** 2 + (2 * Acurv - zz["obar"] ** 2) \
             * zf["value"] ** 2
@@ -261,7 +255,7 @@ def second_variation_geometric(P, D, nu=None, nv=None, rule="simpson",
 
     def density(zz):
         _require_minimal(zz, minimal_tol)
-        za, zb, zk = _on_frame(P, zz["flds"], (D.a, D.b, D.k))
+        za, zb, zk = (tangential(zz["flds"], c) for c in (D.a, D.b, D.k))
         pb, qb, ob = zz["pbar"], zz["qbar"], zz["obar"]
         a, b, k = za["value"], zb["value"], zk["value"]
         F = pb * a + qb * b + ob * k

@@ -215,19 +215,30 @@ def test_stability_empty_family_is_valid_json(capsys):
     assert data["argmin"] is None
 
 
-def test_nan_in_json_report_is_an_error(capsys):
-    # the corner node (0.5, 0.5) of this t-graph is characteristic, so its
-    # curvature columns are NaN: fine in CSV, not representable in JSON
+def test_characteristic_node_has_empty_curvature_cells(capsys):
+    # the corner node (0.5, 0.5) of this t-graph is characteristic: it keeps
+    # its frame columns, and its curvature columns are null / empty
     surface = "t-graph:poly:[[-0.25, [1, 0]], [0.25, [0, 1]]]"
     rc, out, _ = invoke(capsys, ["curvature", "--surface", surface,
                                  "--points", "4"])
     assert rc == 0
-    assert "nan" in out
+    assert "nan" not in out and "inf" not in out
+    assert out.splitlines()[1] == "0.5,0.5,0.0,0.0,1.0,0.0,,,,"
     rc, out, err = invoke(capsys, ["curvature", "--surface", surface,
                                    "--points", "4", "--format", "json"])
-    assert rc == 2
-    assert out == ""
-    assert "error:" in err
+    assert rc == 0, err
+    rows = json.loads(out, parse_constant=pytest.fail)
+    assert len(rows) == 4
+    assert rows[0] == {"u": 0.5, "v": 0.5, "p": 0.0, "q": 0.0, "omega": 1.0,
+                       "W": 0.0, "H_param": None, "H_levelset": None,
+                       "A": None, "obar": None}
+    assert all(v is not None for row in rows[1:] for v in row.values())
+
+
+def test_nan_in_json_report_is_an_error():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            cli.render_json({"value": np.float64(bad)})
 
 
 # -- flow check -----------------------------------------------------------------

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from carnot_calc import curvature
+from carnot_calc.curvature import directional_fd, levelset_fields
 from carnot_calc import (
     CharacteristicPointError,
     FD,
@@ -251,6 +253,53 @@ def test_identity_battery_subset_selection():
                             ids=["unit-gradient", "curvature-squared"])
     assert {r["identity"] for r in rows} == {"unit-gradient",
                                              "curvature-squared"}
+
+
+@pytest.mark.parametrize("ids, calls", [(None, 9), (["unit-gradient"], 1),
+                                        (["second-z"], 3),
+                                        (["mixed-commutator"], 5)])
+def test_identity_battery_evaluates_each_stencil_point_once(monkeypatch, ids,
+                                                            calls):
+    # once at g, then twice per direction read: Z, Y, T and B = T - obar Y
+    cat = build_surface("t-graph:parab")
+    seen = []
+    inner = curvature.levelset_fields
+
+    def counted(S, g):
+        seen.append(np.array(g))
+        return inner(S, g)
+
+    monkeypatch.setattr(curvature, "levelset_fields", counted)
+    identity_battery(cat.levelset, [cat.patch.point(1.0, 1.2)], ids=ids)
+    assert len(seen) == calls
+    assert len({g.tobytes() for g in seen}) == calls
+
+
+def test_shared_stencil_matches_per_identity_differences():
+    # the residuals written with one fresh levelset_fields call per stencil
+    # point and per field, as closures handed to directional_fd
+    cat = build_surface("xyt-graph")
+    S, g = cat.levelset, cat.patch.point(1.3, -0.7)
+    f = levelset_fields(S, g)
+
+    def field(fn):
+        return lambda gp: fn(levelset_fields(S, gp))
+
+    ZZp = directional_fd(field(lambda fl: fl["Zpbar"]), g, f["Zv"])
+    ZZq = directional_fd(field(lambda fl: fl["Zqbar"]), g, f["Zv"])
+    second_z = abs(f["pbar"][0] * ZZp + f["pbar"][1] * ZZq
+                   + f["Zpbar"] ** 2 + f["Zqbar"] ** 2)
+    ob = f["obar"][0]
+    Bv = f["Tv"] - ob * f["Yv"]
+    mixed = 0.0
+    for c in range(3):
+        lhs = (directional_fd(field(lambda fl: fl["Zv"][c]), g, Bv)
+               - directional_fd(field(lambda fl: fl["Tv"][c]
+                                      - fl["obar"][0] * fl["Yv"][c]),
+                                g, f["Zv"]))
+        mixed = max(mixed, abs(lhs - ob * (Bv[c] + f["H"] * f["Zv"][c])))
+    rows = identity_battery(S, [g], ids=["second-z", "mixed-commutator"])
+    assert [r["residual"] for r in rows] == [second_z, mixed]
 
 
 # -- grid sweep ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from carnot_calc import (
     patch_fields_jets,
     restrict_to_patch,
     seed_jets,
+    tangential,
     translate_levelset,
     zy_derivative,
     zy_second,
@@ -234,6 +235,19 @@ def test_zy_second_keys_and_plane_values():
     assert out["Zf"] == pytest.approx(-1.0, rel=1e-10)
     for key in ("W", "pbar", "qbar", "obar", "Zpbar", "Zqbar", "Zobar", "ZW"):
         assert np.isfinite(out[key])
+
+
+def test_tangential_on_an_evaluated_frame_matches_zy_second():
+    P = build_surface("xyt-graph").patch
+    U, V = np.meshgrid(np.linspace(-2, 2, 7), np.linspace(-1, 1, 5))
+    flds = zy_second(P, None, U, V)["flds"]
+    for f in (lambda u, v: u * v * v, restrict_to_patch(P, lambda x, y, t:
+                                                        x * t - y)):
+        whole = zy_second(P, f, U, V)
+        part = tangential(flds, f)
+        assert set(part) == {"value", "Zf", "Bf", "Tf", "Yf", "Z2f", "BZf"}
+        for key, val in part.items():
+            assert np.array_equal(val, whole[key]), key
 
 
 def test_zy_second_curved_patch_finite(rng):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from carnot_calc import surfaces
 from carnot_calc import (
     DeformationField,
     IntrinsicGraph,
@@ -220,6 +221,21 @@ def test_quadratic_form_on_plane_has_closed_form():
     F = lambda u, v: u * (1 - u) * v * (1 - v)
     assert quadratic_form(P, F, nu=128, nv=128) == \
         pytest.approx(1.0 / 90.0, rel=1e-6)
+
+
+def test_quadratic_form_evaluates_the_frame_once(monkeypatch):
+    # one 33 x 33 block: Z of pbar, qbar, obar and W, then Z(ZF)
+    P = build_surface("xyt-graph").patch
+    calls = []
+    inner = surfaces.z_apply
+
+    def counted(flds, fj):
+        calls.append(1)
+        return inner(flds, fj)
+
+    monkeypatch.setattr(surfaces, "z_apply", counted)
+    quadratic_form(P, bump2(0.0, 0.0, 3.0, 1.5), nu=32, nv=32)
+    assert len(calls) == 5
 
 
 def test_quadratic_form_requires_minimal_surface():
