@@ -13,10 +13,10 @@ have curvature 1/R.
 
 import numpy as np
 
-from .fields import ANALYTIC, CBRT_EPS, horizontal_jet
+from .fields import ANALYTIC, FD, horizontal_jet
 from .groups import frame_at, frame_jacobian
-from .surfaces import (CharacteristicPointError, burgers, frame_levelset,
-                       zy_second)
+from .surfaces import (CharacteristicPointError, _checked_frame, burgers,
+                       characteristic_tolerance, zy_second)
 
 __all__ = [
     "CurvatureReport", "hmc_levelset", "hmc_divergence", "hmc_param",
@@ -45,11 +45,11 @@ class CurvatureReport:
 
 def hmc_levelset(S, g, engine=ANALYTIC):
     """Horizontal mean curvature of {phi = 0} at g from one horizontal jet."""
-    jet = horizontal_jet(S.group, S.phi, np.asarray(g, dtype=float),
-                         engine=engine)
+    g = np.asarray(g, dtype=float)
+    jet = horizontal_jet(S.group, S.phi, g, engine=engine)
+    _checked_frame(S.group, g, jet["comps"])  # characteristic guard
     gradH = jet["gradH"]
     W = float(np.sqrt(np.sum(gradH ** 2)))
-    frame_levelset(S, g, engine=engine)  # characteristic guard
     H = (W ** 2 * jet["lapH"] - jet["infH"]) / W ** 3
     return CurvatureReport(H, "levelset", W,
                            {"lapH": float(jet["lapH"]),
@@ -74,26 +74,20 @@ def levelset_fields(S, g):
     hess = np.asarray(ph.h, dtype=float)
     A = frame_at(G, g)
     J = frame_jacobian(G, g)
-    comps = A.T @ grad
+    fr = _checked_frame(G, g, A.T @ grad)
     # dcomps[l, i] = d/dg_l of <N, frame_i>
     dcomps = np.einsum("lki,k->li", J, grad) + hess @ A
     m = G.m
-    p, om = comps[:m], comps[m:]
+    p, om, W, pbar, obar = fr.p, fr.omega, fr.W, fr.pbar, fr.obar
     dp, dom = dcomps[:, :m], dcomps[:, m:]
-    W = float(np.sqrt(np.sum(p ** 2)))
-    nrm = float(np.sqrt(W ** 2 + np.sum(om ** 2)))
-    out = {"g": g, "A": A, "p": p, "om": om, "dp": dp, "dom": dom,
-           "W": W, "normN": nrm}
-    if W <= 1e-8 * max(1.0, nrm):
-        raise CharacteristicPointError("characteristic point at %s" % (g,))
     dW = dp @ p / W
-    pbar, obar = p / W, om / W
     dpbar = dp / W - np.outer(dW, p) / W ** 2
     dobar = dom / W - np.outer(dW, om) / W ** 2
     # canonical curvature sum_i X_i(pbar_i), exact
     H = float(sum(A[:, i] @ dpbar[:, i] for i in range(m)))
-    out.update({"dW": dW, "pbar": pbar, "obar": obar,
-                "dpbar": dpbar, "dobar": dobar, "H": H})
+    out = {"g": g, "A": A, "p": p, "om": om, "dp": dp, "dom": dom, "W": W,
+           "normN": fr.normN, "dW": dW, "pbar": pbar, "obar": obar,
+           "dpbar": dpbar, "dobar": dobar, "H": H}
     if G.is_heisenberg and G.dim == 3:
         X1, X2, T = A[:, 0], A[:, 1], A[:, 2]
         Zv = pbar[1] * X1 - pbar[0] * X2
@@ -112,8 +106,7 @@ def levelset_fields(S, g):
                     "Bv": T - obar[0] * Yv,
                     "Acurv": -der["Zobar"],
                     "kappaY": pbar[1] * der["Ypbar"] - pbar[0] * der["Yqbar"],
-                    "kappaT": pbar[1] * der["Tpbar"] - pbar[0] * der["Tqbar"],
-                    "Zom": der["Zom"], "Yom": der["Yom"], "Tom": der["Tom"]})
+                    "kappaT": pbar[1] * der["Tpbar"] - pbar[0] * der["Tqbar"]})
     return out
 
 
@@ -121,31 +114,42 @@ def directional_fd(fn, g, vec, h=None):
     """Central difference of a scalar field along a frozen ambient vector."""
     g = np.asarray(g, dtype=float)
     vec = np.asarray(vec, dtype=float)
-    if h is None:
-        h = CBRT_EPS * max(1.0, float(np.max(np.abs(g))))
+    h = FD.step1(g) if h is None else h
     return (fn(g + h * vec) - fn(g - h * vec)) / (2.0 * h)
+
+
+def _stencil(S, g, h=None):
+    """levelset_fields f at g, and d(q, v): the central difference of q along
+    the vector v frozen at g, where q is a field key or a function of the
+    fields.  Each stencil point g +- h v is evaluated once.
+    """
+    near = {}
+
+    def d(q, v):
+        val = q if callable(q) else (lambda fl: fl[q])
+
+        def at(gp):
+            key = gp.tobytes()
+            if key not in near:
+                near[key] = levelset_fields(S, gp)
+            return val(near[key])
+        return directional_fd(at, g, v, h=h)
+
+    return levelset_fields(S, g), d
 
 
 def hmc_divergence(S, g, h=None):
     """Curvature as the horizontal divergence sum_i X_i(pbar_i).
 
-    The unit fields pbar_i are evaluated exactly (first derivatives of phi
-    only); the outer X_i derivatives are central differences along the frame
+    Reads only p and W = |p| from the level-set fields (first derivatives of
+    phi); the outer X_i derivatives are central differences along the frame
     columns frozen at g.  Independent of the second-derivative route.
     """
-    G = S.group
     g = np.asarray(g, dtype=float)
-    fr = frame_levelset(S, g)  # characteristic guard
-    A = frame_at(G, g)
-
-    def pbar_at(i):
-        def field(gp):
-            fp = frame_levelset(S, gp, normalized=False)
-            return fp.p[i] / fp.W
-        return field
-
-    H = sum(directional_fd(pbar_at(i), g, A[:, i], h=h) for i in range(G.m))
-    return CurvatureReport(H, "divergence", fr.W)
+    f, d = _stencil(S, g, h)
+    H = sum(d(lambda fl: fl["p"][i] / fl["W"], f["A"][:, i])
+            for i in range(S.group.m))
+    return CurvatureReport(H, "divergence", f["W"])
 
 
 def hmc_param(P, uv):
@@ -169,24 +173,19 @@ def hmc_pauls(S, g, eps_list=(1e-2, 1e-3, 1e-4), h=None):
     if not (G.is_heisenberg and G.dim == 3):
         raise ValueError("the approximation scheme is set up on H^1")
     g = np.asarray(g, dtype=float)
-    A = frame_at(G, g)
+    f, d = _stencil(S, g, h)
     eps_list = sorted(float(e) for e in eps_list)
 
-    def comp_field(i, eps):
-        def field(gp):
-            fp = frame_levelset(S, gp, normalized=False)
-            p, om = fp.p, fp.omega[0]
-            W2 = np.sum(p ** 2)
-            denom = np.sqrt(W2 + eps * om ** 2)
-            return (p[i] if i < 2 else om) / denom
-        return field
+    def scaled(fl, eps):
+        # (p, om) / sqrt(W^2 + eps om^2), the components of a (pbar, obar)
+        p, om = fl["p"], fl["om"]
+        return np.append(p, om) / np.sqrt(np.sum(p ** 2) + eps * om[0] ** 2)
 
     values = []
     for eps in eps_list:
-        He = (directional_fd(comp_field(0, eps), g, A[:, 0], h=h)
-              + directional_fd(comp_field(1, eps), g, A[:, 1], h=h)
-              + eps * directional_fd(comp_field(2, eps), g, A[:, 2], h=h))
-        values.append(float(He))
+        X1a, X2a, Ta = (d(lambda fl: scaled(fl, eps)[i], f["A"][:, i])
+                        for i in range(3))
+        values.append(float(X1a + X2a + eps * Ta))
     exact = float(hmc_levelset(S, g))
     small = sorted(zip(eps_list, values))[:3]
     extrapolated = 0.0
@@ -234,8 +233,7 @@ def geometry_aux(S, point):
         pbar, obar = flds["pbar"], flds["obar"]
         c = np.zeros(G.m)
         for s in range(G.dim - G.m):
-            bs = G.b_horizontal(s)
-            c += (bs @ pbar) * obar[s]
+            c += (G.b_horizontal(s) @ pbar) * obar[s]
         out = {"cHS": c, "obar": obar, "pbar": pbar, "W": flds["W"],
                "H": flds["H"]}
         if "Acurv" in flds:
@@ -271,48 +269,36 @@ def pseudo_hermitian_check(S, point, h=None):
     if not (G.is_heisenberg and G.dim == 3):
         raise ValueError("this check is set up on H^1")
     g = np.asarray(point, dtype=float)
+    # horizontal fields are coefficient functions of the level-set fields
+    f, d = _stencil(S, g, h)
+    A = f["A"]
 
-    def coeffs_e1(gp):
-        f = levelset_fields(S, gp)
-        return np.array([f["pbar"][1], -f["pbar"][0]])
+    def e1(fl):
+        return np.array([fl["pbar"][1], -fl["pbar"][0]])
 
-    def coeffs_e2(gp):
-        f = levelset_fields(S, gp)
-        return np.array([f["pbar"][0], f["pbar"][1]])
+    basis = [lambda fl: np.array([1.0, 0.0]), lambda fl: np.array([0.0, 1.0])]
 
-    basis = [lambda gp: np.array([1.0, 0.0]), lambda gp: np.array([0.0, 1.0])]
+    def deriv(U, scalar_fn):
+        # derivative at g of scalar_fn along the field U
+        c = U(f)
+        return d(scalar_fn, A[:, 0] * c[0] + A[:, 1] * c[1])
 
-    def vec_of(coeff_fn, gp):
-        A = frame_at(G, gp)
-        c = coeff_fn(gp)
-        return A[:, 0] * c[0] + A[:, 1] * c[1]
-
-    def deriv(coeff_fn_along, scalar_fn, gp):
-        # directional derivative of scalar_fn along the field coeff_fn_along
-        return directional_fd(scalar_fn, gp, vec_of(coeff_fn_along, gp), h=h)
-
-    def bracket_h(Uc, Vc, gp):
-        # horizontal part of [U, V] for horizontal-coefficient fields:
+    def bracket_h(U, V):
+        # horizontal part of [U, V] at g for horizontal-coefficient fields:
         # coefficients U(v_k) - V(u_k)
-        out = np.empty(2)
-        for k in range(2):
-            out[k] = (deriv(Uc, lambda q: Vc(q)[k], gp)
-                      - deriv(Vc, lambda q: Uc(q)[k], gp))
-        return out
+        return np.array([deriv(U, lambda fl: V(fl)[k])
+                         - deriv(V, lambda fl: U(fl)[k]) for k in range(2)])
 
-    def inner(Uc, Vc, gp):
-        return float(Uc(gp) @ Vc(gp))
+    def inner(U, V):
+        return lambda fl: float(U(fl) @ V(fl))
 
-    lhs = np.empty(2)
-    for k, Ek in enumerate(basis):
-        term = (deriv(coeffs_e1, lambda q: inner(coeffs_e1, Ek, q), g)
-                + deriv(coeffs_e1, lambda q: inner(coeffs_e1, Ek, q), g)
-                - deriv(Ek, lambda q: inner(coeffs_e1, coeffs_e1, q), g)
-                - inner(coeffs_e1, lambda q: bracket_h(coeffs_e1, Ek, q), g)
-                - inner(coeffs_e1, lambda q: bracket_h(coeffs_e1, Ek, q), g)
-                + inner(Ek, lambda q: bracket_h(coeffs_e1, coeffs_e1, q), g))
-        lhs[k] = 0.5 * term
-    f = levelset_fields(S, g)
+    lhs = np.array([0.5 * (deriv(e1, inner(e1, Ek))
+                           + deriv(e1, inner(e1, Ek))
+                           - deriv(Ek, inner(e1, e1))
+                           - float(e1(f) @ bracket_h(e1, Ek))
+                           - float(e1(f) @ bracket_h(e1, Ek))
+                           + float(Ek(f) @ bracket_h(e1, e1)))
+                    for Ek in basis])
     rhs = -f["H"] * np.array([f["pbar"][0], f["pbar"][1]])
     return {"lhs": lhs, "rhs": rhs,
             "residual": float(np.max(np.abs(lhs - rhs)))}
@@ -495,20 +481,11 @@ def identity_battery(S, points, ids=None, h=None):
     records = []
     for g in points:
         g = np.asarray(g, dtype=float)
-        f = levelset_fields(S, g)
-        near = {}
-
-        def at(gp):
-            key = gp.tobytes()
-            if key not in near:
-                near[key] = levelset_fields(S, gp)
-            return near[key]
+        f, dv = _stencil(S, g, h)
 
         def d(q, D):
-            # central difference of a field key (or a function of the
-            # fields) along the direction D in {Z, Y, T, B} frozen at g
-            val = q if callable(q) else (lambda fl: fl[q])
-            return directional_fd(lambda gp: val(at(gp)), g, f[D + "v"], h=h)
+            # along the direction D in {Z, Y, T, B} frozen at g
+            return dv(q, f[D + "v"])
 
         for ident in ids:
             records.append({"identity": ident, "point": g,
@@ -523,8 +500,10 @@ def identity_battery(S, points, ids=None, h=None):
 def curvature_grid(P, nu=None, nv=None, with_levelset=True):
     """Frame and curvature data on the patch grid, as flat arrays for reports.
 
-    Returns dict of columns: u, v, p, q, omega, W, H_param, A, obar and,
-    when the patch has a level-set companion, H_levelset for cross-checking.
+    Returns dict of columns: u, v, p, q, omega, W, H_param, A, obar, the
+    boolean characteristic (nodes inside the band, where H_param, A and
+    H_levelset are NaN and obar is infinite) and, when the patch has a
+    level-set companion, H_levelset for cross-checking.
     """
     u0, u1, v0, v1 = P.domain
     nu = nu or P.grid[0]
@@ -533,11 +512,13 @@ def curvature_grid(P, nu=None, nv=None, with_levelset=True):
     V = np.linspace(v0, v1, int(nv))
     UU, VV = np.meshgrid(U, V, indexing="ij")
     zz = zy_second(P, None, UU, VV)
+    W, om = zz["W"].ravel(), zz["omega"].ravel()
     cols = {"u": UU.ravel(), "v": VV.ravel(),
-            "p": zz["p"].ravel(), "q": zz["q"].ravel(),
-            "omega": zz["omega"].ravel(), "W": zz["W"].ravel(),
+            "p": zz["p"].ravel(), "q": zz["q"].ravel(), "omega": om, "W": W,
             "H_param": zz["H"].ravel(), "A": (-zz["Zobar"]).ravel(),
-            "obar": zz["obar"].ravel()}
+            "obar": zz["obar"].ravel(),
+            "characteristic": W <= characteristic_tolerance(
+                np.sqrt(W ** 2 + om ** 2))}
     if with_levelset and P.levelset is not None:
         Hl = np.empty(UU.size)
         pts = P.point(UU, VV).reshape(3, -1)

@@ -389,7 +389,8 @@ def horizontal_jet(G, field, g, engine=ANALYTIC):
     """Horizontal gradient, symmetrized horizontal Hessian and their traces.
 
     Returns a dict with gradH (m,), hessH (m, m; symmetrized), lapH
-    (= trace hessH) and infH (= <hessH gradH, gradH>).
+    (= trace hessH), infH (= <hessH gradH, gradH>) and comps, the frame
+    components <grad f, X_j>, <grad f, T_s> of the coordinate gradient.
     """
     g = np.asarray(g, dtype=float)
     m = G.m
@@ -405,6 +406,7 @@ def horizontal_jet(G, field, g, engine=ANALYTIC):
                 dcol = np.einsum("k,kl->l", A[:, i], dA[:, :, j])
                 raw[i, j] = A[:, i] @ jet.h @ A[:, j] + dcol @ jet.g
     else:
+        jet = _coordinate_jet(field, g, 1, engine)
         gradH = horizontal_gradient(G, field, g, engine)
         h2 = engine.step2(g)
         raw = np.empty((m, m))
@@ -425,6 +427,7 @@ def horizontal_jet(G, field, g, engine=ANALYTIC):
         "hessH": hessH,
         "lapH": float(np.trace(hessH)),
         "infH": float(gradH @ hessH @ gradH),
+        "comps": A.T @ jet.g,
     }
 
 

@@ -9,9 +9,10 @@ regardless of the block size.
 
 import numpy as np
 
-from .surfaces import (dilate_patch, left_translate_patch, restrict_to_patch,
-                       tangential, zy_second)
-from .curvature import levelset_fields
+from .surfaces import (characteristic_tolerance, dilate_patch,
+                       left_translate_patch, restrict_to_patch, tangential,
+                       zy_second)
+from .curvature import geometry_aux
 from .fields import horizontal_jet
 
 __all__ = [
@@ -153,8 +154,7 @@ def _integrate_on(grid, block):
     their weighted W-mass is returned as the excluded mass.
     """
     vals, W, om = _eval_rows(block, grid.U, grid.V)
-    normN = np.sqrt(W ** 2 + om ** 2)
-    mask = W <= 1e-8 * np.maximum(1.0, normN)
+    mask = W <= characteristic_tolerance(np.sqrt(W ** 2 + om ** 2))
     wgt = grid.weights
     contrib = np.where(~mask, vals * wgt, 0.0)
     excluded = float(np.sum(np.where(mask, np.abs(W) * wgt, 0.0)))
@@ -266,16 +266,12 @@ def ambient_tangential_laplacian(S, field, g, variant="plain"):
     """
     g = np.asarray(g, dtype=float)
     jet = horizontal_jet(S.group, field, g)
-    f = levelset_fields(S, g)
-    nu = f["pbar"]
+    aux = geometry_aux(S, g)
+    nu = aux["pbar"]
     gradH, hessH = jet["gradH"], jet["hessH"]
-    val = (jet["lapH"] - nu @ hessH @ nu - (gradH @ nu) * f["H"])
+    val = (jet["lapH"] - nu @ hessH @ nu - (gradH @ nu) * aux["H"])
     if variant == "hat":
-        G = S.group
-        c = np.zeros(G.m)
-        for s in range(G.dim - G.m):
-            c += (G.b_horizontal(s) @ nu) * f["obar"][s]
-        val = val + c @ gradH
+        val = val + aux["cHS"] @ gradH
     elif variant != "plain":
         raise ValueError("variant must be 'plain' or 'hat'")
     return float(val)

@@ -11,8 +11,8 @@ import json
 import numpy as np
 
 from .groups import build_group, frame_at
-from .fields import (ANALYTIC, Jet, ScalarField, build_field, jet_partial,
-                     jet_sqrt, poly_field, seed_jets)
+from .fields import (ANALYTIC, Jet, ScalarField, _coordinate_jet, build_field,
+                     jet_partial, jet_sqrt, poly_field, seed_jets)
 
 __all__ = [
     "CharacteristicPointError", "DegenerateSurfaceError", "SurfaceFrame",
@@ -37,7 +37,8 @@ class DegenerateSurfaceError(ValueError):
 
 
 def characteristic_tolerance(normN):
-    return 1e-8 * max(1.0, float(normN))
+    """Width of the characteristic band W <= 1e-8 max(1, |N|) (array-safe)."""
+    return 1e-8 * np.maximum(1.0, normN)
 
 
 class SurfaceFrame:
@@ -117,9 +118,6 @@ class LevelSetSurface:
         self.phi = phi if isinstance(phi, ScalarField) else build_field(group, phi)
         self.name = name or ("levelset(%s)" % self.phi.name)
 
-    def frame(self, g, engine=ANALYTIC, normalized=True):
-        return frame_levelset(self, g, engine=engine, normalized=normalized)
-
 
 def frame_levelset(S, g, engine=ANALYTIC, normalized=True):
     """Surface frame of a level set at the point g.
@@ -127,18 +125,15 @@ def frame_levelset(S, g, engine=ANALYTIC, normalized=True):
     Raises DegenerateSurfaceError when |grad phi| ~ 0, and (for normalized
     output) CharacteristicPointError inside the characteristic band.
     """
-    G = S.group
     g = np.asarray(g, dtype=float)
-    if engine.mode == "analytic":
-        grad = np.asarray(S.phi.jet(g, order=1).g, dtype=float)
-    else:
-        h = engine.step1(g)
-        eye = np.eye(G.dim)
-        grad = np.array([
-            (S.phi.fn(*(g + h * e)) - S.phi.fn(*(g - h * e))) / (2 * h)
-            for e in eye])
-    A = frame_at(G, g)
-    comps = A.T @ grad
+    comps = frame_at(S.group, g).T @ _coordinate_jet(S.phi, g, 1, engine).g
+    return _checked_frame(S.group, g, comps, normalized)
+
+
+def _checked_frame(G, g, comps, normalized=True):
+    """SurfaceFrame from the frame components <grad phi, X_j>, <grad phi, T_s>
+    at g, with the degenerate-normal and (if normalized) characteristic
+    checks of frame_levelset."""
     fr = SurfaceFrame(G, g, comps[: G.m], comps[G.m:])
     scale = max(1.0, float(np.max(np.abs(g))))
     if fr.normN <= 1e-12 * scale:

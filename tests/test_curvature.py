@@ -3,6 +3,7 @@ import pytest
 
 from carnot_calc import curvature
 from carnot_calc.curvature import directional_fd, levelset_fields
+from carnot_calc.fields import CBRT_EPS
 from carnot_calc import (
     CharacteristicPointError,
     FD,
@@ -147,6 +148,33 @@ def test_dilation_covariance(lam, rng):
 
 # -- limit of Riemannian curvatures -------------------------------------------------
 
+def test_divergence_route_off_h1():
+    # step 2 with m = 4: the cylinder of radius 2 in H^2 has H = 3/R
+    H2 = build_group("hn:2")
+    x = np.array([0.6, -0.3, 0.5, 0.4])
+    g = np.append(2.0 * x / np.linalg.norm(x), 0.7)
+    S = cylinder(2.0, H2)
+    assert hmc_levelset(S, g).H == pytest.approx(1.5, abs=1e-12)
+    assert hmc_divergence(S, g).H == pytest.approx(1.5, abs=1e-8)
+    # step 3: the level set of an Engel polynomial through g
+    S = LevelSetSurface(build_group("engel"),
+                        "poly:[[1,[2,0,0,0]],[1,[0,2,0,0]],[0.5,[0,0,1,0]],"
+                        "[0.3,[0,0,0,1]],[-1,[0,0,0,0]]]")
+    g = [0.6, 0.5, 0.2, 0.1]
+    assert hmc_divergence(S, g).H == pytest.approx(hmc_levelset(S, g).H,
+                                                   abs=1e-8)
+
+
+def test_stencil_point_in_characteristic_band_raises():
+    # g is off the band, but g + h X1 is exactly the characteristic origin
+    S = build_surface("t-graph:zero").levelset
+    g = [-CBRT_EPS, 0.0, 0.0]
+    assert hmc_levelset(S, g).W > 1e-6
+    for route in (hmc_divergence, hmc_pauls):
+        with pytest.raises(CharacteristicPointError):
+            route(S, g)
+
+
 def test_pauls_limit_on_plane():
     S = build_surface("vertical-plane:1,0,0").levelset
     out = hmc_pauls(S, [0.0, 0.4, 0.2])
@@ -255,6 +283,23 @@ def test_identity_battery_subset_selection():
                                              "curvature-squared"}
 
 
+def _count_evaluations(monkeypatch):
+    seen = {"points": [], "jets": 0}
+    fields, jet = curvature.levelset_fields, ScalarField.jet
+
+    def counted_fields(S, g):
+        seen["points"].append(np.array(g))
+        return fields(S, g)
+
+    def counted_jet(self, g, order=2):
+        seen["jets"] += 1
+        return jet(self, g, order=order)
+
+    monkeypatch.setattr(curvature, "levelset_fields", counted_fields)
+    monkeypatch.setattr(ScalarField, "jet", counted_jet)
+    return seen
+
+
 @pytest.mark.parametrize("ids, calls", [(None, 9), (["unit-gradient"], 1),
                                         (["second-z"], 3),
                                         (["mixed-commutator"], 5)])
@@ -262,17 +307,29 @@ def test_identity_battery_evaluates_each_stencil_point_once(monkeypatch, ids,
                                                             calls):
     # once at g, then twice per direction read: Z, Y, T and B = T - obar Y
     cat = build_surface("t-graph:parab")
-    seen = []
-    inner = curvature.levelset_fields
-
-    def counted(S, g):
-        seen.append(np.array(g))
-        return inner(S, g)
-
-    monkeypatch.setattr(curvature, "levelset_fields", counted)
+    seen = _count_evaluations(monkeypatch)["points"]
     identity_battery(cat.levelset, [cat.patch.point(1.0, 1.2)], ids=ids)
     assert len(seen) == calls
     assert len({g.tobytes() for g in seen}) == calls
+
+
+@pytest.mark.parametrize("route, fields, jets", [
+    (pseudo_hermitian_check, 7, 7),
+    (hmc_divergence, 5, 5),
+    (lambda S, g: hmc_pauls(S, g), 7, 8),
+    (lambda S, g: hmc_pauls(S, g, eps_list=(1e-1, 1e-2, 1e-3, 1e-4)), 7, 8),
+    (hmc_levelset, 0, 1),
+], ids=["pseudo-hermitian", "divergence", "pauls-3-eps", "pauls-4-eps",
+        "levelset"])
+def test_finite_difference_routes_evaluate_each_point_once(monkeypatch, route,
+                                                           fields, jets):
+    # g and the stencil points g +- h v each get one levelset_fields call
+    cat = build_surface("t-graph:parab")
+    seen = _count_evaluations(monkeypatch)
+    route(cat.levelset, cat.patch.point(1.0, 1.2))
+    assert len(seen["points"]) <= fields
+    assert len({g.tobytes() for g in seen["points"]}) == len(seen["points"])
+    assert seen["jets"] <= jets
 
 
 def test_shared_stencil_matches_per_identity_differences():
@@ -316,6 +373,17 @@ def test_curvature_grid_columns_and_consistency():
     ok = np.isfinite(hp) & np.isfinite(hl)
     assert ok.sum() == 30
     assert np.max(np.abs(hp[ok] - hl[ok])) < 1e-5
+    assert not np.any(out["characteristic"])
+
+
+def test_curvature_grid_marks_characteristic_nodes():
+    P = build_surface("t-graph:poly:[[-0.25, [1, 0]], [0.25, [0, 1]]]").patch
+    out = curvature_grid(P, nu=2, nv=2)
+    char = out["characteristic"]
+    assert char.dtype == bool
+    assert [(u, v) for u, v, c in zip(out["u"], out["v"], char) if c] == [
+        (0.5, 0.5)]
+    assert np.array_equal(char, np.isnan(out["H_param"]))
 
 
 def test_curvature_grid_without_levelset():

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from carnot_calc.curvature import levelset_fields
+from carnot_calc.fields import _coordinate_jet
 from carnot_calc import (
     FD,
     CharacteristicPointError,
@@ -18,9 +20,11 @@ from carnot_calc import (
     deform_patch,
     dilate_levelset,
     dilate_patch,
+    frame_at,
     frame_levelset,
     frame_param,
     group_product,
+    hmc_divergence,
     horizontal_plane_residual,
     intrinsic_to_patch,
     left_translate_patch,
@@ -72,10 +76,12 @@ def test_characteristic_flag_when_not_normalizing():
 
 
 def test_degenerate_gradient_raises():
+    # every level-set frame path runs the same checks
     S = LevelSetSurface(H1, ScalarField(H1, lambda x, y, t: 0.0 * x,
                                         name="flat", check=False))
-    with pytest.raises(DegenerateSurfaceError):
-        frame_levelset(S, [1.0, 1.0, 1.0])
+    for frame in (frame_levelset, levelset_fields, hmc_divergence):
+        with pytest.raises(DegenerateSurfaceError):
+            frame(S, [1.0, 1.0, 1.0])
 
 
 coords = st.floats(-3.0, 3.0, allow_nan=False)
@@ -164,6 +170,24 @@ def test_param_frame_fd_engine_matches_analytic(sid):
             assert np.max(np.abs(ff.p - fa.p)) < 1e-6 * max(1.0, fa.W)
             assert abs(ff.omega[0] - fa.omega[0]) < 1e-6 * max(1.0, fa.W)
             assert ff.W == pytest.approx(fa.W, rel=1e-6)
+
+
+@pytest.mark.parametrize("sid", ["t-graph:parab", "xyt-graph",
+                                 "vertical-plane:1,0.5,-0.25"])
+def test_levelset_frame_fd_engine_matches_analytic(sid):
+    cat = build_surface(sid)
+    S, P = cat.levelset, cat.patch
+    u0, u1, v0, v1 = P.domain
+    for u in np.linspace(u0, u1, 4)[1:-1]:
+        for v in np.linspace(v0, v1, 4)[1:-1]:
+            g = P.point(u, v)
+            fa = frame_levelset(S, g)
+            ff = frame_levelset(S, g, engine=FD)
+            assert np.max(np.abs(ff.p - fa.p)) < 1e-6
+            assert np.max(np.abs(ff.omega - fa.omega)) < 1e-6
+            comps = frame_at(H1, g).T @ _coordinate_jet(S.phi, g, 1, FD).g
+            assert np.array_equal(ff.p, comps[:2])
+            assert np.array_equal(ff.omega, comps[2:])
 
 
 # -- order-aware patch-frame engine ----------------------------------------------
