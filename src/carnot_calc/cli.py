@@ -166,8 +166,11 @@ def cmd_curvature(cfg):
              "A", "obar"]
     names = [nm for nm in order if nm in cols]
     # characteristic nodes have no H, A or obar: null (JSON) or empty (CSV)
-    rows = [{nm: cols[nm][i] if np.isfinite(cols[nm][i]) else None
-             for nm in names} for i in range(len(cols["u"]))]
+    cells = [[x if ok else None
+              for x, ok in zip(cols[nm].tolist(),
+                               np.isfinite(cols[nm]).tolist())]
+             for nm in names]
+    rows = [dict(zip(names, row)) for row in zip(*cells)]
     return rows, "csv", names, True
 
 
@@ -272,10 +275,10 @@ def cmd_stability(cfg):
 def cmd_flow_check(cfg):
     S = build_surface(cfg["surface"])
     pts = _sample_lattice(S.patch.domain, int(cfg["points"]))
+    U, V = np.array(pts).T
     rows = []
     ok = True
-    for (u, v) in pts:
-        res = float(msr.mcf_residual(S.patch, u, v))
+    for (u, v), res in zip(pts, msr.mcf_residual(S.patch, U, V).tolist()):
         p = res <= FLOW_TOL
         ok = ok and p
         rows.append({"u": u, "v": v, "residual": res,

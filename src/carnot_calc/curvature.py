@@ -16,7 +16,7 @@ import numpy as np
 from .fields import ANALYTIC, FD, horizontal_jet
 from .groups import frame_at, frame_jacobian
 from .surfaces import (CharacteristicPointError, _checked_frame, burgers,
-                       characteristic_tolerance, zy_second)
+                       characteristic_tolerance, frame_levelset, zy_second)
 
 __all__ = [
     "CurvatureReport", "hmc_levelset", "hmc_divergence", "hmc_param",
@@ -118,11 +118,14 @@ def directional_fd(fn, g, vec, h=None):
     return (fn(g + h * vec) - fn(g - h * vec)) / (2.0 * h)
 
 
-def _stencil(S, g, h=None):
-    """levelset_fields f at g, and d(q, v): the central difference of q along
-    the vector v frozen at g, where q is a field key or a function of the
-    fields.  Each stencil point g +- h v is evaluated once.
+def _stencil(S, g, h=None, fields=None):
+    """fields(S, g) at g, and d(q, v): the central difference of q along the
+    vector v frozen at g, where q is a key of the fields or a function of
+    them.  Each stencil point g +- h v is evaluated once.  fields defaults
+    to levelset_fields; routes that read only p, omega and W pass the
+    checked first-order frame, frame_levelset.
     """
+    fields = fields or levelset_fields
     near = {}
 
     def d(q, v):
@@ -131,25 +134,25 @@ def _stencil(S, g, h=None):
         def at(gp):
             key = gp.tobytes()
             if key not in near:
-                near[key] = levelset_fields(S, gp)
+                near[key] = fields(S, gp)
             return val(near[key])
         return directional_fd(at, g, v, h=h)
 
-    return levelset_fields(S, g), d
+    return fields(S, g), d
 
 
 def hmc_divergence(S, g, h=None):
     """Curvature as the horizontal divergence sum_i X_i(pbar_i).
 
-    Reads only p and W = |p| from the level-set fields (first derivatives of
+    Reads only p and W = |p| from the checked frame (first derivatives of
     phi); the outer X_i derivatives are central differences along the frame
     columns frozen at g.  Independent of the second-derivative route.
     """
     g = np.asarray(g, dtype=float)
-    f, d = _stencil(S, g, h)
-    H = sum(d(lambda fl: fl["p"][i] / fl["W"], f["A"][:, i])
-            for i in range(S.group.m))
-    return CurvatureReport(H, "divergence", f["W"])
+    f, d = _stencil(S, g, h, frame_levelset)
+    A = f.frame_matrix()
+    H = sum(d(lambda fr: fr.p[i] / fr.W, A[:, i]) for i in range(S.group.m))
+    return CurvatureReport(H, "divergence", f.W)
 
 
 def hmc_param(P, uv):
@@ -173,17 +176,18 @@ def hmc_pauls(S, g, eps_list=(1e-2, 1e-3, 1e-4), h=None):
     if not (G.is_heisenberg and G.dim == 3):
         raise ValueError("the approximation scheme is set up on H^1")
     g = np.asarray(g, dtype=float)
-    f, d = _stencil(S, g, h)
+    f, d = _stencil(S, g, h, frame_levelset)
+    A = f.frame_matrix()
     eps_list = sorted(float(e) for e in eps_list)
 
-    def scaled(fl, eps):
+    def scaled(fr, eps):
         # (p, om) / sqrt(W^2 + eps om^2), the components of a (pbar, obar)
-        p, om = fl["p"], fl["om"]
+        p, om = fr.p, fr.omega
         return np.append(p, om) / np.sqrt(np.sum(p ** 2) + eps * om[0] ** 2)
 
     values = []
     for eps in eps_list:
-        X1a, X2a, Ta = (d(lambda fl: scaled(fl, eps)[i], f["A"][:, i])
+        X1a, X2a, Ta = (d(lambda fr: scaled(fr, eps)[i], A[:, i])
                         for i in range(3))
         values.append(float(X1a + X2a + eps * Ta))
     exact = float(hmc_levelset(S, g))

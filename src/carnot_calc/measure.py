@@ -16,7 +16,8 @@ from .curvature import geometry_aux
 from .fields import horizontal_jet
 
 __all__ = [
-    "QuadratureGrid", "IntegralResult", "pairwise_sum", "integrate_patch",
+    "QuadratureGrid", "IntegralResult", "GridFrame", "pairwise_sum",
+    "integrate_patch",
     "perimeter", "eps_area", "scaling_ratio", "translation_ratio",
     "surface_gradient", "tangential_laplacian", "ambient_tangential_laplacian",
     "ibp_residual", "stokes_residual", "green_residual",
@@ -29,15 +30,20 @@ __all__ = [
 _BLOCK_NODES = 8192
 
 
+def _row_blocks(UU, VV):
+    """Consecutive row blocks of about _BLOCK_NODES nodes of the grid arrays."""
+    rows = max(1, _BLOCK_NODES // UU.shape[1])
+    for i in range(0, UU.shape[0], rows):
+        yield UU[i:i + rows], VV[i:i + rows]
+
+
 def _eval_rows(fn, UU, VV):
-    """Evaluate fn over consecutive row blocks of about _BLOCK_NODES nodes.
+    """Evaluate fn over the row blocks of the grid.
 
     fn(U, V) returns a tuple of arrays shaped like its inputs; the row
     blocks of each are concatenated back in order.
     """
-    rows = max(1, _BLOCK_NODES // UU.shape[1])
-    parts = [fn(UU[i:i + rows], VV[i:i + rows])
-             for i in range(0, UU.shape[0], rows)]
+    parts = [fn(U, V) for U, V in _row_blocks(UU, VV)]
     return tuple(np.concatenate(cols, axis=0) for cols in zip(*parts))
 
 
@@ -146,19 +152,27 @@ def _grid_for(P, nu, nv, rule):
     return QuadratureGrid(P.domain, nu or P.grid[0], nv or P.grid[1], rule)
 
 
+def _characteristic_mask(W, om):
+    """Nodes inside the characteristic band W <= 1e-8 max(1, |N|)."""
+    return W <= characteristic_tolerance(np.sqrt(W ** 2 + om ** 2))
+
+
+def _masked_sum(vals, mask, weights):
+    """Weighted pairwise sum of the node values outside the mask."""
+    return pairwise_sum(np.where(~mask, vals * weights, 0.0))
+
+
 def _integrate_on(grid, block):
     """Integrate a density against du dv over the grid.
 
     block(U, V) returns (values, W, omega) arrays.  Nodes inside the
-    characteristic band W <= 1e-8 max(1, |N|) are dropped from the integral;
-    their weighted W-mass is returned as the excluded mass.
+    characteristic band are dropped from the integral; their weighted
+    W-mass is returned as the excluded mass.
     """
     vals, W, om = _eval_rows(block, grid.U, grid.V)
-    mask = W <= characteristic_tolerance(np.sqrt(W ** 2 + om ** 2))
-    wgt = grid.weights
-    contrib = np.where(~mask, vals * wgt, 0.0)
-    excluded = float(np.sum(np.where(mask, np.abs(W) * wgt, 0.0)))
-    return pairwise_sum(contrib), excluded
+    mask = _characteristic_mask(W, om)
+    excluded = float(np.sum(np.where(mask, np.abs(W) * grid.weights, 0.0)))
+    return _masked_sum(vals, mask, grid.weights), excluded
 
 
 def integrate_patch(P, density, nu=None, nv=None, rule="simpson",
@@ -189,6 +203,31 @@ def integrate_patch(P, density, nu=None, nv=None, rule="simpson",
             v2, _ = _integrate_on(half, block)
             est = abs(value - v2)
     return IntegralResult(value, est, excluded, (grid.nu, grid.nv), rule)
+
+
+class GridFrame:
+    """The order-2 frame of a patch on a quadrature grid, evaluated once.
+
+    blocks holds the zy_second dict of each row block (the blocks
+    _eval_rows streams) and mask the nodes inside the characteristic band,
+    so many densities reduce against one frame evaluation, each
+    bit-identical to integrate_patch with error_estimate=False.  Holding
+    the frame costs 632 bytes per node (5.9 MB at 97 x 97 nodes).
+    """
+
+    def __init__(self, P, nu=None, nv=None):
+        self.grid = _grid_for(P, nu, nv, "simpson")
+        self.blocks = [zy_second(P, None, U, V)
+                       for U, V in _row_blocks(self.grid.U, self.grid.V)]
+        W, om = (np.concatenate([zz[k] for zz in self.blocks])
+                 for k in ("W", "omega"))
+        self.mask = _characteristic_mask(W, om)
+
+    def integrate(self, density):
+        """Integral of density(zz) * W du dv outside the characteristic band;
+        density(zz) gets each block's zy_second dict, as in integrate_patch."""
+        vals = np.concatenate([density(zz) * zz["W"] for zz in self.blocks])
+        return _masked_sum(vals, self.mask, self.grid.weights)
 
 
 def perimeter(P, nu=None, nv=None, rule="simpson"):

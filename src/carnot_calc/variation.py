@@ -15,7 +15,8 @@ import numpy as np
 
 from .fields import bump1
 from .surfaces import ParamPatch, patch_fields_jets, tangential, zy_second
-from .measure import QuadratureGrid, integrate_patch, pairwise_sum
+from .measure import (GridFrame, QuadratureGrid, integrate_patch,
+                      pairwise_sum)
 
 __all__ = [
     "DeformationField", "deform_patch", "numeric_variation",
@@ -226,6 +227,18 @@ def _require_minimal(zz, tol):
         raise ValueError("surface is not H-minimal (max |H| = %g)" % worst)
 
 
+def _q_density(zz, F, ZF):
+    """Stability-form density (ZF)^2 + (2 A - obar^2) F^2, A = -Z(obar)."""
+    Acurv = -zz["Zobar"]
+    return ZF ** 2 + (2 * Acurv - zz["obar"] ** 2) * F ** 2
+
+
+def _q_of(zz, F):
+    """The stability-form density of the normal speed function F."""
+    zf = tangential(zz["flds"], F)
+    return _q_density(zz, zf["value"], zf["Zf"])
+
+
 def quadratic_form(P, F, nu=None, nv=None, rule="simpson",
                    minimal_tol=1e-6):
     """Stability form Q(F) = integral of (ZF)^2 + (2 A - obar^2) F^2 over
@@ -233,10 +246,7 @@ def quadratic_form(P, F, nu=None, nv=None, rule="simpson",
 
     def density(zz):
         _require_minimal(zz, minimal_tol)
-        zf = tangential(zz["flds"], F)
-        Acurv = -zz["Zobar"]
-        return zf["Zf"] ** 2 + (2 * Acurv - zz["obar"] ** 2) \
-            * zf["value"] ** 2
+        return _q_of(zz, F)
 
     return integrate_patch(P, density, nu=nu, nv=nv, rule=rule,
                            error_estimate=False).value
@@ -262,8 +272,7 @@ def second_variation_geometric(P, D, nu=None, nv=None, rule="simpson",
         ZF = (zz["Zpbar"] * a + pb * za["Zf"]
               + zz["Zqbar"] * b + qb * zb["Zf"]
               + zz["Zobar"] * k + ob * zk["Zf"])
-        Acurv = -zz["Zobar"]
-        return ZF ** 2 + (2 * Acurv - ob ** 2) * F ** 2
+        return _q_density(zz, F, ZF)
 
     return integrate_patch(P, density, nu=nu, nv=nv, rule=rule,
                            error_estimate=False).value
@@ -330,6 +339,8 @@ def stability_scan(P, bumps=None, n_centers=5, n_radii=5, nu=None, nv=None,
                    witness_threshold=-1e-6, minimal_tol=1e-6):
     """Evaluate the stability form over a family of normal-speed bumps.
 
+    The frame is evaluated once on the quadrature grid and every bump is
+    reduced against it; each Q equals quadratic_form(P, F, nu=nu, nv=nv).
     Returns the full table (in lattice order), the minimum and its argmin
     (both None for an empty family), and the first witness with
     Q < witness_threshold (None if the scan stays nonnegative).
@@ -339,13 +350,17 @@ def stability_scan(P, bumps=None, n_centers=5, n_radii=5, nu=None, nv=None,
         cell = max(u1 - u0, v1 - v0) / float(nu or P.grid[0])
         bumps = product_bump_lattice(P.domain, n_centers, n_radii,
                                      margin=cell)
+    bumps = list(bumps)
     table = []
     witness = None
+    if bumps:
+        frame = GridFrame(P, nu, nv)
+        for zz in frame.blocks:
+            _require_minimal(zz, minimal_tol)
     for F, meta in bumps:
-        Q = quadratic_form(P, F, nu=nu, nv=nv, minimal_tol=minimal_tol)
-        rec = dict(meta, Q=Q)
+        rec = dict(meta, Q=frame.integrate(lambda zz: _q_of(zz, F)))
         table.append(rec)
-        if witness is None and Q < witness_threshold:
+        if witness is None and rec["Q"] < witness_threshold:
             witness = rec
     if table:
         argmin = min(table, key=lambda e: e["Q"])

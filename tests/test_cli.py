@@ -253,6 +253,44 @@ def test_flow_check_passes(capsys):
     assert all(r["pass"] == "true" for r in rows)
 
 
+POLY = ("t-graph:poly:[[1.0,[2,0]],[1.0,[0,2]],[0.05,[3,0]],"
+        "[-0.07,[2,1]],[0.02,[1,2]],[0.09,[0,3]]]")
+
+
+@pytest.mark.parametrize("surface", ["t-graph:parab", "xyt-graph", POLY])
+def test_flow_check_report_matches_per_point_residuals(capsys, surface):
+    # the report evaluates the whole lattice in one call; the reference
+    # evaluates one point at a time
+    rc, out, _ = invoke(capsys, ["flow-check", "--surface", surface,
+                                 "--points", "49"])
+    P = cli.build_surface(surface).patch
+    rows = []
+    for u, v in cli._sample_lattice(P.domain, 49):
+        res = float(cli.msr.mcf_residual(P, u, v))
+        rows.append({"u": u, "v": v, "residual": res,
+                     "tolerance": cli.FLOW_TOL, "pass": res <= cli.FLOW_TOL})
+    assert out == cli.render_csv(rows, ["u", "v", "residual", "tolerance",
+                                        "pass"])
+    assert rc == 0
+
+
+@pytest.mark.parametrize("surface", [
+    "t-graph:parab", POLY, "t-graph:poly:[[-0.25, [1, 0]], [0.25, [0, 1]]]"])
+def test_curvature_report_matches_per_cell_rows(capsys, surface):
+    # the reference reads one numpy cell at a time
+    cols = cli.curvature_grid(cli.build_surface(surface).patch, nu=5, nv=5)
+    names = ["u", "v", "p", "q", "omega", "W", "H_param", "H_levelset", "A",
+             "obar"]
+    rows = [{nm: cols[nm][i] if np.isfinite(cols[nm][i]) else None
+             for nm in names} for i in range(25)]
+    _, out, _ = invoke(capsys, ["curvature", "--surface", surface,
+                                "--points", "25"])
+    assert out == cli.render_csv(rows, names)
+    _, out, _ = invoke(capsys, ["curvature", "--surface", surface,
+                                "--points", "25", "--format", "json"])
+    assert out == cli.render_json(rows)
+
+
 # -- config and report plumbing ----------------------------------------------------
 
 def test_config_supplies_defaults_and_flags_override(capsys, tmp_path):

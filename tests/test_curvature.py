@@ -284,18 +284,24 @@ def test_identity_battery_subset_selection():
 
 
 def _count_evaluations(monkeypatch):
-    seen = {"points": [], "jets": 0}
-    fields, jet = curvature.levelset_fields, ScalarField.jet
+    seen = {"points": [], "frames": [], "jets": 0}
+    fields, frame, jet = (curvature.levelset_fields, curvature.frame_levelset,
+                          ScalarField.jet)
 
     def counted_fields(S, g):
         seen["points"].append(np.array(g))
         return fields(S, g)
+
+    def counted_frame(S, g, *args, **kwargs):
+        seen["frames"].append(np.array(g))
+        return frame(S, g, *args, **kwargs)
 
     def counted_jet(self, g, order=2):
         seen["jets"] += 1
         return jet(self, g, order=order)
 
     monkeypatch.setattr(curvature, "levelset_fields", counted_fields)
+    monkeypatch.setattr(curvature, "frame_levelset", counted_frame)
     monkeypatch.setattr(ScalarField, "jet", counted_jet)
     return seen
 
@@ -313,22 +319,27 @@ def test_identity_battery_evaluates_each_stencil_point_once(monkeypatch, ids,
     assert len({g.tobytes() for g in seen}) == calls
 
 
-@pytest.mark.parametrize("route, fields, jets", [
-    (pseudo_hermitian_check, 7, 7),
-    (hmc_divergence, 5, 5),
-    (lambda S, g: hmc_pauls(S, g), 7, 8),
-    (lambda S, g: hmc_pauls(S, g, eps_list=(1e-1, 1e-2, 1e-3, 1e-4)), 7, 8),
-    (hmc_levelset, 0, 1),
+@pytest.mark.parametrize("route, fields, frames, jets", [
+    (pseudo_hermitian_check, 7, 0, 7),
+    (hmc_divergence, 0, 5, 5),
+    (lambda S, g: hmc_pauls(S, g), 0, 7, 8),
+    (lambda S, g: hmc_pauls(S, g, eps_list=(1e-1, 1e-2, 1e-3, 1e-4)), 0, 7,
+     8),
+    (hmc_levelset, 0, 0, 1),
 ], ids=["pseudo-hermitian", "divergence", "pauls-3-eps", "pauls-4-eps",
         "levelset"])
 def test_finite_difference_routes_evaluate_each_point_once(monkeypatch, route,
-                                                           fields, jets):
-    # g and the stencil points g +- h v each get one levelset_fields call
+                                                           fields, frames,
+                                                           jets):
+    # g and the stencil points g +- h v each get one evaluation: the
+    # divergence and Pauls routes read only p, omega and W, so they take the
+    # checked first-order frame, never the full levelset_fields
     cat = build_surface("t-graph:parab")
     seen = _count_evaluations(monkeypatch)
     route(cat.levelset, cat.patch.point(1.0, 1.2))
-    assert len(seen["points"]) <= fields
-    assert len({g.tobytes() for g in seen["points"]}) == len(seen["points"])
+    for kind, most in (("points", fields), ("frames", frames)):
+        assert len(seen[kind]) <= most
+        assert len({g.tobytes() for g in seen[kind]}) == len(seen[kind])
     assert seen["jets"] <= jets
 
 

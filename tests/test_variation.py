@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from carnot_calc import surfaces
+from carnot_calc import measure, surfaces
 from carnot_calc import (
     DeformationField,
     IntrinsicGraph,
@@ -261,6 +261,71 @@ def test_unstable_minimal_graph_has_witness():
     assert out["min_value"] < 0.0
     assert sum(1 for rec in out["table"] if rec["Q"] < 0.0) > 0
     assert {"cu", "cv", "ru", "rv", "Q"} <= set(out["argmin"])
+
+
+def _lattice(P, n):
+    # the default family of stability_scan at grid n
+    u0, u1, v0, v1 = P.domain
+    return product_bump_lattice(P.domain, 5, 5,
+                                margin=max(u1 - u0, v1 - v0) / n)
+
+
+@pytest.mark.parametrize("family", ["lattice", "random"])
+def test_stability_scan_matches_per_bump_quadratic_form(family):
+    # the scan reduces every bump against one held frame; each Q must be
+    # the value of the independent single-profile route, bit for bit
+    P = build_surface("xyt-graph").patch
+    n = 96
+    if family == "lattice":
+        bumps = _lattice(P, n)
+        out = stability_scan(P, nu=n, nv=n)
+    else:
+        bumps = random_product_bumps(P.domain, 32,
+                                     np.random.default_rng(11))
+        out = stability_scan(P, bumps=bumps, nu=n, nv=n)
+    table = [dict(meta, Q=quadratic_form(P, F, nu=n, nv=n))
+             for F, meta in bumps]
+    argmin = min(table, key=lambda e: e["Q"])
+    witness = next((rec for rec in table if rec["Q"] < -1e-6), None)
+    assert out == {"table": table, "min_value": argmin["Q"],
+                   "argmin": argmin, "witness": witness,
+                   "count": len(bumps)}
+    assert witness is not None
+
+
+@pytest.mark.parametrize("block_nodes, blocks", [(8192, 2), (1000, 10)])
+def test_stability_scan_evaluates_the_frame_once_per_block(monkeypatch,
+                                                           block_nodes,
+                                                           blocks):
+    # 97 x 97 nodes: 84-row blocks by default, 10-row blocks at 1000 nodes
+    P = build_surface("xyt-graph").patch
+    bumps = random_product_bumps(P.domain, 12, np.random.default_rng(5))
+    ref = stability_scan(P, bumps=bumps, nu=96, nv=96)
+    monkeypatch.setattr(measure, "_BLOCK_NODES", block_nodes)
+    nodes = []
+    inner = measure.zy_second
+
+    def counted(P, f, u, v, order=2):
+        nodes.append(np.size(u))
+        return inner(P, f, u, v, order=order)
+
+    monkeypatch.setattr(measure, "zy_second", counted)
+    for count in (1, 12):
+        nodes.clear()
+        out = stability_scan(P, bumps=bumps[:count], nu=96, nv=96)
+        assert len(nodes) == blocks
+        assert sum(nodes) == 97 * 97
+        assert out["table"] == ref["table"][:count]
+
+
+def test_stability_scan_of_an_empty_family_needs_no_frame():
+    # no bump, no frame: a non-minimal surface is not rejected
+    P = build_surface("t-graph:parab").patch
+    out = stability_scan(P, bumps=[], nu=48, nv=48)
+    assert out == {"table": [], "min_value": None, "argmin": None,
+                   "witness": None, "count": 0}
+    with pytest.raises(ValueError, match="not H-minimal"):
+        stability_scan(P, bumps=_lattice(P, 48)[:1], nu=48, nv=48)
 
 
 def test_plane_stable_under_random_bumps(rng):
