@@ -15,8 +15,8 @@ import numpy as np
 
 from .fields import ANALYTIC, FD, horizontal_jet
 from .groups import frame_at, frame_jacobian
-from .surfaces import (CharacteristicPointError, _checked_frame, burgers,
-                       characteristic_tolerance, frame_levelset, zy_second)
+from .surfaces import (CharacteristicPointError, _characteristic_band,
+                       _checked_frame, burgers, frame_levelset, zy_second)
 
 __all__ = [
     "CurvatureReport", "hmc_levelset", "hmc_divergence", "hmc_param",
@@ -521,8 +521,7 @@ def curvature_grid(P, nu=None, nv=None, with_levelset=True):
             "p": zz["p"].ravel(), "q": zz["q"].ravel(), "omega": om, "W": W,
             "H_param": zz["H"].ravel(), "A": (-zz["Zobar"]).ravel(),
             "obar": zz["obar"].ravel(),
-            "characteristic": W <= characteristic_tolerance(
-                np.sqrt(W ** 2 + om ** 2))}
+            "characteristic": _characteristic_band(W, om)}
     if with_levelset and P.levelset is not None:
         Hl = np.empty(UU.size)
         pts = P.point(UU, VV).reshape(3, -1)

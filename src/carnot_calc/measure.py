@@ -2,21 +2,28 @@
 
 The sub-Riemannian area element of a patch is dsigma_H = W du dv.  All
 integrals use deterministic composite rules with a fixed pairwise summation
-tree over the row-major grid.  Densities are evaluated in row blocks, and
-every density is elementwise, so results are bit-stable for a given grid
-regardless of the block size.
+tree over the row-major grid, and all run through one streaming reducer:
+the grid is cut into consecutive chunks of nodes, the frame is evaluated
+once per chunk and every density is reduced to one pairwise partial sum
+per chunk, so no whole-grid frame is ever held.  A chunk holds a power of
+two of nodes: pairwise_sum pairs neighbours level by level, so an aligned
+power-of-two chunk collapses to the same partial inside the whole-array
+tree as on its own, and the pairwise sum of the partials (the ragged last
+chunk included) is the whole-array sum bit for bit.  Densities are
+elementwise, so results are bit-stable for a given grid regardless of the
+chunk size.
 """
 
 import numpy as np
 
-from .surfaces import (characteristic_tolerance, dilate_patch,
+from .surfaces import (_characteristic_band, dilate_patch,
                        left_translate_patch, restrict_to_patch, tangential,
                        zy_second)
 from .curvature import geometry_aux
 from .fields import horizontal_jet
 
 __all__ = [
-    "QuadratureGrid", "IntegralResult", "GridFrame", "pairwise_sum",
+    "QuadratureGrid", "IntegralResult", "pairwise_sum",
     "integrate_patch",
     "perimeter", "eps_area", "scaling_ratio", "translation_ratio",
     "surface_gradient", "tangential_laplacian", "ambient_tangential_laplacian",
@@ -25,26 +32,18 @@ __all__ = [
     "mcf_residual",
 ]
 
-# Nodes per evaluation block: small enough that the order-2 jet temporaries
-# of one block stay in cache instead of streaming whole-grid arrays.
+# Nodes per evaluation chunk (rounded up to a power of two): small enough
+# that the order-2 jet temporaries of one chunk stay in cache instead of
+# streaming whole-grid arrays.
 _BLOCK_NODES = 8192
 
 
-def _row_blocks(UU, VV):
-    """Consecutive row blocks of about _BLOCK_NODES nodes of the grid arrays."""
-    rows = max(1, _BLOCK_NODES // UU.shape[1])
-    for i in range(0, UU.shape[0], rows):
-        yield UU[i:i + rows], VV[i:i + rows]
-
-
-def _eval_rows(fn, UU, VV):
-    """Evaluate fn over the row blocks of the grid.
-
-    fn(U, V) returns a tuple of arrays shaped like its inputs; the row
-    blocks of each are concatenated back in order.
-    """
-    parts = [fn(U, V) for U, V in _row_blocks(UU, VV)]
-    return tuple(np.concatenate(cols, axis=0) for cols in zip(*parts))
+def _node_chunks(size):
+    """Consecutive slices of size nodes, _BLOCK_NODES rounded up to a power
+    of two each; only the last may be shorter."""
+    step = 1 << (max(1, _BLOCK_NODES) - 1).bit_length()
+    for start in range(0, size, step):
+        yield slice(start, start + step)
 
 
 def pairwise_sum(values):
@@ -152,27 +151,25 @@ def _grid_for(P, nu, nv, rule):
     return QuadratureGrid(P.domain, nu or P.grid[0], nv or P.grid[1], rule)
 
 
-def _characteristic_mask(W, om):
-    """Nodes inside the characteristic band W <= 1e-8 max(1, |N|)."""
-    return W <= characteristic_tolerance(np.sqrt(W ** 2 + om ** 2))
+def _integrate(P, grid, densities, order=2):
+    """Integrals against du dv over the grid, streamed in node chunks.
 
-
-def _masked_sum(vals, mask, weights):
-    """Weighted pairwise sum of the node values outside the mask."""
-    return pairwise_sum(np.where(~mask, vals * weights, 0.0))
-
-
-def _integrate_on(grid, block):
-    """Integrate a density against du dv over the grid.
-
-    block(U, V) returns (values, W, omega) arrays.  Nodes inside the
-    characteristic band are dropped from the integral; their weighted
-    W-mass is returned as the excluded mass.
+    densities(zz) receives the zy_second frame dict of one chunk and returns
+    an iterable of integrand arrays (density times W), reduced one at a
+    time.  Nodes inside the characteristic band are dropped; their weighted
+    W-mass is returned as the excluded mass.  Returns (integrals, excluded).
     """
-    vals, W, om = _eval_rows(block, grid.U, grid.V)
-    mask = _characteristic_mask(W, om)
-    excluded = float(np.sum(np.where(mask, np.abs(W) * grid.weights, 0.0)))
-    return _masked_sum(vals, mask, grid.weights), excluded
+    U, V, w = grid.U.ravel(), grid.V.ravel(), grid.weights.ravel()
+    partials, excluded = [], []
+    for s in _node_chunks(U.size):
+        zz = zy_second(P, None, U[s], V[s], order=order)
+        W, ws = zz["W"], w[s]
+        mask = _characteristic_band(W, zz["omega"])
+        excluded.append(pairwise_sum(np.where(mask, np.abs(W) * ws, 0.0)))
+        partials.append([pairwise_sum(np.where(mask, 0.0, vals * ws))
+                         for vals in densities(zz)])
+    return ([pairwise_sum(col) for col in zip(*partials)],
+            pairwise_sum(excluded))
 
 
 def integrate_patch(P, density, nu=None, nv=None, rule="simpson",
@@ -189,45 +186,18 @@ def integrate_patch(P, density, nu=None, nv=None, rule="simpson",
     """
     grid = _grid_for(P, nu, nv, rule)
 
-    def block(U, V):
-        zz = zy_second(P, None, U, V, order=order)
+    def densities(zz):
         W = zz["W"]
-        vals = W if density is None else density(zz) * W
-        return vals, W, zz["omega"]
+        return (W if density is None else density(zz) * W,)
 
-    value, excluded = _integrate_on(grid, block)
+    (value,), excluded = _integrate(P, grid, densities, order)
     est = None
     if error_estimate:
         half = grid.halved()
         if half is not None and (half.nu, half.nv) != (grid.nu, grid.nv):
-            v2, _ = _integrate_on(half, block)
+            (v2,), _ = _integrate(P, half, densities, order)
             est = abs(value - v2)
     return IntegralResult(value, est, excluded, (grid.nu, grid.nv), rule)
-
-
-class GridFrame:
-    """The order-2 frame of a patch on a quadrature grid, evaluated once.
-
-    blocks holds the zy_second dict of each row block (the blocks
-    _eval_rows streams) and mask the nodes inside the characteristic band,
-    so many densities reduce against one frame evaluation, each
-    bit-identical to integrate_patch with error_estimate=False.  Holding
-    the frame costs 632 bytes per node (5.9 MB at 97 x 97 nodes).
-    """
-
-    def __init__(self, P, nu=None, nv=None):
-        self.grid = _grid_for(P, nu, nv, "simpson")
-        self.blocks = [zy_second(P, None, U, V)
-                       for U, V in _row_blocks(self.grid.U, self.grid.V)]
-        W, om = (np.concatenate([zz[k] for zz in self.blocks])
-                 for k in ("W", "omega"))
-        self.mask = _characteristic_mask(W, om)
-
-    def integrate(self, density):
-        """Integral of density(zz) * W du dv outside the characteristic band;
-        density(zz) gets each block's zy_second dict, as in integrate_patch."""
-        vals = np.concatenate([density(zz) * zz["W"] for zz in self.blocks])
-        return _masked_sum(vals, self.mask, self.grid.weights)
 
 
 def perimeter(P, nu=None, nv=None, rule="simpson"):
@@ -332,38 +302,34 @@ def ibp_residual(P, kind, zeta, f=None, index=1, nu=None, nv=None,
                      i = index in {1, 2}
     kind "green":    integral of (<grad f, grad zeta> + f hat-Laplacian zeta)
     """
-    def block(U, V):
-        base = zy_second(P, None, U, V)
-        zf = None if f is None else tangential(base["flds"], f)
-        zz = tangential(base["flds"], zeta)
-        W, ob = base["W"], base["obar"]
-        pb, qb, H = base["pbar"], base["qbar"], base["H"]
+    def density(zz):
+        zf = None if f is None else tangential(zz["flds"], f)
+        zt = tangential(zz["flds"], zeta)
+        ob, pb, qb, H = zz["obar"], zz["pbar"], zz["qbar"], zz["H"]
         if kind == "Z":
-            expr = zz["Zf"] + zz["value"] * ob
-        elif kind == "TY":
+            return zt["Zf"] + zt["value"] * ob
+        if kind == "TY":
             if zf is None:
                 raise ValueError("kind 'TY' needs the second function f")
-            expr = (zf["value"] * zz["Bf"] + zz["value"] * zf["Bf"]
-                    - zf["value"] * zz["value"] * ob * H)
-        elif kind == "gradient":
+            return (zf["value"] * zt["Bf"] + zt["value"] * zf["Bf"]
+                    - zf["value"] * zt["value"] * ob * H)
+        if kind == "gradient":
             if index == 1:
-                gi, pbi, ci = qb * zz["Zf"], pb, ob * qb
+                gi, pbi, ci = qb * zt["Zf"], pb, ob * qb
             elif index == 2:
-                gi, pbi, ci = -pb * zz["Zf"], qb, -ob * pb
+                gi, pbi, ci = -pb * zt["Zf"], qb, -ob * pb
             else:
                 raise ValueError("index must be 1 or 2")
-            expr = gi - zz["value"] * (H * pbi - ci)
-        elif kind == "green":
+            return gi - zt["value"] * (H * pbi - ci)
+        if kind == "green":
             if zf is None:
                 raise ValueError("kind 'green' needs the second function f")
-            hat = zz["Z2f"] + ob * zz["Zf"]
-            expr = zf["Zf"] * zz["Zf"] + zf["value"] * hat
-        else:
-            raise ValueError("unknown kind %r" % kind)
-        return expr * W, W, base["omega"]
+            hat = zt["Z2f"] + ob * zt["Zf"]
+            return zf["Zf"] * zt["Zf"] + zf["value"] * hat
+        raise ValueError("unknown kind %r" % kind)
 
-    value, _ = _integrate_on(_grid_for(P, nu, nv, rule), block)
-    return value
+    return integrate_patch(P, density, nu=nu, nv=nv, rule=rule,
+                           error_estimate=False).value
 
 
 def green_residual(P, f, zeta, nu=None, nv=None, rule="simpson"):
@@ -377,13 +343,12 @@ def stokes_residual(P, f, nu=None, nv=None, rule="simpson"):
     Zero for compactly supported f: the hat Laplacian is Z(Zf) + obar Zf,
     and the Z rule applied to Zf kills the whole integral.
     """
-    def block(U, V):
-        zz = zy_second(P, f, U, V)
-        W, ob = zz["W"], zz["obar"]
-        return (zz["Z2f"] + ob * zz["Zf"]) * W, W, zz["omega"]
+    def density(zz):
+        zf = tangential(zz["flds"], f)
+        return zf["Z2f"] + zz["obar"] * zf["Zf"]
 
-    value, _ = _integrate_on(_grid_for(P, nu, nv, rule), block)
-    return value
+    return integrate_patch(P, density, nu=nu, nv=nv, rule=rule,
+                           error_estimate=False).value
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,12 @@ def characteristic_tolerance(normN):
     return 1e-8 * np.maximum(1.0, normN)
 
 
+def _characteristic_band(W, omega):
+    """Boolean array of the nodes inside the characteristic band, from the
+    arrays W and omega of a patch frame."""
+    return W <= characteristic_tolerance(np.sqrt(W ** 2 + omega ** 2))
+
+
 class SurfaceFrame:
     """Frame data of an oriented hypersurface at one point.
 

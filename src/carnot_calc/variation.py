@@ -15,8 +15,8 @@ import numpy as np
 
 from .fields import bump1
 from .surfaces import ParamPatch, patch_fields_jets, tangential, zy_second
-from .measure import (GridFrame, QuadratureGrid, integrate_patch,
-                      pairwise_sum)
+from .measure import (QuadratureGrid, _grid_for, _integrate,
+                      _perimeter_value, integrate_patch, pairwise_sum)
 
 __all__ = [
     "DeformationField", "deform_patch", "numeric_variation",
@@ -67,12 +67,6 @@ def deform_patch(P, D, lam):
                       name="%s~moved(%g)" % (P.name, lam))
 
 
-def _area(P, D, lam, nu, nv, rule):
-    Pd = deform_patch(P, D, lam)
-    return integrate_patch(Pd, None, nu=nu, nv=nv, rule=rule,
-                           error_estimate=False, order=1).value
-
-
 def numeric_variation(P, D, order=1, nu=None, nv=None, dlam=None,
                       rule="simpson"):
     """d/dlam (order 1) or d^2/dlam^2 (order 2) of the deformed perimeter
@@ -87,7 +81,8 @@ def numeric_variation(P, D, order=1, nu=None, nv=None, dlam=None,
 
     def A(lam):
         if lam not in areas:
-            areas[lam] = _area(P, D, lam, nu, nv, rule)
+            areas[lam] = _perimeter_value(deform_patch(P, D, lam), nu, nv,
+                                          rule)
         return areas[lam]
 
     if order == 1:
@@ -339,8 +334,9 @@ def stability_scan(P, bumps=None, n_centers=5, n_radii=5, nu=None, nv=None,
                    witness_threshold=-1e-6, minimal_tol=1e-6):
     """Evaluate the stability form over a family of normal-speed bumps.
 
-    The frame is evaluated once on the quadrature grid and every bump is
-    reduced against it; each Q equals quadratic_form(P, F, nu=nu, nv=nv).
+    The frame is evaluated once per node chunk of the quadrature grid and
+    every bump is reduced against it; each Q equals
+    quadratic_form(P, F, nu=nu, nv=nv).
     Returns the full table (in lattice order), the minimum and its argmin
     (both None for an empty family), and the first witness with
     Q < witness_threshold (None if the scan stays nonnegative).
@@ -351,17 +347,17 @@ def stability_scan(P, bumps=None, n_centers=5, n_radii=5, nu=None, nv=None,
         bumps = product_bump_lattice(P.domain, n_centers, n_radii,
                                      margin=cell)
     bumps = list(bumps)
-    table = []
-    witness = None
-    if bumps:
-        frame = GridFrame(P, nu, nv)
-        for zz in frame.blocks:
-            _require_minimal(zz, minimal_tol)
-    for F, meta in bumps:
-        rec = dict(meta, Q=frame.integrate(lambda zz: _q_of(zz, F)))
-        table.append(rec)
-        if witness is None and rec["Q"] < witness_threshold:
-            witness = rec
+
+    def densities(zz):
+        _require_minimal(zz, minimal_tol)
+        return (_q_of(zz, F) * zz["W"] for F, _ in bumps)
+
+    Qs = []
+    if bumps:  # an empty family evaluates no frame
+        Qs, _ = _integrate(P, _grid_for(P, nu, nv, "simpson"), densities)
+    table = [dict(meta, Q=Q) for (_, meta), Q in zip(bumps, Qs)]
+    witness = next((rec for rec in table if rec["Q"] < witness_threshold),
+                   None)
     if table:
         argmin = min(table, key=lambda e: e["Q"])
         min_value = argmin["Q"]

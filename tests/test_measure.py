@@ -21,8 +21,10 @@ from carnot_calc import (
     mcf_residual,
     pairwise_sum,
     perimeter,
+    random_product_bumps,
     scaling_ratio,
     second_variation_full,
+    stability_scan,
     stokes_residual,
     surface_gradient,
     tangential_laplacian,
@@ -116,20 +118,50 @@ def test_pairwise_sum_matches_fsum(rng):
     assert pairwise_sum(x) == pytest.approx(math.fsum(x), abs=1e-10 * np.sum(np.abs(x)))
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), log_step=st.integers(0, 10), chunks=st.integers(0, 40))
+def test_pairwise_sum_of_power_of_two_chunk_partials_is_the_whole_sum(
+        data, log_step, chunks):
+    # whole chunks of 2^k values plus a ragged tail (of odd length too)
+    step = 2 ** log_step
+    size = chunks * step + data.draw(st.integers(1, step))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.normal(size=size) * np.exp(rng.uniform(-8, 8, size=size))
+    partials = [pairwise_sum(x[i:i + step]) for i in range(0, size, step)]
+    assert pairwise_sum(partials) == pairwise_sum(x)
+
+
+def test_node_chunks_round_the_block_up_to_a_power_of_two(monkeypatch):
+    nodes = np.arange(2500)
+    for block_nodes, step in ((1, 1), (1000, 1024), (1024, 1024),
+                              (10 ** 9, 2500)):
+        monkeypatch.setattr(measure, "_BLOCK_NODES", block_nodes)
+        chunks = [nodes[s] for s in measure._node_chunks(nodes.size)]
+        tail = [nodes.size % step] if nodes.size % step else []
+        assert [c.size for c in chunks] == [step] * (nodes.size // step) + tail
+        assert np.array_equal(np.concatenate(chunks), nodes)
+
+
 def test_blocked_integration_is_bit_identical(monkeypatch):
-    # a characteristic node at the center is masked inside one block
+    # a characteristic node at the center is masked inside one chunk
     P = build_surface("t-graph:zero", domain=(-1, 1, -1, 1)).patch
     Q = build_surface("t-graph:parab").patch
+    X = build_surface("xyt-graph").patch
     D = DeformationField(bump2(1.0, 1.0, 0.4, 0.4), bump2(0.9, 1.1, 0.3, 0.3),
                          bump2(1.0, 0.9, 0.35, 0.4))
+    zeta, f = bump2(1.0, 1.0, 0.4, 0.4), bump2(0.9, 1.1, 0.3, 0.25)
+    bumps = random_product_bumps(X.domain, 3, np.random.default_rng(7))
     results = []
-    # one block, then 7-row blocks (129 columns) and 15-row blocks
-    # (65 columns), each with a ragged last block
+    # one chunk, then 1024-node chunks (1000 rounded up), each grid with a
+    # ragged last chunk: 129^2, 65^2 and 33^2 nodes
     for block_nodes in (10 ** 9, 1000):
         monkeypatch.setattr(measure, "_BLOCK_NODES", block_nodes)
         r = perimeter(P, nu=128, nv=128)
         results.append((r.value, r.excluded_mass, r.error_estimate,
-                        second_variation_full(Q, D, nu=64, nv=64)))
+                        second_variation_full(Q, D, nu=64, nv=64),
+                        ibp_residual(Q, "green", zeta, f=f, nu=64, nv=64),
+                        stokes_residual(Q, f, nu=64, nv=64),
+                        stability_scan(X, bumps=bumps, nu=64, nv=64)))
     assert results[0] == results[1]  # byte-identical, not merely close
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -102,18 +104,17 @@ def test_zero_deformation_gives_zero_rates():
 @pytest.mark.parametrize("order, calls", [(1, 4), (2, 7)])
 def test_numeric_variation_integrates_each_lambda_once(monkeypatch, order,
                                                        calls):
-    import carnot_calc.variation as variation
     P = build_surface("t-graph:parab").patch
     D = DeformationField(ZERO, ZERO, lambda u, v: 0.1 * u * v)
     expected = numeric_variation(P, D, order=order, nu=16, nv=16)
     seen = []
-    inner = variation.integrate_patch
+    inner = measure.integrate_patch
 
     def counting(Q, *args, **kwargs):
         seen.append(Q.name)
         return inner(Q, *args, **kwargs)
 
-    monkeypatch.setattr(variation, "integrate_patch", counting)
+    monkeypatch.setattr(measure, "integrate_patch", counting)
     assert numeric_variation(P, D, order=order, nu=16, nv=16) == expected
     assert len(seen) == len(set(seen)) == calls
 
@@ -297,7 +298,8 @@ def test_stability_scan_matches_per_bump_quadratic_form(family):
 def test_stability_scan_evaluates_the_frame_once_per_block(monkeypatch,
                                                            block_nodes,
                                                            blocks):
-    # 97 x 97 nodes: 84-row blocks by default, 10-row blocks at 1000 nodes
+    # 97 x 97 = 9409 nodes: two 8192-node chunks by default, ten 1024-node
+    # chunks at 1000 (rounded up to a power of two)
     P = build_surface("xyt-graph").patch
     bumps = random_product_bumps(P.domain, 12, np.random.default_rng(5))
     ref = stability_scan(P, bumps=bumps, nu=96, nv=96)
@@ -316,6 +318,20 @@ def test_stability_scan_evaluates_the_frame_once_per_block(monkeypatch,
         assert len(nodes) == blocks
         assert sum(nodes) == 97 * 97
         assert out["table"] == ref["table"][:count]
+
+
+def test_stability_scan_streams_the_frame_in_node_chunks():
+    # one chunk's order-2 frame at a time: holding the frame of all 257^2
+    # nodes would take ~632 bytes per node, about 42 MB
+    P = build_surface("xyt-graph").patch
+    bumps = random_product_bumps(P.domain, 3, np.random.default_rng(5))
+    tracemalloc.start()
+    try:
+        stability_scan(P, bumps=bumps, nu=256, nv=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_stability_scan_of_an_empty_family_needs_no_frame():
