@@ -162,8 +162,6 @@ def _dispatch(name):
 jet_sqrt = _dispatch("sqrt")
 jet_exp = _dispatch("exp")
 jet_log = _dispatch("log")
-jet_sin = _dispatch("sin")
-jet_cos = _dispatch("cos")
 
 
 def seed_jets(coords, order=2):

@@ -100,15 +100,6 @@ class StratifiedGroup:
         lo = sum(self.layer_dims[: j - 1])
         return slice(lo, lo + self.layer_dims[j - 1])
 
-    @property
-    def horizontal(self):
-        return self.layer_slice(1)
-
-    @property
-    def vertical2(self):
-        """Slice of the second layer (the T_s coordinates)."""
-        return self.layer_slice(2)
-
     def b_horizontal(self, s):
         """Matrix b^s_{ij} over horizontal i, j for the s-th layer-2 direction."""
         m = self.m

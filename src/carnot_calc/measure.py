@@ -154,20 +154,25 @@ def _grid_for(P, nu, nv, rule):
 def _integrate(P, grid, densities, order=2):
     """Integrals against du dv over the grid, streamed in node chunks.
 
-    densities(zz) receives the zy_second frame dict of one chunk and returns
-    an iterable of integrand arrays (density times W), reduced one at a
-    time.  Nodes inside the characteristic band are dropped; their weighted
-    W-mass is returned as the excluded mass.  Returns (integrals, excluded).
+    densities(zz, s) receives the zy_second frame dict of one chunk and the
+    chunk's slice s of the row-major node order (node k sits at
+    grid.U.flat[k], grid.V.flat[k]), and returns an iterable of integrand
+    arrays (density times W), reduced one at a time.  zz["band"] marks the
+    chunk's nodes inside the characteristic band: they are dropped, and
+    their weighted W-mass is returned as the excluded mass.  Densities are
+    evaluated with numpy's divide and invalid warnings off, since the values
+    they would flag are the dropped ones.  Returns (integrals, excluded).
     """
     U, V, w = grid.U.ravel(), grid.V.ravel(), grid.weights.ravel()
     partials, excluded = [], []
     for s in _node_chunks(U.size):
         zz = zy_second(P, None, U[s], V[s], order=order)
         W, ws = zz["W"], w[s]
-        mask = _characteristic_band(W, zz["omega"])
+        mask = zz["band"] = _characteristic_band(W, zz["omega"])
         excluded.append(pairwise_sum(np.where(mask, np.abs(W) * ws, 0.0)))
-        partials.append([pairwise_sum(np.where(mask, 0.0, vals * ws))
-                         for vals in densities(zz)])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            partials.append([pairwise_sum(np.where(mask, 0.0, vals * ws))
+                             for vals in densities(zz, s)])
     return ([pairwise_sum(col) for col in zip(*partials)],
             pairwise_sum(excluded))
 
@@ -186,7 +191,7 @@ def integrate_patch(P, density, nu=None, nv=None, rule="simpson",
     """
     grid = _grid_for(P, nu, nv, rule)
 
-    def densities(zz):
+    def densities(zz, s):
         W = zz["W"]
         return (W if density is None else density(zz) * W,)
 

@@ -194,14 +194,6 @@ class ParamPatch:
         uj, vj = seed_jets((u, v), order=order)
         return [_as_jet(f(uj, vj), uj) for f in (self.x, self.y, self.t)]
 
-    def with_domain(self, domain=None, grid=None):
-        out = ParamPatch(self.group, self.x, self.y, self.t,
-                         domain or self.domain, grid or self.grid,
-                         name=self.name, uv_of_point=self.uv_of_point,
-                         levelset=self.levelset)
-        out.intrinsic = self.intrinsic
-        return out
-
 
 def restrict_to_patch(P, field):
     """Ambient scalar (ScalarField or callable) as a surface function f(u, v)."""

@@ -13,7 +13,7 @@ lam by finite differences.
 
 import numpy as np
 
-from .fields import bump1
+from .fields import bump1, seed_jets
 from .surfaces import ParamPatch, patch_fields_jets, tangential, zy_second
 from .measure import (QuadratureGrid, _grid_for, _integrate,
                       _perimeter_value, integrate_patch, pairwise_sum)
@@ -216,10 +216,32 @@ def second_variation_full(P, D, nu=None, nv=None, rule="simpson"):
                            error_estimate=False).value
 
 
-def _require_minimal(zz, tol):
-    worst = float(np.max(np.abs(zz["H"])))
-    if worst > tol:
+def _max_H(zz):
+    """max |H| over the chunk's nodes outside the characteristic band."""
+    return float(np.max(np.where(zz["band"], 0.0, np.abs(zz["H"])),
+                        initial=0.0))
+
+
+def _require_minimal(worst, tol):
+    """Raise unless every chunk maximum in worst is <= tol; NaN fails."""
+    worst = float(np.max(worst, initial=0.0))
+    if not worst <= tol:
         raise ValueError("surface is not H-minimal (max |H| = %g)" % worst)
+
+
+def _minimal_integral(P, density, nu, nv, rule, tol):
+    """integrate_patch(P, density).value on an H-minimal patch; raises once
+    the whole grid is reduced if max |H| off the band exceeds tol."""
+    worst = []
+
+    def gated(zz):
+        worst.append(_max_H(zz))
+        return density(zz)
+
+    value = integrate_patch(P, gated, nu=nu, nv=nv, rule=rule,
+                            error_estimate=False).value
+    _require_minimal(worst, tol)
+    return value
 
 
 def _q_density(zz, F, ZF):
@@ -239,12 +261,8 @@ def quadratic_form(P, F, nu=None, nv=None, rule="simpson",
     """Stability form Q(F) = integral of (ZF)^2 + (2 A - obar^2) F^2 over
     dsigma_H, for a scalar normal speed F on an H-minimal patch."""
 
-    def density(zz):
-        _require_minimal(zz, minimal_tol)
-        return _q_of(zz, F)
-
-    return integrate_patch(P, density, nu=nu, nv=nv, rule=rule,
-                           error_estimate=False).value
+    return _minimal_integral(P, lambda zz: _q_of(zz, F), nu, nv, rule,
+                             minimal_tol)
 
 
 def second_variation_geometric(P, D, nu=None, nv=None, rule="simpson",
@@ -259,7 +277,6 @@ def second_variation_geometric(P, D, nu=None, nv=None, rule="simpson",
     """
 
     def density(zz):
-        _require_minimal(zz, minimal_tol)
         za, zb, zk = (tangential(zz["flds"], c) for c in (D.a, D.b, D.k))
         pb, qb, ob = zz["pbar"], zz["qbar"], zz["obar"]
         a, b, k = za["value"], zb["value"], zk["value"]
@@ -269,8 +286,7 @@ def second_variation_geometric(P, D, nu=None, nv=None, rule="simpson",
               + zz["Zobar"] * k + ob * zk["Zf"])
         return _q_density(zz, F, ZF)
 
-    return integrate_patch(P, density, nu=nu, nv=nv, rule=rule,
-                           error_estimate=False).value
+    return _minimal_integral(P, density, nu, nv, rule, minimal_tol)
 
 
 def second_variation(P, D, mode="full", nu=None, nv=None, rule="simpson",
@@ -287,6 +303,18 @@ def second_variation(P, D, mode="full", nu=None, nv=None, rule="simpson",
 
 # ---------------------------------------------------------------------------
 # stability scans
+
+
+class _ProductBump:
+    """F(u, v) = bu(u) * bv(v); factors = (bu, bv) lets stability_scan
+    differentiate F from 1-D jets of each factor."""
+
+    def __init__(self, bu, bv):
+        self.factors = (bu, bv)
+
+    def __call__(self, u, v):
+        bu, bv = self.factors
+        return bu(u) * bv(v)
 
 
 def product_bump_lattice(domain, n_centers=5, n_radii=5, margin=0.0):
@@ -308,8 +336,7 @@ def product_bump_lattice(domain, n_centers=5, n_radii=5, margin=0.0):
                 continue
             for f in fracs:
                 ru, rv = f * ru_max, f * rv_max
-                bu, bv = bump1(cu, ru), bump1(cv, rv)
-                F = (lambda bu, bv: lambda u, v: bu(u) * bv(v))(bu, bv)
+                F = _ProductBump(bump1(cu, ru), bump1(cv, rv))
                 out.append((F, {"cu": float(cu), "cv": float(cv),
                                 "ru": float(ru), "rv": float(rv)}))
     return out
@@ -324,10 +351,16 @@ def random_product_bumps(domain, count, rng, margin=0.0):
         cv = rng.uniform(v0 + 0.25 * (v1 - v0), v1 - 0.25 * (v1 - v0))
         ru = rng.uniform(0.3, 0.98) * (min(cu - u0, u1 - cu) - margin)
         rv = rng.uniform(0.3, 0.98) * (min(cv - v0, v1 - cv) - margin)
-        bu, bv = bump1(cu, ru), bump1(cv, rv)
-        out.append(((lambda bu, bv: lambda u, v: bu(u) * bv(v))(bu, bv),
+        out.append((_ProductBump(bump1(cu, ru), bump1(cv, rv)),
                     {"cu": cu, "cv": cv, "ru": ru, "rv": rv}))
     return out
+
+
+def _factor_jets(b, x):
+    """Value and derivative arrays of the 1-D factor b at the nodes x."""
+    (xj,) = seed_jets((x,), order=1)
+    bj = b(xj)
+    return bj.v, bj.g[0]
 
 
 def stability_scan(P, bumps=None, n_centers=5, n_radii=5, nu=None, nv=None,
@@ -336,7 +369,15 @@ def stability_scan(P, bumps=None, n_centers=5, n_radii=5, nu=None, nv=None,
 
     The frame is evaluated once per node chunk of the quadrature grid and
     every bump is reduced against it; each Q equals
-    quadratic_form(P, F, nu=nu, nv=nv).
+    quadratic_form(P, F, nu=nu, nv=nv) bit for bit.  A product bump
+    F = bu(u) bv(v) (one with .factors, as product_bump_lattice and
+    random_product_bumps build) is differentiated by sum factorization:
+    bu and bv are evaluated once, on first-order jets at the grid's u- and
+    v-nodes, and each chunk gathers F = a b, F_u = a' b and F_v = a b'
+    from them, leaving ZF = (F_u gamma_v - F_v gamma_u) / det per node.
+    Any other bump goes through tangential(), as in quadratic_form.  The
+    scan raises if max |H| over the non-characteristic nodes exceeds
+    minimal_tol.
     Returns the full table (in lattice order), the minimum and its argmin
     (both None for an empty family), and the first witness with
     Q < witness_threshold (None if the scan stays nonnegative).
@@ -347,14 +388,37 @@ def stability_scan(P, bumps=None, n_centers=5, n_radii=5, nu=None, nv=None,
         bumps = product_bump_lattice(P.domain, n_centers, n_radii,
                                      margin=cell)
     bumps = list(bumps)
+    grid = _grid_for(P, nu, nv, "simpson")
+    us, vs = grid.U[:, 0], grid.V[0, :]
+    factors = []
+    for F, _ in bumps:
+        fac = getattr(F, "factors", None)
+        factors.append(None if fac is None else
+                       (_factor_jets(fac[0], us), _factor_jets(fac[1], vs)))
+    worst = []
 
-    def densities(zz):
-        _require_minimal(zz, minimal_tol)
-        return (_q_of(zz, F) * zz["W"] for F, _ in bumps)
+    def densities(zz, s):
+        worst.append(_max_H(zz))
+        iu, iv = np.divmod(np.arange(s.start, s.start + zz["W"].size),
+                           vs.size)
+        flds = zz["flds"]
+        gu, gv = flds["gamma_u"].v, flds["gamma_v"].v
+        rdet = 1.0 / flds["det"].v
+        for (F, _), fac in zip(bumps, factors):
+            if fac is None:
+                q = _q_of(zz, F)
+            else:
+                (a, da), (b, db) = fac
+                a, da, b, db = a[iu], da[iu], b[iv], db[iv]
+                # tangential()'s jet operation order keeps Q bit-identical
+                ZF = ((da * b) * gv + -((a * db) * gu)) * rdet
+                q = _q_density(zz, a * b, ZF)
+            yield q * zz["W"]
 
     Qs = []
     if bumps:  # an empty family evaluates no frame
-        Qs, _ = _integrate(P, _grid_for(P, nu, nv, "simpson"), densities)
+        Qs, _ = _integrate(P, grid, densities)
+        _require_minimal(worst, minimal_tol)
     table = [dict(meta, Q=Q) for (_, meta), Q in zip(bumps, Qs)]
     witness = next((rec for rec in table if rec["Q"] < witness_threshold),
                    None)
@@ -379,7 +443,7 @@ def intrinsic_stability_form(Gr, F, nu=None, nv=None, minimal_tol=1e-8):
     rhs - lhs equals the geometric form Q(F) of the associated patch.
     Raises if the graph is not H-minimal (B_phi(B_phi phi) must vanish).
     """
-    from .fields import seed_jets, jet_partial
+    from .fields import jet_partial
     from .surfaces import _as_jet
 
     grid = QuadratureGrid(Gr.domain, nu or Gr.grid[0], nv or Gr.grid[1],

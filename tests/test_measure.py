@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,17 @@ def test_eps_area_on_plane_is_eps_independent():
     P = build_surface("vertical-plane:1,0,0", domain=(0, 1, 0, 1)).patch
     vals = [eps_area(P, eps, nu=16, nv=16).value for eps in (0, 1e-3, 1e-1)]
     assert np.ptp(vals) < 1e-14
+
+
+def test_eps_area_through_a_characteristic_node_warns_nothing():
+    # the density divides by W = 0 at the center node, which the mask drops
+    P = build_surface("t-graph:zero", domain=(-1, 1, -1, 1)).patch
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = eps_area(P, 0.1, nu=64, nv=64)
+    # the values computed while the masked node still raised warnings
+    assert (r.value, r.error_estimate, r.excluded_mass) == \
+        (2.0242026166278126, 0.0004119238458302199, 0.0)
 
 
 # -- symmetry of the measure ---------------------------------------------------------

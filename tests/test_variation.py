@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from carnot_calc import measure, surfaces
+from carnot_calc import measure, surfaces, variation
 from carnot_calc import (
     DeformationField,
     IntrinsicGraph,
@@ -271,12 +271,28 @@ def _lattice(P, n):
                                 margin=max(u1 - u0, v1 - v0) / n)
 
 
-@pytest.mark.parametrize("family", ["lattice", "random"])
-def test_stability_scan_matches_per_bump_quadratic_form(family):
-    # the scan reduces every bump against one held frame; each Q must be
-    # the value of the independent single-profile route, bit for bit
-    P = build_surface("xyt-graph").patch
-    n = 96
+def _expected_scan(P, bumps, n):
+    # the scan's report, built from per-bump quadratic_form calls
+    table = [dict(meta, Q=quadratic_form(P, F, nu=n, nv=n))
+             for F, meta in bumps]
+    argmin = min(table, key=lambda e: e["Q"])
+    witness = next((rec for rec in table if rec["Q"] < -1e-6), None)
+    return {"table": table, "min_value": argmin["Q"], "argmin": argmin,
+            "witness": witness, "count": len(bumps)}
+
+
+@pytest.mark.parametrize("family, sid, n", [
+    pytest.param("lattice", "xyt-graph", 96, id="lattice"),
+    pytest.param("random", "xyt-graph", 96, id="random"),
+    pytest.param("lattice", "vertical-plane:1,0,0", 96, id="plane-lattice"),
+    # 131^2 nodes: two 8192-node chunks and a ragged 777-node one
+    pytest.param("random", "xyt-graph", 130, id="random-130"),
+])
+def test_stability_scan_matches_per_bump_quadratic_form(family, sid, n):
+    # the scan differentiates product bumps from 1-D factor jets; each Q
+    # must be the value of the independent second-order route of
+    # quadratic_form, bit for bit
+    P = build_surface(sid).patch
     if family == "lattice":
         bumps = _lattice(P, n)
         out = stability_scan(P, nu=n, nv=n)
@@ -284,14 +300,45 @@ def test_stability_scan_matches_per_bump_quadratic_form(family):
         bumps = random_product_bumps(P.domain, 32,
                                      np.random.default_rng(11))
         out = stability_scan(P, bumps=bumps, nu=n, nv=n)
-    table = [dict(meta, Q=quadratic_form(P, F, nu=n, nv=n))
-             for F, meta in bumps]
-    argmin = min(table, key=lambda e: e["Q"])
-    witness = next((rec for rec in table if rec["Q"] < -1e-6), None)
-    assert out == {"table": table, "min_value": argmin["Q"],
-                   "argmin": argmin, "witness": witness,
-                   "count": len(bumps)}
-    assert witness is not None
+    assert out == _expected_scan(P, bumps, n)
+    assert (out["witness"] is not None) == (sid == "xyt-graph")
+
+
+def _mixed_family(P, count, seed):
+    # product bumps interleaved with bump2 ellipses, which carry no factors
+    out = []
+    for F, meta in random_product_bumps(P.domain, count,
+                                        np.random.default_rng(seed)):
+        out.append((F, meta))
+        out.append((bump2(meta["cu"], meta["cv"], meta["ru"], meta["rv"]),
+                    dict(meta, shape="ellipse")))
+    return out
+
+
+def test_stability_scan_of_a_mixed_family_matches_quadratic_form():
+    P = build_surface("xyt-graph").patch
+    bumps = _mixed_family(P, 6, 3)
+    out = stability_scan(P, bumps=bumps, nu=64, nv=64)
+    assert out == _expected_scan(P, bumps, 64)
+
+
+def test_stability_scan_differentiates_only_bumps_without_factors(
+        monkeypatch):
+    # product bumps never reach tangential(); each bump2 does once a chunk
+    P = build_surface("xyt-graph").patch
+    calls = []
+    inner = variation.tangential
+
+    def counted(flds, f):
+        calls.append(f)
+        return inner(flds, f)
+
+    monkeypatch.setattr(variation, "tangential", counted)
+    out = stability_scan(P, nu=96, nv=96)
+    assert out["count"] == 125 and calls == []
+    bumps = _mixed_family(P, 4, 3)
+    stability_scan(P, bumps=bumps, nu=96, nv=96)  # 97^2 nodes: 2 chunks
+    assert calls == [F for F, meta in bumps if "shape" in meta] * 2
 
 
 @pytest.mark.parametrize("block_nodes, blocks", [(8192, 2), (1000, 10)])
@@ -332,6 +379,27 @@ def test_stability_scan_streams_the_frame_in_node_chunks():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
+
+
+def _gate_message(fn, monkeypatch, block_nodes):
+    monkeypatch.setattr(measure, "_BLOCK_NODES", block_nodes)
+    with pytest.raises(ValueError, match="not H-minimal") as err:
+        fn()
+    return str(err.value)
+
+
+@pytest.mark.parametrize("n", [64, 130])
+def test_minimality_gate_reads_the_whole_grid_off_the_band(monkeypatch, n):
+    # the paraboloid's characteristic point is a node at 64^2 and its H is
+    # NaN there, so the gate must take max |H| off the band; taken over the
+    # whole grid, the message does not depend on the chunking
+    P = build_surface("t-graph:parab", domain=(-1, 1, -1, 1)).patch
+    F = bump2(0.0, 0.0, 0.9, 0.9)
+    for fn in (lambda: quadratic_form(P, F, nu=n, nv=n),
+               lambda: stability_scan(P, nu=n, nv=n, n_centers=2,
+                                      n_radii=1)):
+        messages = {_gate_message(fn, monkeypatch, b) for b in (1000, 10**9)}
+        assert len(messages) == 1
 
 
 def test_stability_scan_of_an_empty_family_needs_no_frame():
