@@ -109,8 +109,7 @@ def _sample_lattice(domain, count, inset=0.12):
     k = max(1, int(np.ceil(np.sqrt(count))))
     us = np.linspace(u0 + inset * (u1 - u0), u1 - inset * (u1 - u0), k)
     vs = np.linspace(v0 + inset * (v1 - v0), v1 - inset * (v1 - v0), k)
-    return [(float(u), float(v)) for u in us for v in vs][:count] \
-        if k * k > count else [(float(u), float(v)) for u in us for v in vs]
+    return [(float(u), float(v)) for u in us for v in vs][:count]
 
 
 def _domain_bump(domain, shift=0.0, scale=0.4):

@@ -332,6 +332,9 @@ FD = DerivativeEngine("finite_difference")
 def _coordinate_jet(field, g, order, engine):
     if engine.mode == "analytic":
         return field.jet(g, order=order)
+    if order != 1:
+        raise FieldError("the finite-difference engine gives first-order "
+                         "coordinate jets only")
     g = np.asarray(g, dtype=float)
     n = len(g)
     h = engine.step1(g)
@@ -339,22 +342,7 @@ def _coordinate_jet(field, g, order, engine):
     eye = np.eye(n)
     for i in range(n):
         grad[i] = (field.fn(*(g + h * eye[i])) - field.fn(*(g - h * eye[i]))) / (2 * h)
-    hess = None
-    if order >= 2:
-        hh = engine.step2(g)
-        hess = np.zeros((n, n))
-        f0 = field.fn(*g)
-        for i in range(n):
-            hess[i, i] = (field.fn(*(g + hh * eye[i])) - 2 * f0
-                          + field.fn(*(g - hh * eye[i]))) / (hh * hh)
-        for i in range(n):
-            for j in range(i + 1, n):
-                val = (field.fn(*(g + hh * (eye[i] + eye[j])))
-                       - field.fn(*(g + hh * (eye[i] - eye[j])))
-                       - field.fn(*(g - hh * (eye[i] - eye[j])))
-                       + field.fn(*(g - hh * (eye[i] + eye[j])))) / (4 * hh * hh)
-                hess[i, j] = hess[j, i] = val
-    return Jet(field.fn(*g), grad, hess)
+    return Jet(field.fn(*g), grad)
 
 
 def x_derivative(G, field, i, g, engine=ANALYTIC):
@@ -369,18 +357,6 @@ def x_derivative(G, field, i, g, engine=ANALYTIC):
         return float(np.dot(col, _coordinate_jet(field, g, 1, engine).g))
     h = engine.step1(g)
     return (field.fn(*(g + h * col)) - field.fn(*(g - h * col))) / (2 * h)
-
-
-def horizontal_gradient(G, field, g, engine=ANALYTIC):
-    g = np.asarray(g, dtype=float)
-    A = frame_at(G, g)
-    if engine.mode == "analytic":
-        grad = _coordinate_jet(field, g, 1, engine).g
-        return A[:, : G.m].T @ grad
-    h = engine.step1(g)
-    return np.array([
-        (field.fn(*(g + h * A[:, i])) - field.fn(*(g - h * A[:, i]))) / (2 * h)
-        for i in range(G.m)])
 
 
 def horizontal_jet(G, field, g, engine=ANALYTIC):
@@ -405,7 +381,7 @@ def horizontal_jet(G, field, g, engine=ANALYTIC):
                 raw[i, j] = A[:, i] @ jet.h @ A[:, j] + dcol @ jet.g
     else:
         jet = _coordinate_jet(field, g, 1, engine)
-        gradH = horizontal_gradient(G, field, g, engine)
+        gradH = [x_derivative(G, field, i + 1, g, engine) for i in range(m)]
         h2 = engine.step2(g)
         raw = np.empty((m, m))
         for i in range(m):

@@ -54,7 +54,6 @@ class StratifiedGroup:
         self.step = len(layer_dims)
         self.dim = sum(layer_dims)
         self.m = layer_dims[0]
-        self.n_vertical = self.dim - self.m
         # homogeneous weight (layer number) of each coordinate, 1-based layers
         w = []
         for j, d in enumerate(layer_dims, start=1):
@@ -112,12 +111,6 @@ class StratifiedGroup:
 
     def bracket(self, u, v):
         return np.einsum("i,j,ijk->k", u, v, self.b)
-
-    def point(self, *coords):
-        g = np.asarray(coords, dtype=float).reshape(-1)
-        if g.shape != (self.dim,):
-            raise GroupError("expected %d coordinates" % self.dim)
-        return g
 
     def __repr__(self):
         return "StratifiedGroup(%r, layers=%r)" % (self.name, self.layer_dims)

@@ -17,8 +17,7 @@ chunk size.
 import numpy as np
 
 from .surfaces import (_characteristic_band, dilate_patch,
-                       left_translate_patch, restrict_to_patch, tangential,
-                       zy_second)
+                       left_translate_patch, tangential, zy_second)
 from .curvature import geometry_aux
 from .fields import horizontal_jet
 
@@ -199,7 +198,7 @@ def integrate_patch(P, density, nu=None, nv=None, rule="simpson",
     est = None
     if error_estimate:
         half = grid.halved()
-        if half is not None and (half.nu, half.nv) != (grid.nu, grid.nv):
+        if half is not None:
             (v2,), _ = _integrate(P, half, densities, order)
             est = abs(value - v2)
     return IntegralResult(value, est, excluded, (grid.nu, grid.nv), rule)
@@ -259,11 +258,9 @@ def tangential_laplacian(P, f, u, v, variant="plain"):
     """Tangential horizontal Laplacian of f on the patch.
 
     plain: Z(Zf); hat: Z(Zf) + obar Zf (the variant with the drift term
-    <c, grad f>).  Exact nested jets; f must be jet-safe.
+    <c, grad f>).  Exact nested jets; f must be jet-safe to second order.
     """
     zz = zy_second(P, f, np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-    if zz["Z2f"] is None:
-        raise ValueError("f must support second-order jets")
     if variant == "plain":
         return zz["Z2f"]
     if variant == "hat":
@@ -308,16 +305,10 @@ def ibp_residual(P, kind, zeta, f=None, index=1, nu=None, nv=None,
     kind "green":    integral of (<grad f, grad zeta> + f hat-Laplacian zeta)
     """
     def density(zz):
-        zf = None if f is None else tangential(zz["flds"], f)
         zt = tangential(zz["flds"], zeta)
         ob, pb, qb, H = zz["obar"], zz["pbar"], zz["qbar"], zz["H"]
         if kind == "Z":
             return zt["Zf"] + zt["value"] * ob
-        if kind == "TY":
-            if zf is None:
-                raise ValueError("kind 'TY' needs the second function f")
-            return (zf["value"] * zt["Bf"] + zt["value"] * zf["Bf"]
-                    - zf["value"] * zt["value"] * ob * H)
         if kind == "gradient":
             if index == 1:
                 gi, pbi, ci = qb * zt["Zf"], pb, ob * qb
@@ -326,12 +317,16 @@ def ibp_residual(P, kind, zeta, f=None, index=1, nu=None, nv=None,
             else:
                 raise ValueError("index must be 1 or 2")
             return gi - zt["value"] * (H * pbi - ci)
-        if kind == "green":
-            if zf is None:
-                raise ValueError("kind 'green' needs the second function f")
-            hat = zt["Z2f"] + ob * zt["Zf"]
-            return zf["Zf"] * zt["Zf"] + zf["value"] * hat
-        raise ValueError("unknown kind %r" % kind)
+        if kind not in ("TY", "green"):
+            raise ValueError("unknown kind %r" % kind)
+        if f is None:
+            raise ValueError("kind %r needs the second function f" % kind)
+        zf = tangential(zz["flds"], f)
+        if kind == "TY":
+            return (zf["value"] * zt["Bf"] + zt["value"] * zf["Bf"]
+                    - zf["value"] * zt["value"] * ob * H)
+        hat = zt["Z2f"] + ob * zt["Zf"]
+        return zf["Zf"] * zt["Zf"] + zf["value"] * hat
 
     return integrate_patch(P, density, nu=nu, nv=nv, rule=rule,
                            error_estimate=False).value
@@ -371,10 +366,7 @@ def coordinate_laplacians(P, u, v):
     base = zy_second(P, None, u, v)
     flds = base["flds"]
     out = {}
-    for nm in ("x", "y", "t"):
-        fn = restrict_to_patch(P, {"x": lambda xc, yc, tc: xc,
-                                   "y": lambda xc, yc, tc: yc,
-                                   "t": lambda xc, yc, tc: tc}[nm])
+    for nm, fn in (("x", P.x), ("y", P.y), ("t", P.t)):
         zz = tangential(flds, fn)
         out["lap_" + nm] = zz["Z2f"]
         out["Z" + nm] = zz["Zf"]

@@ -104,9 +104,6 @@ class SurfaceFrame:
         self._h1_only()
         return self.nuH_vector()
 
-    def T_vector(self, s=0):
-        return self.frame_matrix()[:, self.group.m + s]
-
     def _h1_only(self):
         if self.group.m != 2 or self.group.dim != 3:
             raise ValueError("Z/Y vectors are specific to H^1 surfaces")
@@ -182,7 +179,6 @@ class ParamPatch:
         self.name = name
         self.uv_of_point = uv_of_point
         self.levelset = levelset
-        self.intrinsic = None
 
     def point(self, u, v):
         x = self.x(u, v) + 0.0 * np.asarray(v, dtype=float)
@@ -277,7 +273,7 @@ def patch_fields_jets(P, u, v, order=2):
     order=2 evaluates the components on second-order seeds and runs the
     frame formulas in first-order jet arithmetic, so every returned quantity
     (p, q, omega, W, pbar, qbar, obar, beta/gamma/det) is a jet that knows
-    its own u- and v-derivatives exactly; zy_second takes Z/B derivatives
+    its own u- and v-derivatives exactly; zy_second takes Z-derivatives
     from them.  order=1 evaluates on first-order seeds and returns plain
     value arrays x, y, p, q, omega and W only, bit-identical to the order-2
     values; quadratures of W and omega alone (perimeter, eps-area, the
@@ -289,7 +285,7 @@ def patch_fields_jets(P, u, v, order=2):
         raise ValueError("order must be 1 or 2")
     uj, vj = seed_jets((u, v), order=2)
     xj, yj, tj = (_as_jet(fc(uj, vj), uj) for fc in (P.x, P.y, P.t))
-    x1, y1, t1 = Jet(xj.v, xj.g), Jet(yj.v, yj.g), Jet(tj.v, tj.g)
+    x1, y1 = Jet(xj.v, xj.g), Jet(yj.v, yj.g)
     x_u, x_v = jet_partial(xj, 0), jet_partial(xj, 1)
     y_u, y_v = jet_partial(yj, 0), jet_partial(yj, 1)
     t_u, t_v = jet_partial(tj, 0), jet_partial(tj, 1)
@@ -303,12 +299,10 @@ def patch_fields_jets(P, u, v, order=2):
         beta_u = x_u * qbar - y_u * pbar
         beta_v = x_v * qbar - y_v * pbar
         det = beta_u * gamma_v - beta_v * gamma_u
-    return {"seeds": (uj, vj), "x": x1, "y": y1, "t": t1,
-            "x_u": x_u, "x_v": x_v, "y_u": y_u, "y_v": y_v,
-            "t_u": t_u, "t_v": t_v, "p": p, "q": q, "omega": omega,
-            "W": W, "pbar": pbar, "qbar": qbar, "obar": obar,
-            "beta_u": beta_u, "beta_v": beta_v,
-            "gamma_u": gamma_u, "gamma_v": gamma_v, "det": det}
+    return {"seeds": (uj, vj), "x": x1, "y": y1, "p": p, "q": q,
+            "omega": omega, "W": W, "pbar": pbar, "qbar": qbar, "obar": obar,
+            "beta_u": beta_u, "beta_v": beta_v, "gamma_u": gamma_u,
+            "gamma_v": gamma_v, "det": det}
 
 
 def z_apply(flds, fj):
@@ -317,19 +311,14 @@ def z_apply(flds, fj):
         / flds["det"].v
 
 
-def b_apply(flds, fj):
-    """(T - obar Y)-derivative of a jet quantity."""
-    return (flds["beta_u"].v * fj.g[1] - flds["beta_v"].v * fj.g[0]) \
-        / flds["det"].v
-
-
 def zy_second(P, f, u, v, order=2):
     """First and second tangential derivatives of f, exactly, on a patch.
 
     f(u, v) must be jet-safe to second order (or None, to get just the frame
-    fields).  Returns plain arrays: the frame quantities, their Z/B
-    derivatives, the curvature H = qbar Z(pbar) - pbar Z(qbar) and the
-    evaluated frame "flds", plus f's derivatives from tangential(flds, f).
+    fields).  Returns plain arrays: W, p, q, omega, pbar, qbar, obar, their
+    Z-derivatives Zpbar, Zqbar, Zobar, the curvature
+    H = qbar Z(pbar) - pbar Z(qbar) and the evaluated frame "flds", plus f's
+    derivatives from tangential(flds, f).
     order=1 (f None only) returns just the values of patch_fields_jets at
     order 1: x, y, p, q, omega and W.
     """
@@ -346,12 +335,7 @@ def zy_second(P, f, u, v, order=2):
                "qbar": flds["qbar"].v, "obar": flds["obar"].v,
                "Zpbar": z_apply(flds, flds["pbar"]),
                "Zqbar": z_apply(flds, flds["qbar"]),
-               "Zobar": z_apply(flds, flds["obar"]),
-               "ZW": z_apply(flds, flds["W"]),
-               "Bpbar": b_apply(flds, flds["pbar"]),
-               "Bqbar": b_apply(flds, flds["qbar"]),
-               "Bobar": b_apply(flds, flds["obar"]),
-               "flds": flds}
+               "Zobar": z_apply(flds, flds["obar"]), "flds": flds}
         out["H"] = out["qbar"] * out["Zpbar"] - out["pbar"] * out["Zqbar"]
     if f is not None:
         out.update(tangential(flds, f))
@@ -362,25 +346,21 @@ def zy_second(P, f, u, v, order=2):
 def tangential(flds, f):
     """Tangential derivatives of the surface function f on an evaluated frame.
 
-    flds is a patch_fields_jets (order 2) dict, e.g. zy_second(...)["flds"].
-    Returns value, Zf, Bf = (T - obar Y)f, Tf, Yf and, when f carries second
-    derivatives, Z2f = Z(Zf) and BZf = (T - obar Y)(Zf) (else None).
+    flds is a patch_fields_jets (order 2) dict, e.g. zy_second(...)["flds"],
+    and f must be jet-safe to second order (a first-order f raises
+    ValueError).  Returns value, Zf, Bf = (T - obar Y)f, Tf, Yf and
+    Z2f = Z(Zf), all plain arrays.
     """
     uj, vj = flds["seeds"]
     fj = _as_jet(f(uj, vj), uj)
-    if fj.h is None:
-        # f only carries first derivatives; no second tangential derivatives
-        Zf, Bf = z_apply(flds, fj), b_apply(flds, fj)
-        Z2f = BZf = None
-    else:
-        f_u, f_v = jet_partial(fj, 0), jet_partial(fj, 1)
-        Zf_j = (f_u * flds["gamma_v"] - f_v * flds["gamma_u"]) / flds["det"]
-        Bf_j = (flds["beta_u"] * f_v - flds["beta_v"] * f_u) / flds["det"]
-        Zf, Bf = Zf_j.v, Bf_j.v
-        Z2f, BZf = z_apply(flds, Zf_j), b_apply(flds, Zf_j)
+    f_u, f_v = jet_partial(fj, 0), jet_partial(fj, 1)
+    rdet = flds["det"].reciprocal()
+    Zf_j = (f_u * flds["gamma_v"] - f_v * flds["gamma_u"]) * rdet
+    # the jet route's operation order, on values only
+    Bf = (flds["beta_u"].v * f_v.v - flds["beta_v"].v * f_u.v) * rdet.v
     denom = 1.0 + flds["obar"].v ** 2
-    return {"value": fj.v, "Zf": Zf, "Bf": Bf, "Tf": Bf / denom,
-            "Yf": -flds["obar"].v * Bf / denom, "Z2f": Z2f, "BZf": BZf}
+    return {"value": fj.v, "Zf": Zf_j.v, "Bf": Bf, "Tf": Bf / denom,
+            "Yf": -flds["obar"].v * Bf / denom, "Z2f": z_apply(flds, Zf_j)}
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +379,8 @@ def burgers(Gr, F, uv=None):
     """Graph derivative B_phi(F) = F_u + phi F_v of an intrinsic graph.
 
     With uv=None returns a callable; the callable accepts floats, arrays, or
-    second-order jets (returning a first-order jet in the latter case, so
-    one more tangential derivative can be taken on top of it).
+    second-order jets (returning a first-order jet in the latter case, which
+    carries the u- and v-derivatives of B_phi(F)).
     """
     def bf(u, v):
         if isinstance(u, Jet):
@@ -446,12 +426,10 @@ def intrinsic_to_patch(Gr, grid=None):
         H1, ScalarField(H1, Phi, name=Gr.name + "-level", check=False),
         name=Gr.name + "-levelset")
 
-    patch = ParamPatch(
+    return ParamPatch(
         H1, x, y, t, Gr.domain, grid or Gr.grid, name=Gr.name,
         uv_of_point=lambda xc, yc, tc: (yc, tc + 0.5 * xc * yc),
         levelset=level)
-    patch.intrinsic = Gr
-    return patch
 
 
 # ---------------------------------------------------------------------------
@@ -562,10 +540,6 @@ class CatalogSurface:
         self.levelset = levelset if levelset is not None else patch.levelset
         if self.levelset is not None:
             patch.levelset = self.levelset
-
-    @property
-    def group(self):
-        return self.patch.group
 
 
 def _poly2(terms):

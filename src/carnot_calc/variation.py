@@ -11,6 +11,8 @@ route: build the deformed patch, integrate its perimeter, differentiate in
 lam by finite differences.
 """
 
+import functools
+
 import numpy as np
 
 from .fields import bump1, seed_jets
@@ -244,16 +246,20 @@ def _minimal_integral(P, density, nu, nv, rule, tol):
     return value
 
 
-def _q_density(zz, F, ZF):
-    """Stability-form density (ZF)^2 + (2 A - obar^2) F^2, A = -Z(obar)."""
-    Acurv = -zz["Zobar"]
-    return ZF ** 2 + (2 * Acurv - zz["obar"] ** 2) * F ** 2
+def _potential(zz):
+    """The stability form's potential 2 A - obar^2, A = -Z(obar)."""
+    return 2 * -zz["Zobar"] - zz["obar"] ** 2
 
 
-def _q_of(zz, F):
+def _q_density(pot, F, ZF):
+    """Stability-form density (ZF)^2 + pot F^2, pot = _potential(zz)."""
+    return ZF ** 2 + pot * F ** 2
+
+
+def _q_of(zz, F, pot):
     """The stability-form density of the normal speed function F."""
     zf = tangential(zz["flds"], F)
-    return _q_density(zz, zf["value"], zf["Zf"])
+    return _q_density(pot, zf["value"], zf["Zf"])
 
 
 def quadratic_form(P, F, nu=None, nv=None, rule="simpson",
@@ -261,8 +267,8 @@ def quadratic_form(P, F, nu=None, nv=None, rule="simpson",
     """Stability form Q(F) = integral of (ZF)^2 + (2 A - obar^2) F^2 over
     dsigma_H, for a scalar normal speed F on an H-minimal patch."""
 
-    return _minimal_integral(P, lambda zz: _q_of(zz, F), nu, nv, rule,
-                             minimal_tol)
+    return _minimal_integral(P, lambda zz: _q_of(zz, F, _potential(zz)), nu,
+                             nv, rule, minimal_tol)
 
 
 def second_variation_geometric(P, D, nu=None, nv=None, rule="simpson",
@@ -284,7 +290,7 @@ def second_variation_geometric(P, D, nu=None, nv=None, rule="simpson",
         ZF = (zz["Zpbar"] * a + pb * za["Zf"]
               + zz["Zqbar"] * b + qb * zb["Zf"]
               + zz["Zobar"] * k + ob * zk["Zf"])
-        return _q_density(zz, F, ZF)
+        return _q_density(_potential(zz), F, ZF)
 
     return _minimal_integral(P, density, nu, nv, rule, minimal_tol)
 
@@ -322,11 +328,13 @@ def product_bump_lattice(domain, n_centers=5, n_radii=5, margin=0.0):
 
     Yields (F, meta) with F(u, v) a separable bump and meta its parameters;
     supports are clipped to keep a `margin` distance from the boundary.
+    Bumps with the same centre and radius along an axis share that factor.
     """
     u0, u1, v0, v1 = (float(d) for d in domain)
     cus = u0 + (u1 - u0) * (np.arange(n_centers) + 1.0) / (n_centers + 1.0)
     cvs = v0 + (v1 - v0) * (np.arange(n_centers) + 1.0) / (n_centers + 1.0)
     fracs = np.linspace(0.35, 0.95, n_radii)
+    factor = functools.lru_cache(maxsize=None)(bump1)  # one per (c, r)
     out = []
     for cu in cus:
         for cv in cvs:
@@ -336,7 +344,7 @@ def product_bump_lattice(domain, n_centers=5, n_radii=5, margin=0.0):
                 continue
             for f in fracs:
                 ru, rv = f * ru_max, f * rv_max
-                F = _ProductBump(bump1(cu, ru), bump1(cv, rv))
+                F = _ProductBump(factor(cu, ru), factor(cv, rv))
                 out.append((F, {"cu": float(cu), "cv": float(cv),
                                 "ru": float(ru), "rv": float(rv)}))
     return out
@@ -356,11 +364,14 @@ def random_product_bumps(domain, count, rng, margin=0.0):
     return out
 
 
-def _factor_jets(b, x):
-    """Value and derivative arrays of the 1-D factor b at the nodes x."""
-    (xj,) = seed_jets((x,), order=1)
-    bj = b(xj)
-    return bj.v, bj.g[0]
+def _factor_jets(b, x, memo):
+    """Value and derivative arrays of the 1-D factor b at the nodes x,
+    evaluated once per factor object (memo is keyed by id)."""
+    if id(b) not in memo:
+        (xj,) = seed_jets((x,), order=1)
+        bj = b(xj)
+        memo[id(b)] = bj.v, bj.g[0]
+    return memo[id(b)]
 
 
 def stability_scan(P, bumps=None, n_centers=5, n_radii=5, nu=None, nv=None,
@@ -372,9 +383,10 @@ def stability_scan(P, bumps=None, n_centers=5, n_radii=5, nu=None, nv=None,
     quadratic_form(P, F, nu=nu, nv=nv) bit for bit.  A product bump
     F = bu(u) bv(v) (one with .factors, as product_bump_lattice and
     random_product_bumps build) is differentiated by sum factorization:
-    bu and bv are evaluated once, on first-order jets at the grid's u- and
-    v-nodes, and each chunk gathers F = a b, F_u = a' b and F_v = a b'
-    from them, leaving ZF = (F_u gamma_v - F_v gamma_u) / det per node.
+    each distinct factor is evaluated once, on first-order jets at the
+    grid's u- or v-nodes, and each chunk gathers F = a b, F_u = a' b and
+    F_v = a b' from them, leaving ZF = (F_u gamma_v - F_v gamma_u) / det
+    per node.
     Any other bump goes through tangential(), as in quadratic_form.  The
     scan raises if max |H| over the non-characteristic nodes exceeds
     minimal_tol.
@@ -390,11 +402,13 @@ def stability_scan(P, bumps=None, n_centers=5, n_radii=5, nu=None, nv=None,
     bumps = list(bumps)
     grid = _grid_for(P, nu, nv, "simpson")
     us, vs = grid.U[:, 0], grid.V[0, :]
+    u_memo, v_memo = {}, {}
     factors = []
     for F, _ in bumps:
         fac = getattr(F, "factors", None)
         factors.append(None if fac is None else
-                       (_factor_jets(fac[0], us), _factor_jets(fac[1], vs)))
+                       (_factor_jets(fac[0], us, u_memo),
+                        _factor_jets(fac[1], vs, v_memo)))
     worst = []
 
     def densities(zz, s):
@@ -404,15 +418,16 @@ def stability_scan(P, bumps=None, n_centers=5, n_radii=5, nu=None, nv=None,
         flds = zz["flds"]
         gu, gv = flds["gamma_u"].v, flds["gamma_v"].v
         rdet = 1.0 / flds["det"].v
+        pot = _potential(zz)
         for (F, _), fac in zip(bumps, factors):
             if fac is None:
-                q = _q_of(zz, F)
+                q = _q_of(zz, F, pot)
             else:
                 (a, da), (b, db) = fac
                 a, da, b, db = a[iu], da[iu], b[iv], db[iv]
                 # tangential()'s jet operation order keeps Q bit-identical
                 ZF = ((da * b) * gv + -((a * db) * gu)) * rdet
-                q = _q_density(zz, a * b, ZF)
+                q = _q_density(pot, a * b, ZF)
             yield q * zz["W"]
 
     Qs = []

@@ -156,6 +156,25 @@ def test_variation_geometric_mode_accepts_documented_spelling(capsys):
     assert json.loads(short)["value"] == data["value"]
 
 
+@pytest.mark.parametrize("component", [
+    0, None, 0.25, "bump:1.0,1.0,0.3,0.3", "poly:[[1.0, [1, 1]]]", "auto"])
+def test_variation_field_component_forms(capsys, component):
+    field = json.dumps({"a": component, "b": 0, "k": component})
+    rc, out, _ = invoke(capsys, ["variation", "--surface", "t-graph:parab",
+                                 "--mode", "v1", "--grid", "32",
+                                 "--field", field])
+    assert rc == 0
+    assert np.isfinite(json.loads(out)["value"])
+
+
+def test_variation_rejects_an_unparseable_component(capsys):
+    rc, _, err = invoke(capsys, ["variation", "--surface", "t-graph:parab",
+                                 "--mode", "v1", "--grid", "32",
+                                 "--field", '{"k": "wave:1"}'])
+    assert rc == 2
+    assert "cannot parse deformation component" in err
+
+
 def test_poly_component_matches_hand_written_polynomial():
     terms = [[0.5, [2, 1]], [-1.25, [0, 3]], [2, [1, 0]], [0.75, [0, 0]]]
     fn = cli._parse_component("poly:" + json.dumps(terms), (0, 1, 0, 1))
@@ -199,6 +218,21 @@ def test_stability_random_family(capsys):
     data = json.loads(out)
     assert len(data["table"]) == 10
     assert data["min_value"] >= -1e-8
+
+
+def test_stability_sized_lattice_family(capsys):
+    rc, out, _ = invoke(capsys, ["stability", "--surface", "xyt-graph",
+                                 "--grid", "32", "--family",
+                                 "bump-lattice:3,2"])
+    assert rc == 0
+    assert json.loads(out)["count"] == 3 * 3 * 2
+
+
+def test_stability_unknown_family_is_an_error(capsys):
+    rc, _, err = invoke(capsys, ["stability", "--surface", "xyt-graph",
+                                 "--grid", "32", "--family", "gaussians"])
+    assert rc == 2
+    assert "unknown stability family" in err
 
 
 def _reject_constant(name):

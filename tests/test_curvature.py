@@ -17,6 +17,7 @@ from carnot_calc import (
     curvature_grid,
     dilate,
     dilate_levelset,
+    dilate_patch,
     frame_param,
     geometry_aux,
     hmc_divergence,
@@ -236,6 +237,34 @@ def test_curvature_vector_is_tangent(rng):
         u, v = rng.uniform(0.6, 1.4, size=2)
         aux = geometry_aux(cat.levelset, cat.patch.point(u, v))
         assert abs(aux["cHS"] @ aux["pbar"]) < 1e-7
+
+
+@pytest.mark.parametrize("sid", ["t-graph:parab", "xyt-graph",
+                                 "intrinsic:uv"])
+def test_patch_routes_match_level_set_routes(sid, rng):
+    # geometry_aux and pseudo_hermitian_check accept (patch, (u, v))
+    cat = build_surface(sid)
+    u0, u1, v0, v1 = cat.patch.domain
+    for _ in range(3):
+        uv = (u0 + (u1 - u0) * rng.uniform(0.2, 0.8),
+              v0 + (v1 - v0) * rng.uniform(0.2, 0.8))
+        g = cat.patch.point(*uv)
+        aux_p = geometry_aux(cat.patch, uv)
+        aux_l = geometry_aux(cat.levelset, g)
+        for key in ("pbar", "obar", "W", "H", "A", "cHS"):
+            assert np.allclose(aux_p[key], aux_l[key], rtol=0.0,
+                               atol=1e-10), key
+        ph_p = pseudo_hermitian_check(cat.patch, uv)
+        ph_l = pseudo_hermitian_check(cat.levelset, g)
+        assert ph_p.keys() == ph_l.keys()
+        for key in ph_l:
+            assert np.array_equal(ph_p[key], ph_l[key]), key
+
+
+def test_pseudo_hermitian_check_needs_a_level_set_companion():
+    P = dilate_patch(build_surface("t-graph:parab").patch, 2.0)
+    with pytest.raises(ValueError, match="no level-set companion"):
+        pseudo_hermitian_check(P, (1.0, 1.0))
 
 
 def test_pseudo_hermitian_torsion_balance(rng):

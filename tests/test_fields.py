@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from carnot_calc.fields import _coordinate_jet
 from carnot_calc import (
     DerivativeEngine,
     FD,
@@ -13,6 +14,8 @@ from carnot_calc import (
     bump1,
     bump2,
     coordinate_field,
+    dilate,
+    gauge_power_field,
     horizontal_jet,
     jet_partial,
     poly_field,
@@ -273,6 +276,32 @@ def test_scalar_field_accepts_consistent_callbacks():
 def test_build_field_catalog(fid, point, want):
     f = build_field(H1, fid)
     assert f.value(point) == pytest.approx(want, rel=1e-12)
+
+
+def test_build_field_names_coordinates_of_a_custom_group():
+    G = build_group({"layer_dims": [3, 2], "brackets": [
+        {"i": 1, "j": 2, "layer": 2, "index": 1, "value": 1.0},
+        {"i": 1, "j": 3, "layer": 2, "index": 2, "value": 1.0}]})
+    g = [0.1, 0.2, 0.3, 0.4, 0.5]
+    assert build_field(G, "t2").value(g) == 0.5
+    assert build_field(G, "x3").value(g) == 0.3
+
+
+@pytest.mark.parametrize("k", [1.0, 2.0, 3.0])
+def test_engel_gauge_power_is_homogeneous(k, rng):
+    f = gauge_power_field(ENGEL, k)
+    for _ in range(3):
+        g = rng.uniform(-1.0, 1.0, size=4)
+        for lam in (0.5, 3.0):
+            assert f.value(dilate(ENGEL, lam, g)) == \
+                pytest.approx(lam ** k * f.value(g), rel=1e-12)
+
+
+def test_finite_difference_coordinate_jets_are_first_order():
+    f = build_field(H1, "gauge^4")
+    assert _coordinate_jet(f, [0.3, -0.2, 0.1], 1, FD).h is None
+    with pytest.raises(FieldError, match="first-order"):
+        _coordinate_jet(f, [0.3, -0.2, 0.1], 2, FD)
 
 
 def test_build_field_rejects_unknown_id():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from carnot_calc import measure
 from carnot_calc import (
     DeformationField,
+    Jet,
     ambient_tangential_laplacian,
     build_field,
     build_group,
@@ -55,6 +56,17 @@ def test_flat_graph_perimeter_matches_quadrature_oracle():
     P = build_surface("t-graph:zero", domain=(1, 2, 0, 1)).patch
     r = perimeter(P, nu=64, nv=64)
     assert r.value == pytest.approx(T0_AREA, abs=1e-10)
+
+
+def test_polynomial_dict_surface_matches_catalog_paraboloid():
+    spec = {"x": [[1.0, [1, 0]]], "y": [[1.0, [0, 1]]],
+            "t": [[1.0, [2, 0]], [1.0, [0, 2]]],
+            "domain": [0.5, 1.5, 0.5, 1.5], "grid": [48, 48]}
+    P = build_surface(spec).patch
+    assert P.grid == (48, 48)
+    assert perimeter(P).value == pytest.approx(
+        perimeter(build_surface("t-graph:parab").patch, nu=48, nv=48).value,
+        rel=1e-14)
 
 
 def test_xyt_graph_perimeter_closed_form():
@@ -249,6 +261,14 @@ def test_ibp_ty_on_xyt_graph():
     assert abs(ibp_residual(P, "TY", z, f=f, nu=256, nv=256)) < 1e-4
 
 
+def test_ibp_gradient_second_component():
+    P = build_surface("t-graph:parab").patch
+    z = bump2(1.0, 1.0, 0.4, 0.4)
+    assert abs(ibp_residual(P, "gradient", z, index=2, nu=128, nv=128)) < 1e-6
+    with pytest.raises(ValueError, match="index must be 1 or 2"):
+        ibp_residual(P, "gradient", z, index=3, nu=32, nv=32)
+
+
 def test_ibp_residual_order_two_convergence():
     P = build_surface("t-graph:parab").patch
     z = bump2(1.0, 1.0, 0.4, 0.4)
@@ -293,6 +313,12 @@ def test_surface_gradient_plane_coordinate():
     out = surface_gradient(P, lambda u, v: u, 0.3, 0.7)
     assert out["Zf"] == pytest.approx(-1.0, rel=1e-10)
     assert out["norm2"] == pytest.approx(1.0, rel=1e-10)
+
+
+def test_tangential_laplacian_needs_a_second_order_function():
+    P = build_surface("t-graph:parab").patch
+    with pytest.raises(ValueError, match="second-order jet"):
+        tangential_laplacian(P, lambda u, v: Jet(u.v, u.g), 1.0, 1.0)
 
 
 def test_laplacian_of_constant_vanishes():

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from carnot_calc.curvature import levelset_fields
 from carnot_calc.fields import _coordinate_jet
 from carnot_calc import (
+    Jet,
     FD,
     CharacteristicPointError,
     DeformationField,
@@ -257,7 +258,7 @@ def test_zy_second_keys_and_plane_values():
     out = zy_second(P, lambda u, v: u, 0.3, 0.8)
     assert out["Z2f"] == pytest.approx(0.0, abs=1e-10)
     assert out["Zf"] == pytest.approx(-1.0, rel=1e-10)
-    for key in ("W", "pbar", "qbar", "obar", "Zpbar", "Zqbar", "Zobar", "ZW"):
+    for key in ("W", "pbar", "qbar", "obar", "Zpbar", "Zqbar", "Zobar"):
         assert np.isfinite(out[key])
 
 
@@ -269,7 +270,7 @@ def test_tangential_on_an_evaluated_frame_matches_zy_second():
                                                         x * t - y)):
         whole = zy_second(P, f, U, V)
         part = tangential(flds, f)
-        assert set(part) == {"value", "Zf", "Bf", "Tf", "Yf", "Z2f", "BZf"}
+        assert set(part) == {"value", "Zf", "Bf", "Tf", "Yf", "Z2f"}
         for key, val in part.items():
             assert np.array_equal(val, whole[key]), key
 
@@ -278,8 +279,22 @@ def test_zy_second_curved_patch_finite(rng):
     P = build_surface("xyt-graph").patch
     u, v = rng.uniform(-1.5, 1.5, size=2)
     out = zy_second(P, lambda u, v: u * v, u, v)
-    for key in ("Zf", "Z2f", "BZf", "Yf", "Zpbar", "Zobar"):
+    for key in ("Zf", "Z2f", "Yf", "Zpbar", "Zobar"):
         assert np.isfinite(out[key])
+
+
+def _first_order(u, v):
+    # a surface function carrying first derivatives only
+    return Jet(u.v * v.v, u.g * v.v + v.g * u.v)
+
+
+def test_first_order_surface_function_raises():
+    P = build_surface("xyt-graph").patch
+    flds = zy_second(P, None, 0.3, 0.4)["flds"]
+    with pytest.raises(ValueError, match="second-order jet"):
+        tangential(flds, _first_order)
+    with pytest.raises(ValueError, match="second-order jet"):
+        zy_second(P, _first_order, 0.3, 0.4)
 
 
 def test_restrict_to_patch_matches_composition(rng):

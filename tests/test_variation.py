@@ -225,7 +225,7 @@ def test_quadratic_form_on_plane_has_closed_form():
 
 
 def test_quadratic_form_evaluates_the_frame_once(monkeypatch):
-    # one 33 x 33 block: Z of pbar, qbar, obar and W, then Z(ZF)
+    # one 33 x 33 block: Z of pbar, qbar and obar, then Z(ZF)
     P = build_surface("xyt-graph").patch
     calls = []
     inner = surfaces.z_apply
@@ -236,7 +236,7 @@ def test_quadratic_form_evaluates_the_frame_once(monkeypatch):
 
     monkeypatch.setattr(surfaces, "z_apply", counted)
     quadratic_form(P, bump2(0.0, 0.0, 3.0, 1.5), nu=32, nv=32)
-    assert len(calls) == 5
+    assert len(calls) == 4
 
 
 def test_quadratic_form_requires_minimal_surface():
@@ -339,6 +339,35 @@ def test_stability_scan_differentiates_only_bumps_without_factors(
     bumps = _mixed_family(P, 4, 3)
     stability_scan(P, bumps=bumps, nu=96, nv=96)  # 97^2 nodes: 2 chunks
     assert calls == [F for F, meta in bumps if "shape" in meta] * 2
+
+
+def test_lattice_bumps_share_their_factors():
+    # 5 centres x 5 radii per axis: 25 distinct u- and 25 v-factors serve
+    # the 125 bumps
+    bumps = product_bump_lattice((-6.0, 6.0, -3.0, 3.0))
+    assert len(bumps) == 125
+    assert len({id(F.factors[0]) for F, _ in bumps}) == 25
+    assert len({id(F.factors[1]) for F, _ in bumps}) == 25
+    for F, meta in bumps:
+        bu, bv = F.factors
+        assert bu(meta["cu"]) == bv(meta["cv"]) == np.exp(-1.0)
+
+
+def test_stability_scan_evaluates_each_factor_and_potential_once(
+        monkeypatch):
+    # one 1-D jet per distinct factor and axis; one potential per chunk
+    P = build_surface("xyt-graph").patch
+    ref = stability_scan(P, nu=96, nv=96)
+    seeds, pots = [], []
+    inner_seed, inner_pot = variation.seed_jets, variation._potential
+    monkeypatch.setattr(variation, "seed_jets",
+                        lambda *a, **k: seeds.append(1) or inner_seed(*a, **k))
+    monkeypatch.setattr(variation, "_potential",
+                        lambda zz: pots.append(1) or inner_pot(zz))
+    out = stability_scan(P, nu=96, nv=96)
+    assert out == ref
+    assert len(seeds) == 25 + 25
+    assert len(pots) == 2  # 97^2 nodes: two chunks
 
 
 @pytest.mark.parametrize("block_nodes, blocks", [(8192, 2), (1000, 10)])
