@@ -165,16 +165,25 @@ jet_log = _dispatch("log")
 
 
 def seed_jets(coords, order=2):
-    """Independent-variable jets for a coordinate tuple (arrays allowed)."""
-    coords = [np.asarray(c, dtype=float) for c in coords]
+    """Independent-variable jets for a coordinate tuple (arrays allowed).
+
+    The seeds broadcast against each other with the same number of axes,
+    but an axis along which a coordinate repeats (stride 0, as in the views
+    of np.broadcast_arrays) keeps length 1: seeds of u[:, None] and
+    v[None, :] grids are (rows, 1) and (1, columns), so an expression in one
+    coordinate alone is computed once per distinct value.
+    """
+    coords = np.broadcast_arrays(*[np.asarray(c, dtype=float) for c in coords])
     n = len(coords)
-    shape = np.broadcast(*[np.empty(np.shape(c)) for c in coords]).shape if n else ()
     out = []
     for i, c in enumerate(coords):
-        g = np.zeros((n,) + shape)
+        # + 0.0 copies the distinct values (and turns -0.0 into 0.0)
+        c = c[tuple(slice(0, 1) if st == 0 else slice(None)
+                    for st in c.strides)] + 0.0
+        g = np.zeros((n,) + c.shape)
         g[i] = 1.0
-        h = np.zeros((n, n) + shape) if order >= 2 else None
-        out.append(Jet(c + np.zeros(shape), g, h))
+        h = np.zeros((n, n) + c.shape) if order >= 2 else None
+        out.append(Jet(c, g, h))
     return out
 
 
@@ -355,7 +364,11 @@ def x_derivative(G, field, i, g, engine=ANALYTIC):
     col = frame_at(G, g)[:, i - 1]
     if engine.mode == "analytic":
         return float(np.dot(col, _coordinate_jet(field, g, 1, engine).g))
-    h = engine.step1(g)
+    return _central(field, g, col, engine.step1(g))
+
+
+def _central(field, g, col, h):
+    """Central difference of field at g along the vector col, step h."""
     return (field.fn(*(g + h * col)) - field.fn(*(g - h * col))) / (2 * h)
 
 
@@ -380,20 +393,18 @@ def horizontal_jet(G, field, g, engine=ANALYTIC):
                 dcol = np.einsum("k,kl->l", A[:, i], dA[:, :, j])
                 raw[i, j] = A[:, i] @ jet.h @ A[:, j] + dcol @ jet.g
     else:
+        # one frame per distinct point: g and g +- h2 X_i(g)
         jet = _coordinate_jet(field, g, 1, engine)
-        gradH = [x_derivative(G, field, i + 1, g, engine) for i in range(m)]
-        h2 = engine.step2(g)
+        h, h2 = engine.step1(g), engine.step2(g)
+        gradH = [_central(field, g, A[:, i], h) for i in range(m)]
         raw = np.empty((m, m))
         for i in range(m):
+            gp = g + h2 * A[:, i]
+            gm = g - h2 * A[:, i]
+            Ap, Am = frame_at(G, gp), frame_at(G, gm)
             for j in range(m):
-                gp = g + h2 * A[:, i]
-                gm = g - h2 * A[:, i]
-                colp = frame_at(G, gp)[:, j]
-                colm = frame_at(G, gm)[:, j]
-                h = engine.step1(g)
-                fp = (field.fn(*(gp + h * colp)) - field.fn(*(gp - h * colp))) / (2 * h)
-                fm = (field.fn(*(gm + h * colm)) - field.fn(*(gm - h * colm))) / (2 * h)
-                raw[i, j] = (fp - fm) / (2 * h2)
+                raw[i, j] = (_central(field, gp, Ap[:, j], h)
+                             - _central(field, gm, Am[:, j], h)) / (2 * h2)
     hessH = 0.5 * (raw + raw.T)
     gradH = np.asarray(gradH, dtype=float)
     return {

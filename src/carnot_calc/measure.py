@@ -3,21 +3,27 @@
 The sub-Riemannian area element of a patch is dsigma_H = W du dv.  All
 integrals use deterministic composite rules with a fixed pairwise summation
 tree over the row-major grid, and all run through one streaming reducer:
-the grid is cut into consecutive chunks of nodes, the frame is evaluated
-once per chunk and every density is reduced to one pairwise partial sum
-per chunk, so no whole-grid frame is ever held.  A chunk holds a power of
-two of nodes: pairwise_sum pairs neighbours level by level, so an aligned
-power-of-two chunk collapses to the same partial inside the whole-array
-tree as on its own, and the pairwise sum of the partials (the ragged last
-chunk included) is the whole-array sum bit for bit.  Densities are
-elementwise, so results are bit-stable for a given grid regardless of the
-chunk size.
+the grid is cut into blocks of 2^k whole rows, the frame is evaluated once
+per block on seeds of the block's u-nodes (rows x 1) and the grid's
+v-nodes (1 x columns), and every density is folded k levels of the pairwise
+tree per block, so no whole-grid frame is ever held.  Since a u-only or
+v-only subexpression is computed once per row or column, each node still
+sees the same float operations in the same order.  pairwise_sum pairs
+neighbours level by level, so an aligned group of 2^k nodes collapses to
+the same level-k node inside the whole-array tree as on its own, and the
+pairwise sum of the level-k nodes of all blocks (the ragged tail of the
+last block summed on its own) is the whole-array sum bit for bit.
+Densities are elementwise, so results are bit-stable for a given grid
+regardless of the block size.
 """
+
+import math
 
 import numpy as np
 
 from .surfaces import (_characteristic_band, dilate_patch,
-                       left_translate_patch, tangential, zy_second)
+                       left_translate_patch, tangential, tangential_second,
+                       zy_second)
 from .curvature import geometry_aux
 from .fields import horizontal_jet
 
@@ -31,18 +37,11 @@ __all__ = [
     "mcf_residual",
 ]
 
-# Nodes per evaluation chunk (rounded up to a power of two): small enough
-# that the order-2 jet temporaries of one chunk stay in cache instead of
-# streaming whole-grid arrays.
+# Nodes per evaluation block, which holds the power of two of whole rows
+# nearest to it (at least one row): small enough that the order-2 jet
+# temporaries of one block stay in cache instead of streaming whole-grid
+# arrays, large enough that the per-block Python work stays small.
 _BLOCK_NODES = 8192
-
-
-def _node_chunks(size):
-    """Consecutive slices of size nodes, _BLOCK_NODES rounded up to a power
-    of two each; only the last may be shorter."""
-    step = 1 << (max(1, _BLOCK_NODES) - 1).bit_length()
-    for start in range(0, size, step):
-        yield slice(start, start + step)
 
 
 def pairwise_sum(values):
@@ -150,30 +149,54 @@ def _grid_for(P, nu, nv, rule):
     return QuadratureGrid(P.domain, nu or P.grid[0], nv or P.grid[1], rule)
 
 
-def _integrate(P, grid, densities, order=2):
-    """Integrals against du dv over the grid, streamed in node chunks.
+def _fold(values, k):
+    """The level-k nodes of pairwise_sum's tree over values, a run of
+    row-major nodes that starts at a multiple of 2^k: each whole group of
+    2^k nodes folded k pairwise levels, then the ragged tail, if any,
+    summed by pairwise_sum."""
+    a = np.ravel(values)
+    whole = a.size >> k << k
+    head = a[:whole].reshape(-1, 1 << k)
+    for _ in range(k):
+        head = head[:, 0::2] + head[:, 1::2]
+    if whole == a.size:
+        return head.ravel()
+    return np.append(head.ravel(), pairwise_sum(a[whole:]))
 
-    densities(zz, s) receives the zy_second frame dict of one chunk and the
-    chunk's slice s of the row-major node order (node k sits at
-    grid.U.flat[k], grid.V.flat[k]), and returns an iterable of integrand
-    arrays (density times W), reduced one at a time.  zz["band"] marks the
-    chunk's nodes inside the characteristic band: they are dropped, and
-    their weighted W-mass is returned as the excluded mass.  Densities are
-    evaluated with numpy's divide and invalid warnings off, since the values
-    they would flag are the dropped ones.  Returns (integrals, excluded).
+
+def _integrate(P, grid, densities, order=2):
+    """Integrals against du dv over the grid, streamed in blocks of rows.
+
+    Each block holds 2^k whole rows, k the integer nearest to
+    log2(_BLOCK_NODES / columns) and at least 0, so that a block holds about
+    _BLOCK_NODES nodes (or one row, if rows are longer).  The frame is
+    evaluated on the block's nodes as zero-copy (rows x columns) views of
+    the u- and v-nodes, so its seeds are (rows x 1) and (1 x columns) and
+    frame arrays may keep either shape.  densities(zz, rows) receives the
+    zy_second frame dict of one block and the block's slice of grid rows,
+    and returns an iterable of integrand arrays (density times W) that
+    broadcast to the block's nodes, reduced one at a time.  zz["band"]
+    marks the block's nodes inside the characteristic band: they are
+    dropped, and their weighted W-mass is returned as the excluded mass.
+    Densities are evaluated with numpy's divide and invalid warnings off,
+    since the values they would flag are the dropped ones.  Returns
+    (integrals, excluded).
     """
-    U, V, w = grid.U.ravel(), grid.V.ravel(), grid.weights.ravel()
-    partials, excluded = [], []
-    for s in _node_chunks(U.size):
-        zz = zy_second(P, None, U[s], V[s], order=order)
-        W, ws = zz["W"], w[s]
+    u, v, w = grid.U[:, 0], grid.V[0, :], grid.weights
+    k = max(0, round(math.log2(_BLOCK_NODES / v.size)))
+    parts, excluded = [], []
+    for start in range(0, u.size, 1 << k):
+        rows = slice(start, start + (1 << k))
+        zz = zy_second(P, None, *np.broadcast_arrays(u[rows, None], v),
+                       order=order)
+        W, ws = zz["W"], w[rows]
         mask = zz["band"] = _characteristic_band(W, zz["omega"])
-        excluded.append(pairwise_sum(np.where(mask, np.abs(W) * ws, 0.0)))
+        excluded.append(_fold(np.where(mask, np.abs(W) * ws, 0.0), k))
         with np.errstate(divide="ignore", invalid="ignore"):
-            partials.append([pairwise_sum(np.where(mask, 0.0, vals * ws))
-                             for vals in densities(zz, s)])
-    return ([pairwise_sum(col) for col in zip(*partials)],
-            pairwise_sum(excluded))
+            parts.append([_fold(np.where(mask, 0.0, vals * ws), k)
+                          for vals in densities(zz, rows)])
+    return ([pairwise_sum(np.concatenate(col)) for col in zip(*parts)],
+            pairwise_sum(np.concatenate(excluded)))
 
 
 def integrate_patch(P, density, nu=None, nv=None, rule="simpson",
@@ -190,7 +213,7 @@ def integrate_patch(P, density, nu=None, nv=None, rule="simpson",
     """
     grid = _grid_for(P, nu, nv, rule)
 
-    def densities(zz, s):
+    def densities(zz, rows):
         W = zz["W"]
         return (W if density is None else density(zz) * W,)
 
@@ -305,7 +328,8 @@ def ibp_residual(P, kind, zeta, f=None, index=1, nu=None, nv=None,
     kind "green":    integral of (<grad f, grad zeta> + f hat-Laplacian zeta)
     """
     def density(zz):
-        zt = tangential(zz["flds"], zeta)
+        zt = (tangential_second if kind == "green" else tangential)(
+            zz["flds"], zeta)
         ob, pb, qb, H = zz["obar"], zz["pbar"], zz["qbar"], zz["H"]
         if kind == "Z":
             return zt["Zf"] + zt["value"] * ob
@@ -344,7 +368,7 @@ def stokes_residual(P, f, nu=None, nv=None, rule="simpson"):
     and the Z rule applied to Zf kills the whole integral.
     """
     def density(zz):
-        zf = tangential(zz["flds"], f)
+        zf = tangential_second(zz["flds"], f)
         return zf["Z2f"] + zz["obar"] * zf["Zf"]
 
     return integrate_patch(P, density, nu=nu, nv=nv, rule=rule,
@@ -367,7 +391,7 @@ def coordinate_laplacians(P, u, v):
     flds = base["flds"]
     out = {}
     for nm, fn in (("x", P.x), ("y", P.y), ("t", P.t)):
-        zz = tangential(flds, fn)
+        zz = tangential_second(flds, fn)
         out["lap_" + nm] = zz["Z2f"]
         out["Z" + nm] = zz["Zf"]
     out.update({"pbar": base["pbar"], "qbar": base["qbar"],

@@ -18,7 +18,7 @@ __all__ = [
     "CharacteristicPointError", "DegenerateSurfaceError", "SurfaceFrame",
     "LevelSetSurface", "ParamPatch", "IntrinsicGraph", "frame_levelset",
     "frame_param", "zy_derivative", "zy_second", "tangential",
-    "patch_fields_jets",
+    "tangential_second", "patch_fields_jets",
     "restrict_to_patch", "intrinsic_to_patch", "burgers",
     "horizontal_plane_residual", "build_surface", "CatalogSurface",
     "catalog_ids", "dilate_patch", "left_translate_patch", "dilate_levelset",
@@ -318,7 +318,7 @@ def zy_second(P, f, u, v, order=2):
     fields).  Returns plain arrays: W, p, q, omega, pbar, qbar, obar, their
     Z-derivatives Zpbar, Zqbar, Zobar, the curvature
     H = qbar Z(pbar) - pbar Z(qbar) and the evaluated frame "flds", plus f's
-    derivatives from tangential(flds, f).
+    derivatives from tangential_second(flds, f), Z2f included.
     order=1 (f None only) returns just the values of patch_fields_jets at
     order 1: x, y, p, q, omega and W.
     """
@@ -338,29 +338,52 @@ def zy_second(P, f, u, v, order=2):
                "Zobar": z_apply(flds, flds["obar"]), "flds": flds}
         out["H"] = out["qbar"] * out["Zpbar"] - out["pbar"] * out["Zqbar"]
     if f is not None:
-        out.update(tangential(flds, f))
+        out.update(tangential_second(flds, f))
     return out
+
+
+def _first_derivatives(flds, value, f_u, f_v, rdet):
+    """value, Zf, Bf = (T - obar Y)f, Tf and Yf as plain arrays, from the
+    value arrays of f and its u-, v-partials and of 1 / det, in the
+    operation order of the jet route Zf = (f_u gamma_v - f_v gamma_u) / det."""
+    Zf = (f_u * flds["gamma_v"].v - f_v * flds["gamma_u"].v) * rdet
+    Bf = (flds["beta_u"].v * f_v - flds["beta_v"].v * f_u) * rdet
+    denom = 1.0 + flds["obar"].v ** 2
+    return {"value": value, "Zf": Zf, "Bf": Bf, "Tf": Bf / denom,
+            "Yf": -flds["obar"].v * Bf / denom}
 
 
 @np.errstate(divide="ignore", invalid="ignore")
 def tangential(flds, f):
     """Tangential derivatives of the surface function f on an evaluated frame.
 
-    flds is a patch_fields_jets (order 2) dict, e.g. zy_second(...)["flds"],
-    and f must be jet-safe to second order (a first-order f raises
-    ValueError).  Returns value, Zf, Bf = (T - obar Y)f, Tf, Yf and
-    Z2f = Z(Zf), all plain arrays.
+    flds is a patch_fields_jets (order 2) dict, e.g. zy_second(...)["flds"].
+    f is evaluated on first-order jets, so it needs to be jet-safe to first
+    order only.  Returns value, Zf, Bf = (T - obar Y)f, Tf and Yf, all plain
+    arrays; tangential_second adds Z2f = Z(Zf).
+    """
+    uj, vj = (Jet(s.v, s.g) for s in flds["seeds"])
+    fj = _as_jet(f(uj, vj), uj)
+    return _first_derivatives(flds, fj.v, fj.g[0], fj.g[1],
+                              1.0 / flds["det"].v)
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def tangential_second(flds, f):
+    """tangential(flds, f) plus Z2f = Z(Zf), for the Laplacian routes.
+
+    f is evaluated on the frame's second-order seeds and must be jet-safe
+    to second order (a first-order f raises ValueError).  The returned
+    values are those of tangential(flds, f).
     """
     uj, vj = flds["seeds"]
     fj = _as_jet(f(uj, vj), uj)
     f_u, f_v = jet_partial(fj, 0), jet_partial(fj, 1)
     rdet = flds["det"].reciprocal()
     Zf_j = (f_u * flds["gamma_v"] - f_v * flds["gamma_u"]) * rdet
-    # the jet route's operation order, on values only
-    Bf = (flds["beta_u"].v * f_v.v - flds["beta_v"].v * f_u.v) * rdet.v
-    denom = 1.0 + flds["obar"].v ** 2
-    return {"value": fj.v, "Zf": Zf_j.v, "Bf": Bf, "Tf": Bf / denom,
-            "Yf": -flds["obar"].v * Bf / denom, "Z2f": z_apply(flds, Zf_j)}
+    out = _first_derivatives(flds, fj.v, f_u.v, f_v.v, rdet.v)
+    out["Z2f"] = z_apply(flds, Zf_j)
+    return out
 
 
 # ---------------------------------------------------------------------------

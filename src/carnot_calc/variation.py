@@ -219,13 +219,13 @@ def second_variation_full(P, D, nu=None, nv=None, rule="simpson"):
 
 
 def _max_H(zz):
-    """max |H| over the chunk's nodes outside the characteristic band."""
+    """max |H| over the block's nodes outside the characteristic band."""
     return float(np.max(np.where(zz["band"], 0.0, np.abs(zz["H"])),
                         initial=0.0))
 
 
 def _require_minimal(worst, tol):
-    """Raise unless every chunk maximum in worst is <= tol; NaN fails."""
+    """Raise unless every block maximum in worst is <= tol; NaN fails."""
     worst = float(np.max(worst, initial=0.0))
     if not worst <= tol:
         raise ValueError("surface is not H-minimal (max |H| = %g)" % worst)
@@ -378,15 +378,15 @@ def stability_scan(P, bumps=None, n_centers=5, n_radii=5, nu=None, nv=None,
                    witness_threshold=-1e-6, minimal_tol=1e-6):
     """Evaluate the stability form over a family of normal-speed bumps.
 
-    The frame is evaluated once per node chunk of the quadrature grid and
+    The frame is evaluated once per row block of the quadrature grid and
     every bump is reduced against it; each Q equals
     quadratic_form(P, F, nu=nu, nv=nv) bit for bit.  A product bump
     F = bu(u) bv(v) (one with .factors, as product_bump_lattice and
     random_product_bumps build) is differentiated by sum factorization:
     each distinct factor is evaluated once, on first-order jets at the
-    grid's u- or v-nodes, and each chunk gathers F = a b, F_u = a' b and
-    F_v = a b' from them, leaving ZF = (F_u gamma_v - F_v gamma_u) / det
-    per node.
+    grid's u- or v-nodes, and each block broadcasts the factor values of
+    its rows against those of all columns into F = a b, F_u = a' b and
+    F_v = a b', leaving ZF = (F_u gamma_v - F_v gamma_u) / det per node.
     Any other bump goes through tangential(), as in quadratic_form.  The
     scan raises if max |H| over the non-characteristic nodes exceeds
     minimal_tol.
@@ -411,10 +411,8 @@ def stability_scan(P, bumps=None, n_centers=5, n_radii=5, nu=None, nv=None,
                         _factor_jets(fac[1], vs, v_memo)))
     worst = []
 
-    def densities(zz, s):
+    def densities(zz, rows):
         worst.append(_max_H(zz))
-        iu, iv = np.divmod(np.arange(s.start, s.start + zz["W"].size),
-                           vs.size)
         flds = zz["flds"]
         gu, gv = flds["gamma_u"].v, flds["gamma_v"].v
         rdet = 1.0 / flds["det"].v
@@ -424,7 +422,7 @@ def stability_scan(P, bumps=None, n_centers=5, n_radii=5, nu=None, nv=None,
                 q = _q_of(zz, F, pot)
             else:
                 (a, da), (b, db) = fac
-                a, da, b, db = a[iu], da[iu], b[iv], db[iv]
+                a, da = a[rows, None], da[rows, None]
                 # tangential()'s jet operation order keeps Q bit-identical
                 ZF = ((da * b) * gv + -((a * db) * gu)) * rdet
                 q = _q_density(pot, a * b, ZF)

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -407,7 +409,13 @@ def test_help_exits_zero(capsys):
 
 
 def test_console_script_runs():
+    # the child process imports the carnot_calc under test, also when
+    # pytest put src/ on sys.path (pyproject's pythonpath) and not in the
+    # environment
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "carnot_calc.cli",
-                           "catalog"], capture_output=True, text=True)
+                           "catalog"], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert "surfaces" in proc.stdout

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from carnot_calc import fields
 from carnot_calc.fields import _coordinate_jet
 from carnot_calc import (
     DerivativeEngine,
@@ -71,6 +72,24 @@ def test_seed_jets_vectorized():
     assert np.allclose(fj.v, u * v)
     assert np.allclose(fj.g[0], v)
     assert np.allclose(fj.h[0][1], np.ones(5))
+
+
+def test_seed_jets_keep_repeated_axes_at_length_one():
+    # broadcast views of row and column nodes seed (3 x 1) and (1 x 4)
+    # jets; expressions in both come out on the grid, equal to full seeds
+    u, v = np.linspace(0.0, 1.0, 3), np.linspace(-1.0, 0.0, 4)
+    uj, vj = seed_jets(np.broadcast_arrays(u[:, None], v), order=2)
+    assert [j.v.shape for j in (uj, vj)] == [(3, 1), (1, 4)]
+    assert [j.h.shape for j in (uj, vj)] == [(2, 2, 3, 1), (2, 2, 1, 4)]
+    U, V = np.meshgrid(u, v, indexing="ij")
+    fj = bump2(0.5, -0.5, 0.8, 0.9)(uj, vj) * uj
+    ref = bump2(0.5, -0.5, 0.8, 0.9)(*seed_jets((U, V), order=2)) \
+        * seed_jets((U, V), order=2)[0]
+    for part in ("v", "g", "h"):
+        assert np.array_equal(getattr(fj, part), getattr(ref, part))
+    # a scalar beside an array keeps the array's number of axes
+    uj, vj = seed_jets((u, 0.5), order=1)
+    assert vj.v.shape == (1,) and (uj * vj).g.shape == (2, 3)
 
 
 # -- bumps --------------------------------------------------------------------
@@ -176,6 +195,19 @@ def test_fd_matches_analytic_on_polynomials(exps, seed):
     fd = horizontal_jet(H1, f, g, engine=fd_engine)
     assert np.max(np.abs(ana["gradH"] - fd["gradH"])) < 1e-6
     assert np.max(np.abs(ana["hessH"] - fd["hessH"])) < 1e-5
+
+
+def test_fd_horizontal_jet_evaluates_each_frame_once(monkeypatch):
+    # frames at g and g +- h2 X_i(g) only: 1 + 2m calls, 5 on H^1, 9 on H^2
+    calls = []
+    inner = fields.frame_at
+    monkeypatch.setattr(fields, "frame_at",
+                        lambda G, g: calls.append(1) or inner(G, g))
+    for G, count in ((H1, 5), (H2, 9)):
+        calls.clear()
+        horizontal_jet(G, gauge_power_field(G, 3),
+                       np.linspace(0.2, 0.7, G.dim), engine=FD)
+        assert len(calls) == count
 
 
 def test_commutator_is_vertical_fd(rng):

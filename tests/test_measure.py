@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carnot_calc import measure
+from carnot_calc import measure, surfaces
 from carnot_calc import (
     DeformationField,
     Jet,
+    ParamPatch,
     ambient_tangential_laplacian,
     build_field,
     build_group,
@@ -23,6 +24,7 @@ from carnot_calc import (
     mcf_residual,
     pairwise_sum,
     perimeter,
+    quadratic_form,
     random_product_bumps,
     scaling_ratio,
     second_variation_full,
@@ -144,19 +146,98 @@ def test_pairwise_sum_of_power_of_two_chunk_partials_is_the_whole_sum(
     assert pairwise_sum(partials) == pairwise_sum(x)
 
 
-def test_node_chunks_round_the_block_up_to_a_power_of_two(monkeypatch):
-    nodes = np.arange(2500)
-    for block_nodes, step in ((1, 1), (1000, 1024), (1024, 1024),
-                              (10 ** 9, 2500)):
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), k=st.integers(0, 8), groups=st.integers(1, 6),
+       blocks=st.integers(0, 6))
+def test_folded_row_blocks_reduce_to_the_whole_pairwise_sum(data, k, groups,
+                                                            blocks):
+    # blocks of groups * 2^k values, each starting at a multiple of 2^k,
+    # then a last block with a ragged tail (of odd length too)
+    step = groups << k
+    size = blocks * step + data.draw(st.integers(1, step))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.normal(size=size) * np.exp(rng.uniform(-8, 8, size=size))
+    parts = [measure._fold(x[i:i + step], k) for i in range(0, size, step)]
+    assert pairwise_sum(np.concatenate(parts)) == pairwise_sum(x)
+
+
+def _block_shapes(monkeypatch, P, nu, nv, rule="simpson"):
+    shapes = []
+    inner = measure.zy_second
+
+    def counted(P, f, u, v, order=2):
+        shapes.append(np.shape(u))
+        return inner(P, f, u, v, order=order)
+
+    monkeypatch.setattr(measure, "zy_second", counted)
+    integrate_patch(P, None, nu=nu, nv=nv, rule=rule, error_estimate=False)
+    monkeypatch.setattr(measure, "zy_second", inner)
+    return shapes
+
+
+def test_row_blocks_hold_the_power_of_two_of_rows_nearest_the_block_size(
+        monkeypatch):
+    # 2^k whole rows, k the integer nearest to log2(_BLOCK_NODES / columns)
+    # and at least 0; only the last block is shorter
+    P = build_surface("t-graph:parab").patch
+    for block_nodes, nu, nv, rule, rows in (
+            (8192, 128, 128, "simpson", 64), (8192, 512, 512, "simpson", 16),
+            (8192, 96, 96, "simpson", 64), (1000, 96, 96, "simpson", 8),
+            (1000, 30, 40, "midpoint", 32), (1000, 48, 16, "simpson", 64),
+            (10, 16, 16, "simpson", 1), (10 ** 9, 64, 16, "simpson", 2 ** 26)):
         monkeypatch.setattr(measure, "_BLOCK_NODES", block_nodes)
-        chunks = [nodes[s] for s in measure._node_chunks(nodes.size)]
-        tail = [nodes.size % step] if nodes.size % step else []
-        assert [c.size for c in chunks] == [step] * (nodes.size // step) + tail
-        assert np.array_equal(np.concatenate(chunks), nodes)
+        shapes = _block_shapes(monkeypatch, P, nu, nv, rule)
+        n_rows, n_cols = (nu, nv) if rule == "midpoint" else (nu + 1, nv + 1)
+        full, tail = divmod(n_rows, rows)
+        assert shapes == ([(rows, n_cols)] * full
+                          + ([(tail, n_cols)] if tail else []))
+
+
+def test_quadrature_seeds_hold_each_row_and_column_once(monkeypatch):
+    # the block's nodes reach zy_second as zero-copy views, but the seeds
+    # the frame is evaluated on are (rows x 1) and (1 x columns)
+    P = build_surface("t-graph:parab").patch
+    monkeypatch.setattr(measure, "_BLOCK_NODES", 1000)
+    for order in (1, 2):
+        seeds = []
+        inner = surfaces.seed_jets
+
+        def recorded(coords, order=2):
+            out = inner(coords, order=order)
+            seeds.append(tuple(np.shape(j.v) for j in out))
+            return out
+
+        monkeypatch.setattr(surfaces, "seed_jets", recorded)
+        integrate_patch(P, None, nu=40, nv=40, error_estimate=False,
+                        order=order)
+        monkeypatch.setattr(surfaces, "seed_jets", inner)
+        # 41 columns: a block of 32 rows, then one of 9
+        assert seeds == [((32, 1), (1, 41)), ((9, 1), (1, 41))]
+
+
+def test_user_patch_with_constant_and_one_variable_components_matches_twin():
+    # x = 0 is constant and y = u, t = v each read one variable, so frame
+    # arrays keep (rows x 1) and (1 x columns) shapes; the integrals are
+    # those of the catalog vertical plane x = 0 bit for bit
+    twin = build_surface("vertical-plane:1,0,0").patch
+    user = ParamPatch(H1, lambda u, v: 0.0, lambda u, v: u, lambda u, v: v,
+                      twin.domain, twin.grid, name="user-plane")
+    D = DeformationField(bump2(0.2, 0.1, 0.8, 0.9), bump2(-0.3, 0.2, 0.7, 0.6),
+                         bump2(0.1, -0.2, 0.9, 0.8))
+    F = bump2(0.0, 0.0, 1.5, 1.2)
+
+    def integrals(P):
+        return (repr(perimeter(P, nu=64, nv=64)),
+                repr(eps_area(P, 0.1, nu=64, nv=66, rule="midpoint")),
+                second_variation_full(P, D, nu=64, nv=64),
+                quadratic_form(P, F, nu=64, nv=64),
+                stability_scan(P, nu=64, nv=64, n_centers=2, n_radii=2))
+
+    assert integrals(user) == integrals(twin)
 
 
 def test_blocked_integration_is_bit_identical(monkeypatch):
-    # a characteristic node at the center is masked inside one chunk
+    # a characteristic node at the center is masked inside one block
     P = build_surface("t-graph:zero", domain=(-1, 1, -1, 1)).patch
     Q = build_surface("t-graph:parab").patch
     X = build_surface("xyt-graph").patch
@@ -165,8 +246,8 @@ def test_blocked_integration_is_bit_identical(monkeypatch):
     zeta, f = bump2(1.0, 1.0, 0.4, 0.4), bump2(0.9, 1.1, 0.3, 0.25)
     bumps = random_product_bumps(X.domain, 3, np.random.default_rng(7))
     results = []
-    # one chunk, then 1024-node chunks (1000 rounded up), each grid with a
-    # ragged last chunk: 129^2, 65^2 and 33^2 nodes
+    # one block, then (at 1000 nodes) blocks of 8, 16 and 32 rows on the
+    # 129^2, 65^2 and 33^2 node grids, each with a 1-row last block
     for block_nodes in (10 ** 9, 1000):
         monkeypatch.setattr(measure, "_BLOCK_NODES", block_nodes)
         r = perimeter(P, nu=128, nv=128)

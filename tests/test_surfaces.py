@@ -33,6 +33,7 @@ from carnot_calc import (
     restrict_to_patch,
     seed_jets,
     tangential,
+    tangential_second,
     translate_levelset,
     zy_derivative,
     zy_second,
@@ -270,9 +271,12 @@ def test_tangential_on_an_evaluated_frame_matches_zy_second():
                                                         x * t - y)):
         whole = zy_second(P, f, U, V)
         part = tangential(flds, f)
-        assert set(part) == {"value", "Zf", "Bf", "Tf", "Yf", "Z2f"}
-        for key, val in part.items():
+        assert set(part) == {"value", "Zf", "Bf", "Tf", "Yf"}
+        second = tangential_second(flds, f)
+        assert set(second) == set(part) | {"Z2f"}
+        for key, val in second.items():
             assert np.array_equal(val, whole[key]), key
+            assert key == "Z2f" or np.array_equal(val, part[key]), key
 
 
 def test_zy_second_curved_patch_finite(rng):
@@ -289,10 +293,14 @@ def _first_order(u, v):
 
 
 def test_first_order_surface_function_raises():
+    # tangential evaluates f on first-order jets, so a first-order f serves
+    # it; the Laplacian routes, which take Z(Zf), raise
     P = build_surface("xyt-graph").patch
     flds = zy_second(P, None, 0.3, 0.4)["flds"]
+    assert tangential(flds, _first_order) == tangential(flds,
+                                                        lambda u, v: u * v)
     with pytest.raises(ValueError, match="second-order jet"):
-        tangential(flds, _first_order)
+        tangential_second(flds, _first_order)
     with pytest.raises(ValueError, match="second-order jet"):
         zy_second(P, _first_order, 0.3, 0.4)
 

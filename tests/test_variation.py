@@ -225,7 +225,7 @@ def test_quadratic_form_on_plane_has_closed_form():
 
 
 def test_quadratic_form_evaluates_the_frame_once(monkeypatch):
-    # one 33 x 33 block: Z of pbar, qbar and obar, then Z(ZF)
+    # one 33 x 33 block: Z of pbar, qbar and obar; Q reads ZF, not Z(ZF)
     P = build_surface("xyt-graph").patch
     calls = []
     inner = surfaces.z_apply
@@ -236,7 +236,7 @@ def test_quadratic_form_evaluates_the_frame_once(monkeypatch):
 
     monkeypatch.setattr(surfaces, "z_apply", counted)
     quadratic_form(P, bump2(0.0, 0.0, 3.0, 1.5), nu=32, nv=32)
-    assert len(calls) == 4
+    assert len(calls) == 3
 
 
 def test_quadratic_form_requires_minimal_surface():
@@ -285,7 +285,7 @@ def _expected_scan(P, bumps, n):
     pytest.param("lattice", "xyt-graph", 96, id="lattice"),
     pytest.param("random", "xyt-graph", 96, id="random"),
     pytest.param("lattice", "vertical-plane:1,0,0", 96, id="plane-lattice"),
-    # 131^2 nodes: two 8192-node chunks and a ragged 777-node one
+    # 131^2 nodes: two blocks of 64 rows and a last one of 3 rows
     pytest.param("random", "xyt-graph", 130, id="random-130"),
 ])
 def test_stability_scan_matches_per_bump_quadratic_form(family, sid, n):
@@ -324,7 +324,7 @@ def test_stability_scan_of_a_mixed_family_matches_quadratic_form():
 
 def test_stability_scan_differentiates_only_bumps_without_factors(
         monkeypatch):
-    # product bumps never reach tangential(); each bump2 does once a chunk
+    # product bumps never reach tangential(); each bump2 does once a block
     P = build_surface("xyt-graph").patch
     calls = []
     inner = variation.tangential
@@ -337,7 +337,7 @@ def test_stability_scan_differentiates_only_bumps_without_factors(
     out = stability_scan(P, nu=96, nv=96)
     assert out["count"] == 125 and calls == []
     bumps = _mixed_family(P, 4, 3)
-    stability_scan(P, bumps=bumps, nu=96, nv=96)  # 97^2 nodes: 2 chunks
+    stability_scan(P, bumps=bumps, nu=96, nv=96)  # 97^2 nodes: 2 blocks
     assert calls == [F for F, meta in bumps if "shape" in meta] * 2
 
 
@@ -355,7 +355,7 @@ def test_lattice_bumps_share_their_factors():
 
 def test_stability_scan_evaluates_each_factor_and_potential_once(
         monkeypatch):
-    # one 1-D jet per distinct factor and axis; one potential per chunk
+    # one 1-D jet per distinct factor and axis; one potential per block
     P = build_surface("xyt-graph").patch
     ref = stability_scan(P, nu=96, nv=96)
     seeds, pots = [], []
@@ -367,15 +367,15 @@ def test_stability_scan_evaluates_each_factor_and_potential_once(
     out = stability_scan(P, nu=96, nv=96)
     assert out == ref
     assert len(seeds) == 25 + 25
-    assert len(pots) == 2  # 97^2 nodes: two chunks
+    assert len(pots) == 2  # 97^2 nodes: two blocks
 
 
-@pytest.mark.parametrize("block_nodes, blocks", [(8192, 2), (1000, 10)])
+@pytest.mark.parametrize("block_nodes, blocks", [(8192, 2), (1000, 13)])
 def test_stability_scan_evaluates_the_frame_once_per_block(monkeypatch,
                                                            block_nodes,
                                                            blocks):
-    # 97 x 97 = 9409 nodes: two 8192-node chunks by default, ten 1024-node
-    # chunks at 1000 (rounded up to a power of two)
+    # 97 x 97 nodes: two blocks of 64 rows (6208 nodes) by default, thirteen
+    # of 8 rows (776 nodes) at 1000, each last block shorter
     P = build_surface("xyt-graph").patch
     bumps = random_product_bumps(P.domain, 12, np.random.default_rng(5))
     ref = stability_scan(P, bumps=bumps, nu=96, nv=96)
@@ -397,7 +397,7 @@ def test_stability_scan_evaluates_the_frame_once_per_block(monkeypatch,
 
 
 def test_stability_scan_streams_the_frame_in_node_chunks():
-    # one chunk's order-2 frame at a time: holding the frame of all 257^2
+    # one block's order-2 frame at a time: holding the frame of all 257^2
     # nodes would take ~632 bytes per node, about 42 MB
     P = build_surface("xyt-graph").patch
     bumps = random_product_bumps(P.domain, 3, np.random.default_rng(5))
@@ -421,7 +421,7 @@ def _gate_message(fn, monkeypatch, block_nodes):
 def test_minimality_gate_reads_the_whole_grid_off_the_band(monkeypatch, n):
     # the paraboloid's characteristic point is a node at 64^2 and its H is
     # NaN there, so the gate must take max |H| off the band; taken over the
-    # whole grid, the message does not depend on the chunking
+    # whole grid, the message does not depend on the blocking
     P = build_surface("t-graph:parab", domain=(-1, 1, -1, 1)).patch
     F = bump2(0.0, 0.0, 0.9, 0.9)
     for fn in (lambda: quadratic_form(P, F, nu=n, nv=n),
