@@ -82,7 +82,9 @@ class Jet:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self.__add__(-Jet._lift(other))
+        o, keep = self._both(other)
+        return Jet(self.v - o.v, self.g - o.g,
+                   self.h - o.h if keep else None)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -100,16 +102,17 @@ class Jet:
     __rmul__ = __mul__
 
     def _chain(self, f0, f1, f2):
-        """Compose with a scalar function given f(v), f'(v), f''(v)."""
+        """Compose with a scalar function given f(v), f'(v) and a callable
+        returning f''(v), called only when the Hessian is kept."""
         g = f1 * self.g
         h = None
         if self.h is not None:
-            h = f1 * self.h + f2 * Jet._outer(self.g, self.g)
+            h = f1 * self.h + f2() * Jet._outer(self.g, self.g)
         return Jet(f0, g, h)
 
     def reciprocal(self):
         iv = 1.0 / self.v
-        return self._chain(iv, -iv * iv, 2.0 * iv * iv * iv)
+        return self._chain(iv, -iv * iv, lambda: 2.0 * iv * iv * iv)
 
     def __truediv__(self, other):
         o = Jet._lift(other)
@@ -128,26 +131,28 @@ class Jet:
         if k == 2:
             return self * self
         v = self.v
-        return self._chain(v ** k, k * v ** (k - 1), k * (k - 1) * v ** (k - 2))
+        return self._chain(v ** k, k * v ** (k - 1),
+                           lambda: k * (k - 1) * v ** (k - 2))
 
     def sqrt(self):
         r = np.sqrt(self.v)
-        return self._chain(r, 0.5 / r, -0.25 / (r * self.v))
+        return self._chain(r, 0.5 / r, lambda: -0.25 / (r * self.v))
 
     def exp(self):
         e = np.exp(self.v)
-        return self._chain(e, e, e)
+        return self._chain(e, e, lambda: e)
 
     def log(self):
-        return self._chain(np.log(self.v), 1.0 / self.v, -1.0 / self.v ** 2)
+        return self._chain(np.log(self.v), 1.0 / self.v,
+                           lambda: -1.0 / self.v ** 2)
 
     def sin(self):
         s, c = np.sin(self.v), np.cos(self.v)
-        return self._chain(s, c, -s)
+        return self._chain(s, c, lambda: -s)
 
     def cos(self):
         s, c = np.sin(self.v), np.cos(self.v)
-        return self._chain(c, -s, -c)
+        return self._chain(c, -s, lambda: -c)
 
 
 def _dispatch(name):
@@ -211,10 +216,10 @@ def _bump_of_square(s):
     safe = np.where(m, 1.0 - v, 1.0)
     f0 = np.where(m, np.exp(-1.0 / safe), 0.0)
     f1 = np.where(m, -f0 / safe ** 2, 0.0)
-    f2 = np.where(m, f0 / safe ** 4 - 2.0 * f0 / safe ** 3, 0.0)
     g = f1 * s.g
     h = None
     if s.h is not None:
+        f2 = np.where(m, f0 / safe ** 4 - 2.0 * f0 / safe ** 3, 0.0)
         h = f1 * s.h + f2 * Jet._outer(s.g, s.g)
     return Jet(f0, g, h)
 

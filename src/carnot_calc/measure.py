@@ -6,7 +6,10 @@ tree over the row-major grid, and all run through one streaming reducer:
 the grid is cut into blocks of 2^k whole rows, the frame is evaluated once
 per block on seeds of the block's u-nodes (rows x 1) and the grid's
 v-nodes (1 x columns), and every density is folded k levels of the pairwise
-tree per block, so no whole-grid frame is ever held.  Since a u-only or
+tree per block, so no whole-grid frame is ever held.  A family of patches
+moved from one patch (the dilation and translation ratios, the deformed
+patches of numeric_variation) shares one pass: each block evaluates the
+base components once and forms every member's frame from them.  Since a u-only or
 v-only subexpression is computed once per row or column, each node still
 sees the same float operations in the same order.  pairwise_sum pairs
 neighbours level by level, so an aligned group of 2^k nodes collapses to
@@ -21,11 +24,11 @@ import math
 
 import numpy as np
 
-from .surfaces import (_characteristic_band, dilate_patch,
-                       left_translate_patch, tangential, tangential_second,
+from .surfaces import (_as_jet, _characteristic_band, _dilated, _translated,
+                       _value_fields, tangential, tangential_second,
                        zy_second)
 from .curvature import geometry_aux
-from .fields import horizontal_jet
+from .fields import horizontal_jet, seed_jets
 
 __all__ = [
     "QuadratureGrid", "IntegralResult", "pairwise_sum",
@@ -62,7 +65,9 @@ class QuadratureGrid:
     """Composite Simpson (default) or midpoint nodes/weights on a rectangle.
 
     nu, nv count cells; Simpson needs them even and >= 8 and places nodes at
-    the nu+1 x nv+1 lattice points, midpoint uses cell centers.
+    the nu+1 x nv+1 lattice points, midpoint uses cell centers.  The grid
+    keeps the 1-D nodes u, v and weights wu, wv; U, V and weights build
+    the whole-grid arrays on request.
     """
 
     def __init__(self, domain, nu=128, nv=128, rule="simpson"):
@@ -75,17 +80,27 @@ class QuadratureGrid:
                 if n < 8 or n % 2:
                     raise ValueError("simpson rule needs even cell counts"
                                      " >= 8, got %d" % n)
-            xu, wu = self._simpson_1d(u0, u1, self.nu)
-            xv, wv = self._simpson_1d(v0, v1, self.nv)
+            self.u, self.wu = self._simpson_1d(u0, u1, self.nu)
+            self.v, self.wv = self._simpson_1d(v0, v1, self.nv)
         elif rule == "midpoint":
             if self.nu < 1 or self.nv < 1:
                 raise ValueError("midpoint rule needs positive cell counts")
-            xu, wu = self._midpoint_1d(u0, u1, self.nu)
-            xv, wv = self._midpoint_1d(v0, v1, self.nv)
+            self.u, self.wu = self._midpoint_1d(u0, u1, self.nu)
+            self.v, self.wv = self._midpoint_1d(v0, v1, self.nv)
         else:
             raise ValueError("unknown rule %r" % rule)
-        self.U, self.V = np.meshgrid(xu, xv, indexing="ij")
-        self.weights = np.outer(wu, wv)
+
+    @property
+    def U(self):
+        return np.meshgrid(self.u, self.v, indexing="ij")[0]
+
+    @property
+    def V(self):
+        return np.meshgrid(self.u, self.v, indexing="ij")[1]
+
+    @property
+    def weights(self):
+        return np.outer(self.wu, self.wv)
 
     @staticmethod
     def _simpson_1d(a, b, n):
@@ -164,39 +179,75 @@ def _fold(values, k):
     return np.append(head.ravel(), pairwise_sum(a[whole:]))
 
 
-def _integrate(P, grid, densities, order=2):
-    """Integrals against du dv over the grid, streamed in blocks of rows.
+def _integrate(grid, frames, densities):
+    """Integrals against du dv over the grid, streamed in blocks of rows,
+    for one or more patches at once.
 
     Each block holds 2^k whole rows, k the integer nearest to
     log2(_BLOCK_NODES / columns) and at least 0, so that a block holds about
-    _BLOCK_NODES nodes (or one row, if rows are longer).  The frame is
-    evaluated on the block's nodes as zero-copy (rows x columns) views of
-    the u- and v-nodes, so its seeds are (rows x 1) and (1 x columns) and
-    frame arrays may keep either shape.  densities(zz, rows) receives the
-    zy_second frame dict of one block and the block's slice of grid rows,
-    and returns an iterable of integrand arrays (density times W) that
-    broadcast to the block's nodes, reduced one at a time.  zz["band"]
-    marks the block's nodes inside the characteristic band: they are
-    dropped, and their weighted W-mass is returned as the excluded mass.
-    Densities are evaluated with numpy's divide and invalid warnings off,
-    since the values they would flag are the dropped ones.  Returns
-    (integrals, excluded).
+    _BLOCK_NODES nodes (or one row, if rows are longer).  frames(u, v)
+    receives the block's nodes as zero-copy (rows x columns) views of the
+    u- and v-nodes, so seeds taken from them are (rows x 1) and
+    (1 x columns) and frame arrays may keep either shape, and returns a
+    list of frame dicts, one per patch, each holding at least the arrays W
+    and omega (a zy_second dict, or the order-1 values of
+    patch_fields_jets).  A family of patches shares in frames what their
+    components have in common.  densities(zz, rows) receives one frame
+    dict and the block's slice of grid rows, and returns an iterable of
+    integrand arrays (density times W) that broadcast to the block's
+    nodes, reduced one at a time.  zz["band"] marks the frame's nodes
+    inside the characteristic band: they are dropped, and their weighted
+    W-mass is returned as the frame's excluded mass.  Densities are
+    evaluated with numpy's divide and invalid warnings off, since the
+    values they would flag are the dropped ones.  Returns (integrals,
+    excluded), the list of each frame's integrals and the list of each
+    frame's excluded mass, in the order of frames.
     """
-    u, v, w = grid.U[:, 0], grid.V[0, :], grid.weights
+    u, v = grid.u, grid.v
     k = max(0, round(math.log2(_BLOCK_NODES / v.size)))
     parts, excluded = [], []
     for start in range(0, u.size, 1 << k):
         rows = slice(start, start + (1 << k))
-        zz = zy_second(P, None, *np.broadcast_arrays(u[rows, None], v),
-                       order=order)
-        W, ws = zz["W"], w[rows]
-        mask = zz["band"] = _characteristic_band(W, zz["omega"])
-        excluded.append(_fold(np.where(mask, np.abs(W) * ws, 0.0), k))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            parts.append([_fold(np.where(mask, 0.0, vals * ws), k)
-                          for vals in densities(zz, rows)])
-    return ([pairwise_sum(np.concatenate(col)) for col in zip(*parts)],
-            pairwise_sum(np.concatenate(excluded)))
+        ws = np.outer(grid.wu[rows], grid.wv)
+        block_parts, block_excluded = [], []
+        for zz in frames(*np.broadcast_arrays(u[rows, None], v)):
+            W = zz["W"]
+            mask = zz["band"] = _characteristic_band(W, zz["omega"])
+            block_excluded.append(
+                _fold(np.where(mask, np.abs(W) * ws, 0.0), k))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                block_parts.append([_fold(np.where(mask, 0.0, vals * ws), k)
+                                    for vals in densities(zz, rows)])
+        parts.append(block_parts)
+        excluded.append(block_excluded)
+    return ([[pairwise_sum(np.concatenate(col)) for col in zip(*frame)]
+             for frame in zip(*parts)],
+            [pairwise_sum(np.concatenate(col)) for col in zip(*excluded)])
+
+
+def _patch_frames(P, order=2):
+    """The frames callable of _integrate for the one patch P: a
+    one-element list holding zy_second's frame dict at the given order."""
+    return lambda u, v: [zy_second(P, None, u, v, order=order)]
+
+
+def _family_perimeters(P, members, nu, nv, rule):
+    """H-perimeters of a family of patches moved from P, in one pass.
+
+    members(u, v, x, y, t) receives a block's first-order seeds and P's
+    components on them, evaluated once per block, and returns the
+    components (x, y, t) of every member; each member's frame is that of
+    its own patch at order 1, so each value equals the member's
+    perimeter(...).value.
+    """
+    def frames(u, v):
+        uj, vj = seed_jets((u, v), order=1)
+        return [_value_fields(*(_as_jet(c, uj) for c in comps))
+                for comps in members(uj, vj, *P.components(uj, vj))]
+
+    integrals, _ = _integrate(_grid_for(P, nu, nv, rule), frames,
+                              lambda zz, rows: (zz["W"],))
+    return [value for (value,) in integrals]
 
 
 def integrate_patch(P, density, nu=None, nv=None, rule="simpson",
@@ -206,23 +257,23 @@ def integrate_patch(P, density, nu=None, nv=None, rule="simpson",
     density(zz) receives the zy_second frame dict (arrays) and returns the
     factor multiplying W; density=None integrates the H-perimeter itself.
     order=1 evaluates the frame on first-order jets, whose dict holds only
-    x, y, p, q, omega and W (bit-identical to order 2): perimeter, eps_area,
-    scaling_ratio, translation_ratio and the areas of numeric_variation use
-    it.  Densities that read Z/B derivatives (first and second variation,
-    quadratic_form) need the default order=2.
+    x, y, p, q, omega and W (bit-identical to order 2): perimeter and
+    eps_area use it.  Densities that read Z/B derivatives (first and
+    second variation, quadratic_form) need the default order=2.
     """
     grid = _grid_for(P, nu, nv, rule)
+    frames = _patch_frames(P, order)
 
     def densities(zz, rows):
         W = zz["W"]
         return (W if density is None else density(zz) * W,)
 
-    (value,), excluded = _integrate(P, grid, densities, order)
+    [(value,)], [excluded] = _integrate(grid, frames, densities)
     est = None
     if error_estimate:
         half = grid.halved()
         if half is not None:
-            (v2,), _ = _integrate(P, half, densities, order)
+            [(v2,)], _ = _integrate(half, frames, densities)
             est = abs(value - v2)
     return IntegralResult(value, est, excluded, (grid.nu, grid.nv), rule)
 
@@ -246,24 +297,26 @@ def eps_area(P, eps, nu=None, nv=None, rule="simpson"):
     return integrate_patch(P, density, nu=nu, nv=nv, rule=rule, order=1)
 
 
-def _perimeter_value(P, nu, nv, rule):
-    return integrate_patch(P, None, nu=nu, nv=nv, rule=rule,
-                           error_estimate=False, order=1).value
-
-
 def scaling_ratio(P, lam, nu=None, nv=None, rule="simpson"):
     """Measured perimeter ratio under the group dilation by lam.
 
-    Homogeneity gives exactly lam^(Q-1) = lam^3 on H^1.
+    Homogeneity gives exactly lam^(Q-1) = lam^3 on H^1.  Both perimeters
+    come from one pass that evaluates P's components once per block; each
+    equals that of perimeter() on P or on dilate_patch(P, lam).
     """
-    base = _perimeter_value(P, nu, nv, rule)
-    return _perimeter_value(dilate_patch(P, lam), nu, nv, rule) / base
+    lam = float(lam)
+    base, moved = _family_perimeters(
+        P, lambda u, v, *xyt: (xyt, _dilated(lam, *xyt)), nu, nv, rule)
+    return moved / base
 
 
 def translation_ratio(P, g0, nu=None, nv=None, rule="simpson"):
-    """Perimeter ratio under left translation by g0 (exactly 1)."""
-    base = _perimeter_value(P, nu, nv, rule)
-    return _perimeter_value(left_translate_patch(P, g0), nu, nv, rule) / base
+    """Perimeter ratio under left translation by g0 (exactly 1), from one
+    pass as in scaling_ratio."""
+    g0 = tuple(float(z) for z in g0)
+    base, moved = _family_perimeters(
+        P, lambda u, v, *xyt: (xyt, _translated(g0, *xyt)), nu, nv, rule)
+    return moved / base
 
 
 # ---------------------------------------------------------------------------

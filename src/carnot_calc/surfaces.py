@@ -6,6 +6,7 @@ Z/Y tangential calculus below applies).  Catalog surfaces come with both
 representations, with consistent orientations.
 """
 
+import functools
 import json
 
 import numpy as np
@@ -180,15 +181,40 @@ class ParamPatch:
         self.uv_of_point = uv_of_point
         self.levelset = levelset
 
+    def components(self, u, v):
+        """The components (x, y, t) at (u, v), as the callables return them;
+        the frame engine evaluates the three together."""
+        return self.x(u, v), self.y(u, v), self.t(u, v)
+
     def point(self, u, v):
-        x = self.x(u, v) + 0.0 * np.asarray(v, dtype=float)
-        y = self.y(u, v) + 0.0 * np.asarray(u, dtype=float)
-        t = self.t(u, v) + 0.0 * np.asarray(u, dtype=float)
+        x, y, t = self.components(u, v)
+        x = x + 0.0 * np.asarray(v, dtype=float)
+        y = y + 0.0 * np.asarray(u, dtype=float)
+        t = t + 0.0 * np.asarray(u, dtype=float)
         return np.array([x, y, t]) if np.ndim(x) == 0 else np.stack([x, y, t])
 
     def jets(self, u, v, order=2):
         uj, vj = seed_jets((u, v), order=order)
-        return [_as_jet(f(uj, vj), uj) for f in (self.x, self.y, self.t)]
+        return [_as_jet(c, uj) for c in self.components(uj, vj)]
+
+
+class _MovedPatch(ParamPatch):
+    """The image of the patch P under a pointwise move: the components at
+    (u, v) are move(u, v, x, y, t) of P's components there.  The frame
+    engine evaluates P's components once per call; the x, y and t
+    callables each evaluate all three."""
+
+    def __init__(self, P, move, name):
+        self.base, self.move = P, move
+        super().__init__(P.group, *(functools.partial(self._component, i)
+                                    for i in range(3)),
+                         P.domain, P.grid, name=name)
+
+    def components(self, u, v):
+        return self.move(u, v, *self.base.components(u, v))
+
+    def _component(self, i, u, v):
+        return self.components(u, v)[i]
 
 
 def restrict_to_patch(P, field):
@@ -196,7 +222,7 @@ def restrict_to_patch(P, field):
     fn = field.fn if isinstance(field, ScalarField) else field
 
     def f(u, v):
-        return fn(P.x(u, v), P.y(u, v), P.t(u, v))
+        return fn(*P.components(u, v))
     return f
 
 
@@ -222,6 +248,19 @@ def _normal_components(x, y, dx, dy, dt):
     p = y_u * t_v - y_v * t_u - 0.5 * (y * omega)
     q = x_v * t_u - x_u * t_v + 0.5 * (x * omega)
     return p, q, omega, jet_sqrt(p * p + q * q)
+
+
+def _gamma_beta_det(x, y, dx, dy, dt, pbar, qbar):
+    """gamma_u, gamma_v, beta_u, beta_v and det, the coefficients of
+    theta_u = beta_u Z + gamma_u B (same with v) and their determinant;
+    plain arrays or first-order jets, as for _normal_components."""
+    (x_u, x_v), (y_u, y_v), (t_u, t_v) = dx, dy, dt
+    gamma_u = t_u + 0.5 * (y * x_u - x * y_u)
+    gamma_v = t_v + 0.5 * (y * x_v - x * y_v)
+    beta_u = x_u * qbar - y_u * pbar
+    beta_v = x_v * qbar - y_v * pbar
+    det = beta_u * gamma_v - beta_v * gamma_u
+    return gamma_u, gamma_v, beta_u, beta_v, det
 
 
 def _value_fields(xj, yj, tj):
@@ -271,44 +310,57 @@ def patch_fields_jets(P, u, v, order=2):
     """Frame quantities on the patch; vectorizes over array-valued u, v.
 
     order=2 evaluates the components on second-order seeds and runs the
-    frame formulas in first-order jet arithmetic, so every returned quantity
-    (p, q, omega, W, pbar, qbar, obar, beta/gamma/det) is a jet that knows
-    its own u- and v-derivatives exactly; zy_second takes Z-derivatives
-    from them.  order=1 evaluates on first-order seeds and returns plain
-    value arrays x, y, p, q, omega and W only, bit-identical to the order-2
-    values; quadratures of W and omega alone (perimeter, eps-area, the
-    dilation/translation ratios and numeric variations) run on it.
+    frame formulas in first-order jet arithmetic: x, y, p, q, omega, W,
+    pbar, qbar and obar are jets that know their own u- and v-derivatives
+    exactly, and zy_second takes Z-derivatives from them.  beta_u, beta_v,
+    gamma_u, gamma_v and det, which only the Laplacian routes
+    differentiate, are plain value arrays (bit-identical to the values of
+    their jets); "partials" keeps the first-order jets of the components'
+    u- and v-partials, from which tangential_second rebuilds the gamma/det
+    jets once per frame.  order=1 evaluates on first-order seeds and
+    returns plain value arrays x, y, p, q, omega and W only, bit-identical
+    to the order-2 values; quadratures of W and omega alone (perimeter and
+    eps-area) run on it.
     """
     if order == 1:
         return _value_fields(*P.jets(u, v, order=1))
     if order != 2:
         raise ValueError("order must be 1 or 2")
     uj, vj = seed_jets((u, v), order=2)
-    xj, yj, tj = (_as_jet(fc(uj, vj), uj) for fc in (P.x, P.y, P.t))
+    xj, yj, tj = (_as_jet(c, uj) for c in P.components(uj, vj))
     x1, y1 = Jet(xj.v, xj.g), Jet(yj.v, yj.g)
-    x_u, x_v = jet_partial(xj, 0), jet_partial(xj, 1)
-    y_u, y_v = jet_partial(yj, 0), jet_partial(yj, 1)
-    t_u, t_v = jet_partial(tj, 0), jet_partial(tj, 1)
-    gamma_u = t_u + 0.5 * (y1 * x_u - x1 * y_u)
-    gamma_v = t_v + 0.5 * (y1 * x_v - x1 * y_v)
+    partials = tuple((jet_partial(j, 0), jet_partial(j, 1))
+                     for j in (xj, yj, tj))
     # characteristic nodes (W = 0) come out as NaN; bulk callers mask them
     with np.errstate(divide="ignore", invalid="ignore"):
-        p, q, omega, W = _normal_components(x1, y1, (x_u, x_v), (y_u, y_v),
-                                            (t_u, t_v))
-        pbar, qbar, obar = p / W, q / W, omega / W
-        beta_u = x_u * qbar - y_u * pbar
-        beta_v = x_v * qbar - y_v * pbar
-        det = beta_u * gamma_v - beta_v * gamma_u
-    return {"seeds": (uj, vj), "x": x1, "y": y1, "p": p, "q": q,
-            "omega": omega, "W": W, "pbar": pbar, "qbar": qbar, "obar": obar,
-            "beta_u": beta_u, "beta_v": beta_v, "gamma_u": gamma_u,
-            "gamma_v": gamma_v, "det": det}
+        p, q, omega, W = _normal_components(x1, y1, *partials)
+        rW = W.reciprocal()
+        pbar, qbar, obar = p * rW, q * rW, omega * rW
+        gamma_u, gamma_v, beta_u, beta_v, det = _gamma_beta_det(
+            x1.v, y1.v, *((d_u.v, d_v.v) for d_u, d_v in partials),
+            pbar.v, qbar.v)
+    return {"seeds": (uj, vj), "x": x1, "y": y1, "partials": partials,
+            "p": p, "q": q, "omega": omega, "W": W, "pbar": pbar,
+            "qbar": qbar, "obar": obar, "beta_u": beta_u, "beta_v": beta_v,
+            "gamma_u": gamma_u, "gamma_v": gamma_v, "det": det}
+
+
+def _gamma_det_jets(flds):
+    """First-order jets of gamma_u, gamma_v and 1 / det on an order-2
+    frame, built from its partial jets on the first call and kept in it,
+    so that every Z(Zf) on one frame shares them."""
+    if "gamma_det_jets" not in flds:
+        gamma_u, gamma_v, _, _, det = _gamma_beta_det(
+            flds["x"], flds["y"], *flds["partials"], flds["pbar"],
+            flds["qbar"])
+        flds["gamma_det_jets"] = gamma_u, gamma_v, det.reciprocal()
+    return flds["gamma_det_jets"]
 
 
 def z_apply(flds, fj):
     """Z-derivative of a quantity carried as a jet with (u, v)-gradient."""
-    return (fj.g[0] * flds["gamma_v"].v - fj.g[1] * flds["gamma_u"].v) \
-        / flds["det"].v
+    return (fj.g[0] * flds["gamma_v"] - fj.g[1] * flds["gamma_u"]) \
+        / flds["det"]
 
 
 def zy_second(P, f, u, v, order=2):
@@ -317,8 +369,10 @@ def zy_second(P, f, u, v, order=2):
     f(u, v) must be jet-safe to second order (or None, to get just the frame
     fields).  Returns plain arrays: W, p, q, omega, pbar, qbar, obar, their
     Z-derivatives Zpbar, Zqbar, Zobar, the curvature
-    H = qbar Z(pbar) - pbar Z(qbar) and the evaluated frame "flds", plus f's
-    derivatives from tangential_second(flds, f), Z2f included.
+    H = qbar Z(pbar) - pbar Z(qbar) and the evaluated frame "flds" (the
+    patch_fields_jets dict: jets of the normal, plain arrays of beta,
+    gamma and det), plus f's derivatives from tangential_second(flds, f),
+    Z2f included.
     order=1 (f None only) returns just the values of patch_fields_jets at
     order 1: x, y, p, q, omega and W.
     """
@@ -346,8 +400,8 @@ def _first_derivatives(flds, value, f_u, f_v, rdet):
     """value, Zf, Bf = (T - obar Y)f, Tf and Yf as plain arrays, from the
     value arrays of f and its u-, v-partials and of 1 / det, in the
     operation order of the jet route Zf = (f_u gamma_v - f_v gamma_u) / det."""
-    Zf = (f_u * flds["gamma_v"].v - f_v * flds["gamma_u"].v) * rdet
-    Bf = (flds["beta_u"].v * f_v - flds["beta_v"].v * f_u) * rdet
+    Zf = (f_u * flds["gamma_v"] - f_v * flds["gamma_u"]) * rdet
+    Bf = (flds["beta_u"] * f_v - flds["beta_v"] * f_u) * rdet
     denom = 1.0 + flds["obar"].v ** 2
     return {"value": value, "Zf": Zf, "Bf": Bf, "Tf": Bf / denom,
             "Yf": -flds["obar"].v * Bf / denom}
@@ -365,7 +419,7 @@ def tangential(flds, f):
     uj, vj = (Jet(s.v, s.g) for s in flds["seeds"])
     fj = _as_jet(f(uj, vj), uj)
     return _first_derivatives(flds, fj.v, fj.g[0], fj.g[1],
-                              1.0 / flds["det"].v)
+                              1.0 / flds["det"])
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -379,8 +433,8 @@ def tangential_second(flds, f):
     uj, vj = flds["seeds"]
     fj = _as_jet(f(uj, vj), uj)
     f_u, f_v = jet_partial(fj, 0), jet_partial(fj, 1)
-    rdet = flds["det"].reciprocal()
-    Zf_j = (f_u * flds["gamma_v"] - f_v * flds["gamma_u"]) * rdet
+    gamma_u, gamma_v, rdet = _gamma_det_jets(flds)
+    Zf_j = (f_u * gamma_v - f_v * gamma_u) * rdet
     out = _first_derivatives(flds, fj.v, f_u.v, f_v.v, rdet.v)
     out["Z2f"] = z_apply(flds, Zf_j)
     return out
@@ -422,7 +476,9 @@ def burgers(Gr, F, uv=None):
 
 
 def _zero_like(v):
-    return v * 0.0 if isinstance(v, Jet) else 0.0 * np.asarray(v, dtype=float)
+    """Zero shaped like the plain array v; a plain 0.0 for a jet, so that
+    a component such as u + _zero_like(v) keeps the shape of u's seed."""
+    return 0.0 if isinstance(v, Jet) else 0.0 * np.asarray(v, dtype=float)
 
 
 def intrinsic_to_patch(Gr, grid=None):
@@ -459,33 +515,29 @@ def intrinsic_to_patch(Gr, grid=None):
 # surface transforms (dilations, left translations)
 
 
+def _dilated(lam, x, y, t):
+    """Components of the dilation (x, y, t) -> (lam x, lam y, lam^2 t)."""
+    return lam * x, lam * y, lam ** 2 * t
+
+
+def _translated(g0, x, y, t):
+    """Components of the left translation by g0 = (a, b, c) (H^1 product)."""
+    a, b, c = g0
+    return a + x, b + y, c + t + 0.5 * (a * y - b * x)
+
+
 def dilate_patch(P, lam):
     """Image of the patch under the dilation (x, y, t) -> (lam x, lam y, lam^2 t)."""
     lam = float(lam)
-    x0, y0, t0 = P.x, P.y, P.t
-    out = ParamPatch(P.group, lambda u, v: lam * x0(u, v),
-                     lambda u, v: lam * y0(u, v),
-                     lambda u, v: lam ** 2 * t0(u, v),
-                     P.domain, P.grid, name=P.name + "~dilated")
-    return out
+    return _MovedPatch(P, lambda u, v, *xyt: _dilated(lam, *xyt),
+                       P.name + "~dilated")
 
 
 def left_translate_patch(P, g0):
     """Image of the patch under left translation by g0 (H^1 product)."""
-    a, b, c = (float(z) for z in g0)
-    x0, y0, t0 = P.x, P.y, P.t
-
-    def x(u, v):
-        return a + x0(u, v)
-
-    def y(u, v):
-        return b + y0(u, v)
-
-    def t(u, v):
-        return c + t0(u, v) + 0.5 * (a * y0(u, v) - b * x0(u, v))
-
-    return ParamPatch(P.group, x, y, t, P.domain, P.grid,
-                      name=P.name + "~translated")
+    g0 = tuple(float(z) for z in g0)
+    return _MovedPatch(P, lambda u, v, *xyt: _translated(g0, *xyt),
+                       P.name + "~translated")
 
 
 def dilate_levelset(S, lam):

@@ -16,9 +16,10 @@ import functools
 import numpy as np
 
 from .fields import bump1, seed_jets
-from .surfaces import ParamPatch, patch_fields_jets, tangential, zy_second
-from .measure import (QuadratureGrid, _grid_for, _integrate,
-                      _perimeter_value, integrate_patch, pairwise_sum)
+from .surfaces import _MovedPatch, patch_fields_jets, tangential, zy_second
+from .measure import (QuadratureGrid, _family_perimeters, _grid_for,
+                      _integrate, _patch_frames, integrate_patch,
+                      pairwise_sum)
 
 __all__ = [
     "DeformationField", "deform_patch", "numeric_variation",
@@ -48,25 +49,26 @@ class DeformationField:
         return cls(zero, zero, k, name=name)
 
 
+def _deformation_rate(D, u, v, x, y):
+    """The lam-rates (a, b, s) of the deformed components at (u, v), where
+    x, y are the patch's components there: s = k + (b x - a y) / 2."""
+    a, b = D.a(u, v), D.b(u, v)
+    return a, b, D.k(u, v) + 0.5 * (b * x - a * y)
+
+
+def _deformed(lam, xyt, rate):
+    """Components xyt + lam * rate of the patch deformed by lam."""
+    return tuple(c + lam * r for c, r in zip(xyt, rate))
+
+
 def deform_patch(P, D, lam):
     """The patch moved by the group product with (lam a, lam b, lam k)."""
     lam = float(lam)
-    a, b, k = D.a, D.b, D.k
-    x0, y0, t0 = P.x, P.y, P.t
 
-    def x(u, v):
-        return x0(u, v) + lam * a(u, v)
+    def move(u, v, x, y, t):
+        return _deformed(lam, (x, y, t), _deformation_rate(D, u, v, x, y))
 
-    def y(u, v):
-        return y0(u, v) + lam * b(u, v)
-
-    def t(u, v):
-        return t0(u, v) + lam * (k(u, v)
-                                 + 0.5 * (b(u, v) * x0(u, v)
-                                          - a(u, v) * y0(u, v)))
-
-    return ParamPatch(P.group, x, y, t, P.domain, P.grid,
-                      name="%s~moved(%g)" % (P.name, lam))
+    return _MovedPatch(P, move, "%s~moved(%g)" % (P.name, lam))
 
 
 def numeric_variation(P, D, order=1, nu=None, nv=None, dlam=None,
@@ -76,23 +78,32 @@ def numeric_variation(P, D, order=1, nu=None, nv=None, dlam=None,
 
     Order 1 uses the fourth-order five-point first-difference; order 2 the
     five-point second-difference at steps d and d/2 with one Richardson
-    step, since the second derivative is the harder target.  Each distinct
-    lam is integrated once (7 quadratures for order 2).
+    step, since the second derivative is the harder target.  The
+    perimeters of the distinct lam (4 for order 1, 7 for order 2) come
+    from one pass over the grid that evaluates P's components and the
+    rates (a, b, s) once per block; each equals the perimeter of
+    deform_patch(P, D, lam).
     """
-    areas = {}
-
-    def A(lam):
-        if lam not in areas:
-            areas[lam] = _perimeter_value(deform_patch(P, D, lam), nu, nv,
-                                          rule)
-        return areas[lam]
-
     if order == 1:
         d = 1e-3 if dlam is None else float(dlam)
-        return (-A(2 * d) + 8 * A(d) - 8 * A(-d) + A(-2 * d)) / (12.0 * d)
-    if order != 2:
+        steps = (d,)
+    elif order == 2:
+        d = 1e-2 if dlam is None else float(dlam)
+        steps = (d, d / 2)
+    else:
         raise ValueError("order must be 1 or 2")
-    d = 1e-2 if dlam is None else float(dlam)
+    # the distinct lam the stencils below read (2 (d/2) == d exactly)
+    stencil = [m * s for s in steps for m in (2, 1, -1, -2)]
+    lams = list(dict.fromkeys(([0.0] if order == 2 else []) + stencil))
+
+    def members(u, v, x, y, t):
+        rate = _deformation_rate(D, u, v, x, y)
+        return [_deformed(lam, (x, y, t), rate) for lam in lams]
+
+    A = dict(zip(lams, _family_perimeters(P, members, nu, nv,
+                                          rule))).__getitem__
+    if order == 1:
+        return (-A(2 * d) + 8 * A(d) - 8 * A(-d) + A(-2 * d)) / (12.0 * d)
     A0 = A(0.0)
 
     def five_point(s):
@@ -401,7 +412,7 @@ def stability_scan(P, bumps=None, n_centers=5, n_radii=5, nu=None, nv=None,
                                      margin=cell)
     bumps = list(bumps)
     grid = _grid_for(P, nu, nv, "simpson")
-    us, vs = grid.U[:, 0], grid.V[0, :]
+    us, vs = grid.u, grid.v
     u_memo, v_memo = {}, {}
     factors = []
     for F, _ in bumps:
@@ -414,8 +425,8 @@ def stability_scan(P, bumps=None, n_centers=5, n_radii=5, nu=None, nv=None,
     def densities(zz, rows):
         worst.append(_max_H(zz))
         flds = zz["flds"]
-        gu, gv = flds["gamma_u"].v, flds["gamma_v"].v
-        rdet = 1.0 / flds["det"].v
+        gu, gv = flds["gamma_u"], flds["gamma_v"]
+        rdet = 1.0 / flds["det"]
         pot = _potential(zz)
         for (F, _), fac in zip(bumps, factors):
             if fac is None:
@@ -430,7 +441,7 @@ def stability_scan(P, bumps=None, n_centers=5, n_radii=5, nu=None, nv=None,
 
     Qs = []
     if bumps:  # an empty family evaluates no frame
-        Qs, _ = _integrate(P, grid, densities)
+        [Qs], _ = _integrate(grid, _patch_frames(P), densities)
         _require_minimal(worst, minimal_tol)
     table = [dict(meta, Q=Q) for (_, meta), Q in zip(bumps, Qs)]
     witness = next((rec for rec in table if rec["Q"] < witness_threshold),

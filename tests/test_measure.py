@@ -17,10 +17,12 @@ from carnot_calc import (
     bump2,
     coordinate_harmonicity_residuals,
     coordinate_laplacians,
+    dilate_patch,
     eps_area,
     frame_param,
     ibp_residual,
     integrate_patch,
+    left_translate_patch,
     mcf_residual,
     pairwise_sum,
     perimeter,
@@ -305,6 +307,25 @@ def test_perimeter_scales_cubically(sid, lam):
     P = build_surface(sid).patch
     assert scaling_ratio(P, lam, nu=64, nv=64) == \
         pytest.approx(lam**3, rel=1e-6)
+
+
+@pytest.mark.parametrize("n", [64, 130])
+@pytest.mark.parametrize("sid, domain", [
+    ("t-graph:parab", None),
+    # characteristic at the origin, a node of both grids
+    ("t-graph:zero", (-1.0, 1.0, -1.0, 1.0))])
+def test_ratio_families_equal_per_patch_routes(n, sid, domain):
+    P = build_surface(sid, domain=domain).patch
+
+    def area(Q):
+        return integrate_patch(Q, None, nu=n, nv=n, error_estimate=False,
+                               order=1).value
+
+    base, g0 = area(P), (0.3, -0.2, 0.5)
+    assert scaling_ratio(P, 1.7, nu=n, nv=n) == \
+        area(dilate_patch(P, 1.7)) / base
+    assert translation_ratio(P, g0, nu=n, nv=n) == \
+        area(left_translate_patch(P, g0)) / base
 
 
 small = st.floats(-2.0, 2.0, allow_nan=False)

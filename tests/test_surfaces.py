@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from carnot_calc.curvature import levelset_fields
 from carnot_calc.fields import _coordinate_jet
+from carnot_calc import surfaces
 from carnot_calc import (
     Jet,
     FD,
@@ -16,11 +17,14 @@ from carnot_calc import (
     ScalarField,
     build_group,
     build_surface,
+    bump2,
     burgers,
     catalog_ids,
+    coordinate_laplacians,
     deform_patch,
     dilate_levelset,
     dilate_patch,
+    first_variation_analytic,
     frame_at,
     frame_levelset,
     frame_param,
@@ -31,7 +35,9 @@ from carnot_calc import (
     left_translate_patch,
     patch_fields_jets,
     restrict_to_patch,
+    second_variation_full,
     seed_jets,
+    stability_scan,
     tangential,
     tangential_second,
     translate_levelset,
@@ -223,6 +229,56 @@ def test_patch_fields_order1_values_equal_order2(name):
     for key in ("W", "omega", "p", "q", "x", "y"):
         assert isinstance(f1[key], np.ndarray)
         assert np.array_equal(f1[key], f2[key].v, equal_nan=True), key
+
+
+def test_tgraph_component_jets_keep_seed_shapes():
+    # seeds of (rows x 1) and (1 x columns) node views: a component in one
+    # coordinate alone keeps that coordinate's shape
+    P = build_surface("t-graph:parab").patch
+    u, v = np.broadcast_arrays(np.linspace(0.5, 1.5, 5)[:, None],
+                               np.linspace(0.5, 1.5, 7))
+    for order in (1, 2):
+        x, y, t = P.components(*seed_jets((u, v), order=order))
+        assert (x.v.shape, y.v.shape, t.v.shape) == ((5, 1), (1, 7), (5, 7))
+        assert x.g.shape == (2, 5, 1) and y.g.shape == (2, 1, 7)
+
+
+def _count_gamma_jets(monkeypatch):
+    """Record, per call of surfaces._gamma_beta_det, whether it ran on jets
+    (the gamma/det jets of Z(Zf)) or on plain arrays (the frame values)."""
+    calls = []
+    inner = surfaces._gamma_beta_det
+
+    def recording(x, *args):
+        calls.append(isinstance(x, Jet))
+        return inner(x, *args)
+
+    monkeypatch.setattr(surfaces, "_gamma_beta_det", recording)
+    return calls
+
+
+def test_laplacian_routes_build_the_gamma_jets_once_per_frame(monkeypatch):
+    P = build_surface("t-graph:parab").patch
+    U, V = np.meshgrid(np.linspace(0.6, 1.4, 9), np.linspace(0.6, 1.4, 7),
+                       indexing="ij")
+    ref = coordinate_laplacians(P, U, V)
+    calls = _count_gamma_jets(monkeypatch)
+    out = coordinate_laplacians(P, U, V)
+    assert calls == [False, True]  # one frame; x, y and t share the jets
+    for key in ("lap_x", "lap_y", "lap_t"):
+        assert np.array_equal(out[key], ref[key])
+
+
+def test_first_order_routes_never_build_the_gamma_jets(monkeypatch):
+    P = build_surface("t-graph:parab").patch
+    D = DeformationField(bump2(1.0, 1.0, 0.4, 0.4), bump2(1.0, 1.0, 0.3, 0.4),
+                         bump2(1.0, 1.0, 0.4, 0.3))
+    xyt = build_surface("xyt-graph").patch
+    calls = _count_gamma_jets(monkeypatch)
+    first_variation_analytic(P, D, nu=32, nv=32)
+    second_variation_full(P, D, nu=32, nv=32)
+    stability_scan(xyt, n_centers=2, n_radii=2, nu=32, nv=32)
+    assert calls and not any(calls)
 
 
 def test_zy_second_order1_is_the_value_frame():

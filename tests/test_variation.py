@@ -14,6 +14,7 @@ from carnot_calc import (
     frame_param,
     frame_variation_rates,
     frame_variation_rates_fd,
+    integrate_patch,
     intrinsic_stability_form,
     intrinsic_to_patch,
     normal_first_variation,
@@ -107,16 +108,60 @@ def test_numeric_variation_integrates_each_lambda_once(monkeypatch, order,
     P = build_surface("t-graph:parab").patch
     D = DeformationField(ZERO, ZERO, lambda u, v: 0.1 * u * v)
     expected = numeric_variation(P, D, order=order, nu=16, nv=16)
-    seen = []
-    inner = measure.integrate_patch
+    passes, lams = [], []
+    inner_integrate, inner_deformed = measure._integrate, variation._deformed
 
-    def counting(Q, *args, **kwargs):
-        seen.append(Q.name)
-        return inner(Q, *args, **kwargs)
+    def counting(grid, frames, densities):
+        passes.append(grid)
+        return inner_integrate(grid, frames, densities)
 
-    monkeypatch.setattr(measure, "integrate_patch", counting)
+    def recording(lam, xyt, rate):
+        lams.append(lam)
+        return inner_deformed(lam, xyt, rate)
+
+    monkeypatch.setattr(measure, "_integrate", counting)
+    monkeypatch.setattr(variation, "_deformed", recording)
     assert numeric_variation(P, D, order=order, nu=16, nv=16) == expected
-    assert len(seen) == len(set(seen)) == calls
+    # one pass; 17 x 17 nodes make one block, which deforms each lam once
+    assert len(passes) == 1
+    assert len(lams) == len(set(lams)) == calls
+
+
+def _numeric_per_patch(P, D, order, n):
+    """numeric_variation's stencils on one quadrature per deformed patch."""
+    def A(lam):
+        return integrate_patch(deform_patch(P, D, lam), None, nu=n, nv=n,
+                               error_estimate=False, order=1).value
+
+    if order == 1:
+        d = 1e-3
+        return (-A(2 * d) + 8 * A(d) - 8 * A(-d) + A(-2 * d)) / (12.0 * d)
+    d = 1e-2
+
+    def five_point(s):
+        return (-A(2 * s) + 16 * A(s) - 30 * A(0.0) + 16 * A(-s)
+                - A(-2 * s)) / (12.0 * s * s)
+
+    return (16.0 * five_point(d / 2) - five_point(d)) / 15.0
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("n", [64, 130])
+@pytest.mark.parametrize("sid, domain", [
+    ("t-graph:parab", None),
+    # characteristic at the origin, a node of both grids
+    ("t-graph:zero", (-1.0, 1.0, -1.0, 1.0))])
+def test_numeric_variation_family_equals_per_patch_route(order, n, sid,
+                                                        domain):
+    P = build_surface(sid, domain=domain).patch
+    u0, u1, v0, v1 = P.domain
+    cu, cv = 0.5 * (u0 + u1) + 0.1, 0.5 * (v0 + v1) - 0.05
+    ru, rv = 0.3 * (u1 - u0), 0.25 * (v1 - v0)
+    D = DeformationField(bump2(cu, cv, ru, rv),
+                         lambda u, v: 0.5 * u * bump2(cu, cv, ru, rv)(u, v),
+                         bump2(cv, cu, rv, ru))
+    assert numeric_variation(P, D, order=order, nu=n, nv=n) == \
+        _numeric_per_patch(P, D, order, n)
 
 
 def test_minimal_plane_is_critical():
