@@ -87,7 +87,9 @@ class Jet:
                    self.h - o.h if keep else None)
 
     def __rsub__(self, other):
-        return (-self).__add__(other)
+        o, keep = self._both(other)
+        return Jet(o.v - self.v, o.g - self.g,
+                   o.h - self.h if keep else None)
 
     def __mul__(self, other):
         o, keep = self._both(other)

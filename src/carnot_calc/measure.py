@@ -24,9 +24,9 @@ import math
 
 import numpy as np
 
-from .surfaces import (_as_jet, _characteristic_band, _dilated, _translated,
-                       _value_fields, tangential, tangential_second,
-                       zy_second)
+from .surfaces import (_as_jet, _characteristic_band, _dilated,
+                       _second_derivatives, _translated, _value_fields,
+                       tangential, tangential_second, zy_second)
 from .curvature import geometry_aux
 from .fields import horizontal_jet, seed_jets
 
@@ -66,8 +66,8 @@ class QuadratureGrid:
 
     nu, nv count cells; Simpson needs them even and >= 8 and places nodes at
     the nu+1 x nv+1 lattice points, midpoint uses cell centers.  The grid
-    keeps the 1-D nodes u, v and weights wu, wv; U, V and weights build
-    the whole-grid arrays on request.
+    keeps only the 1-D nodes u, v and weights wu, wv; _integrate forms
+    each block's nodes and weights from them.
     """
 
     def __init__(self, domain, nu=128, nv=128, rule="simpson"):
@@ -89,18 +89,6 @@ class QuadratureGrid:
             self.v, self.wv = self._midpoint_1d(v0, v1, self.nv)
         else:
             raise ValueError("unknown rule %r" % rule)
-
-    @property
-    def U(self):
-        return np.meshgrid(self.u, self.v, indexing="ij")[0]
-
-    @property
-    def V(self):
-        return np.meshgrid(self.u, self.v, indexing="ij")[1]
-
-    @property
-    def weights(self):
-        return np.outer(self.wu, self.wv)
 
     @staticmethod
     def _simpson_1d(a, b, n):
@@ -186,22 +174,22 @@ def _integrate(grid, frames, densities):
     Each block holds 2^k whole rows, k the integer nearest to
     log2(_BLOCK_NODES / columns) and at least 0, so that a block holds about
     _BLOCK_NODES nodes (or one row, if rows are longer).  frames(u, v)
-    receives the block's nodes as zero-copy (rows x columns) views of the
-    u- and v-nodes, so seeds taken from them are (rows x 1) and
-    (1 x columns) and frame arrays may keep either shape, and returns a
-    list of frame dicts, one per patch, each holding at least the arrays W
-    and omega (a zy_second dict, or the order-1 values of
-    patch_fields_jets).  A family of patches shares in frames what their
-    components have in common.  densities(zz, rows) receives one frame
-    dict and the block's slice of grid rows, and returns an iterable of
-    integrand arrays (density times W) that broadcast to the block's
-    nodes, reduced one at a time.  zz["band"] marks the frame's nodes
-    inside the characteristic band: they are dropped, and their weighted
-    W-mass is returned as the frame's excluded mass.  Densities are
-    evaluated with numpy's divide and invalid warnings off, since the
-    values they would flag are the dropped ones.  Returns (integrals,
-    excluded), the list of each frame's integrals and the list of each
-    frame's excluded mass, in the order of frames.
+    receives the block's nodes as zero-copy (rows x columns) views of the u-
+    and v-nodes, so seeds taken from them are (rows x 1) and (1 x columns)
+    and frame arrays may keep either shape, and returns a list of frame
+    dicts, one per patch: any dicts holding W and omega that broadcast to
+    the block's nodes (a zy_second dict, the order-1 values of
+    patch_fields_jets, the graph integrands of intrinsic_stability_form).  A
+    family of patches shares in frames what their components have in common.
+    densities(zz, rows) receives one frame dict and the block's slice of
+    grid rows, and returns an iterable of integrand arrays (density times W)
+    that broadcast to the block's nodes, reduced one at a time.  zz["band"]
+    marks the frame's nodes inside the characteristic band: they are
+    dropped, and their weighted W-mass is returned as the frame's excluded
+    mass.  Densities are evaluated with numpy's divide and invalid warnings
+    off, since the values they would flag are the dropped ones.  Returns
+    (integrals, excluded), the list of each frame's integrals and the list
+    of each frame's excluded mass, in the order of frames.
     """
     u, v = grid.u, grid.v
     k = max(0, round(math.log2(_BLOCK_NODES / v.size)))
@@ -443,8 +431,9 @@ def coordinate_laplacians(P, u, v):
     base = zy_second(P, None, u, v)
     flds = base["flds"]
     out = {}
-    for nm, fn in (("x", P.x), ("y", P.y), ("t", P.t)):
-        zz = tangential_second(flds, fn)
+    # from the frame's partial jets: no component is evaluated again
+    for nm, (f_u, f_v) in zip("xyt", flds["partials"]):
+        zz = _second_derivatives(flds, None, f_u, f_v)
         out["lap_" + nm] = zz["Z2f"]
         out["Z" + nm] = zz["Zf"]
     out.update({"pbar": base["pbar"], "qbar": base["qbar"],

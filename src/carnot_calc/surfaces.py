@@ -200,9 +200,9 @@ class ParamPatch:
 
 class _MovedPatch(ParamPatch):
     """The image of the patch P under a pointwise move: the components at
-    (u, v) are move(u, v, x, y, t) of P's components there.  The frame
-    engine evaluates P's components once per call; the x, y and t
-    callables each evaluate all three."""
+    (u, v) are move(u, v, x, y, t) of P's components there, evaluated once
+    per call; the x, y and t callables, read only by frame_param's FD
+    route, each evaluate all three."""
 
     def __init__(self, P, move, name):
         self.base, self.move = P, move
@@ -432,10 +432,17 @@ def tangential_second(flds, f):
     """
     uj, vj = flds["seeds"]
     fj = _as_jet(f(uj, vj), uj)
-    f_u, f_v = jet_partial(fj, 0), jet_partial(fj, 1)
+    return _second_derivatives(flds, fj.v, jet_partial(fj, 0),
+                               jet_partial(fj, 1))
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _second_derivatives(flds, value, f_u, f_v):
+    """tangential_second's dict from the value array of f (passed through)
+    and the first-order jets f_u, f_v of its u- and v-partials."""
     gamma_u, gamma_v, rdet = _gamma_det_jets(flds)
     Zf_j = (f_u * gamma_v - f_v * gamma_u) * rdet
-    out = _first_derivatives(flds, fj.v, f_u.v, f_v.v, rdet.v)
+    out = _first_derivatives(flds, value, f_u.v, f_v.v, rdet.v)
     out["Z2f"] = z_apply(flds, Zf_j)
     return out
 

@@ -15,11 +15,11 @@ import functools
 
 import numpy as np
 
-from .fields import bump1, seed_jets
-from .surfaces import _MovedPatch, patch_fields_jets, tangential, zy_second
-from .measure import (QuadratureGrid, _family_perimeters, _grid_for,
-                      _integrate, _patch_frames, integrate_patch,
-                      pairwise_sum)
+from .fields import bump1, jet_partial, seed_jets
+from .surfaces import (_MovedPatch, _as_jet, patch_fields_jets, tangential,
+                       zy_second)
+from .measure import (_family_perimeters, _grid_for, _integrate,
+                      _patch_frames, integrate_patch)
 
 __all__ = [
     "DeformationField", "deform_patch", "numeric_variation",
@@ -235,11 +235,14 @@ def _max_H(zz):
                         initial=0.0))
 
 
-def _require_minimal(worst, tol):
-    """Raise unless every block maximum in worst is <= tol; NaN fails."""
+def _require_minimal(worst, tol,
+                     message="surface is not H-minimal (max |H| = %g)"):
+    """The largest block maximum in worst; raise with message unless it is
+    <= tol, so NaN fails."""
     worst = float(np.max(worst, initial=0.0))
     if not worst <= tol:
-        raise ValueError("surface is not H-minimal (max |H| = %g)" % worst)
+        raise ValueError(message % worst)
+    return worst
 
 
 def _minimal_integral(P, density, nu, nv, rule, tol):
@@ -465,31 +468,29 @@ def intrinsic_stability_form(Gr, F, nu=None, nv=None, minimal_tol=1e-8):
         W = sqrt(1 + (B_phi phi)^2).
 
     rhs - lhs equals the geometric form Q(F) of the associated patch.
-    Raises if the graph is not H-minimal (B_phi(B_phi phi) must vanish).
+    Both sides stream through _integrate (W >= 1: no node is in the band).
+    Raises after the reduction if the graph is not H-minimal
+    (B_phi(B_phi phi) must vanish, and NaN fails).
     """
-    from .fields import jet_partial
-    from .surfaces import _as_jet
+    worst = []
 
-    grid = QuadratureGrid(Gr.domain, nu or Gr.grid[0], nv or Gr.grid[1],
-                          "simpson")
-    U, V = grid.U, grid.V
-    uj, vj = seed_jets((U, V), order=2)
-    phij = _as_jet(Gr.phi(uj, vj), uj)
-    phi_u, phi_v = jet_partial(phij, 0), jet_partial(phij, 1)
-    Bphi = phi_u + phij * phi_v
-    # H-minimality gate: B_phi applied to B_phi(phi)
-    BBphi = Bphi.g[0] + phij.v * Bphi.g[1]
-    worst = float(np.max(np.abs(BBphi)))
-    if worst > minimal_tol:
-        raise ValueError("graph is not H-minimal "
-                         "(max |B(B phi)| = %g)" % worst)
-    Bphi_v = phi_v.g[0] + phij.v * phi_v.g[1]
-    Fj = _as_jet(F(uj, vj), uj)
-    BF = Fj.g[0] + phij.v * Fj.g[1]
-    W = np.sqrt(1.0 + Bphi.v ** 2)
-    Fv = Fj.v
-    lhs = pairwise_sum((phi_v.v ** 2 + 2.0 * Bphi_v) * Fv ** 2 / W
-                       * grid.weights)
-    rhs = pairwise_sum(BF ** 2 / W * grid.weights)
-    return {"lhs": float(lhs), "rhs": float(rhs),
-            "Q": float(rhs - lhs), "max_BBphi": worst}
+    def frames(u, v):
+        uj, vj = seed_jets((u, v), order=2)
+        phij = _as_jet(Gr.phi(uj, vj), uj)
+        phi_u, phi_v = jet_partial(phij, 0), jet_partial(phij, 1)
+        Bphi = phi_u + phij * phi_v
+        # H-minimality gate: B_phi applied to B_phi(phi)
+        worst.append(float(np.max(np.abs(Bphi.g[0] + phij.v * Bphi.g[1]))))
+        Bphi_v = phi_v.g[0] + phij.v * phi_v.g[1]
+        Fj = _as_jet(F(uj, vj), uj)
+        BF = Fj.g[0] + phij.v * Fj.g[1]
+        W = np.sqrt(1.0 + Bphi.v ** 2)
+        return [{"W": W, "omega": 0.0,
+                 "lhs": (phi_v.v ** 2 + 2.0 * Bphi_v) * Fj.v ** 2 / W,
+                 "rhs": BF ** 2 / W}]
+
+    [(lhs, rhs)], _ = _integrate(_grid_for(Gr, nu, nv, "simpson"), frames,
+                                 lambda zz, rows: (zz["lhs"], zz["rhs"]))
+    worst = _require_minimal(worst, minimal_tol,
+                             "graph is not H-minimal (max |B(B phi)| = %g)")
+    return {"lhs": lhs, "rhs": rhs, "Q": rhs - lhs, "max_BBphi": worst}

@@ -72,6 +72,14 @@ def test_seed_jets_vectorized():
     assert np.allclose(fj.v, u * v)
     assert np.allclose(fj.g[0], v)
     assert np.allclose(fj.h[0][1], np.ones(5))
+    # c - jet equals the lifted constant minus the jet, at orders 2 and 1
+    for j in (fj, jet_partial(fj, 0)):
+        out, ref = 2.5 - j, Jet._lift(2.5) - j
+        assert np.array_equal(out.v, ref.v) and np.array_equal(out.g, ref.g)
+        if j.h is None:
+            assert out.h is None and ref.h is None
+        else:
+            assert np.array_equal(out.h, ref.h)
 
 
 def test_seed_jets_keep_repeated_axes_at_length_one():

@@ -269,6 +269,20 @@ def test_laplacian_routes_build_the_gamma_jets_once_per_frame(monkeypatch):
         assert np.array_equal(out[key], ref[key])
 
 
+def test_coordinate_laplacians_evaluate_moved_components_once(monkeypatch):
+    # a moved patch's x, y and t callables each evaluate all three base
+    # components; the Laplacians read x, y and t from the one frame instead
+    base = build_surface("t-graph:parab").patch
+    U, V = np.meshgrid(np.linspace(0.6, 1.4, 9), np.linspace(0.6, 1.4, 7),
+                       indexing="ij")
+    calls = []
+    inner = base.components
+    monkeypatch.setattr(base, "components",
+                        lambda u, v: calls.append(1) or inner(u, v))
+    coordinate_laplacians(dilate_patch(base, 1.7), U, V)
+    assert len(calls) == 1
+
+
 def test_first_order_routes_never_build_the_gamma_jets(monkeypatch):
     P = build_surface("t-graph:parab").patch
     D = DeformationField(bump2(1.0, 1.0, 0.4, 0.4), bump2(1.0, 1.0, 0.3, 0.4),

@@ -17,12 +17,14 @@ from carnot_calc import (
     integrate_patch,
     intrinsic_stability_form,
     intrinsic_to_patch,
+    jet_partial,
     normal_first_variation,
     numeric_variation,
     product_bump_lattice,
     quadratic_form,
     random_product_bumps,
     second_variation,
+    seed_jets,
     stability_scan,
 )
 
@@ -455,6 +457,20 @@ def test_stability_scan_streams_the_frame_in_node_chunks():
     assert peak < 16 * 2 ** 20
 
 
+def test_intrinsic_form_streams_the_graph_jets_in_node_chunks():
+    # one block's order-2 graph jets at a time: holding those of all
+    # 1025^2 nodes took ~540 bytes per node, about 540 MB
+    Gr = IntrinsicGraph(ZERO, (-1, 1, -1, 1))
+    tracemalloc.start()
+    try:
+        intrinsic_stability_form(Gr, bump2(0.0, 0.0, 0.9, 0.9), nu=1024,
+                                 nv=1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2 ** 20
+
+
 def _gate_message(fn, monkeypatch, block_nodes):
     monkeypatch.setattr(measure, "_BLOCK_NODES", block_nodes)
     with pytest.raises(ValueError, match="not H-minimal") as err:
@@ -530,6 +546,52 @@ def test_intrinsic_form_matches_patch_quadratic_form():
     out = intrinsic_stability_form(Gr, F, nu=96, nv=96)
     qf = quadratic_form(intrinsic_to_patch(Gr), F, nu=96, nv=96)
     assert abs(out["Q"] - qf) < 1e-4
+
+
+def _whole_grid_intrinsic_form(Gr, F, n):
+    """The graph form on whole-grid jets and weights, each side reduced by
+    one pairwise_sum: the reference the streamed form must equal."""
+    grid = measure.QuadratureGrid(Gr.domain, n, n)
+    weights = np.outer(grid.wu, grid.wv)
+    uj, vj = seed_jets(np.meshgrid(grid.u, grid.v, indexing="ij"), order=2)
+    phij = surfaces._as_jet(Gr.phi(uj, vj), uj)
+    phi_u, phi_v = jet_partial(phij, 0), jet_partial(phij, 1)
+    Bphi = phi_u + phij * phi_v
+    worst = float(np.max(np.abs(Bphi.g[0] + phij.v * Bphi.g[1])))
+    Bphi_v = phi_v.g[0] + phij.v * phi_v.g[1]
+    Fj = surfaces._as_jet(F(uj, vj), uj)
+    BF = Fj.g[0] + phij.v * Fj.g[1]
+    W = np.sqrt(1.0 + Bphi.v ** 2)
+    lhs = measure.pairwise_sum((phi_v.v ** 2 + 2.0 * Bphi_v) * Fj.v ** 2 / W
+                               * weights)
+    rhs = measure.pairwise_sum(BF ** 2 / W * weights)
+    return {"lhs": lhs, "rhs": rhs, "Q": rhs - lhs, "max_BBphi": worst}
+
+
+def test_intrinsic_form_streamed_equals_the_whole_grid_reduction(
+        monkeypatch):
+    # 131 x 131 nodes at 1000 block nodes: sixteen blocks of 8 rows and a
+    # ragged last block of 3
+    Gr = IntrinsicGraph(lambda u, v: u * v / (1.0 + u * u / 2.0),
+                        (-3, 3, -2, 2), name="xyt")
+    F = bump2(0.0, 0.0, 2.0, 1.2)
+    ref = _whole_grid_intrinsic_form(Gr, F, 130)
+    monkeypatch.setattr(measure, "_BLOCK_NODES", 1000)
+    blocks = []
+    inner = variation.seed_jets
+    monkeypatch.setattr(variation, "seed_jets",
+                        lambda *a, **k: blocks.append(1) or inner(*a, **k))
+    assert intrinsic_stability_form(Gr, F, nu=130, nv=130) == ref
+    assert len(blocks) == 17
+
+
+def test_intrinsic_form_gate_fails_on_nan():
+    # phi = uv / u is 0 / 0 on the node row u = 0, so B(B phi) is NaN
+    # there: the gate raises instead of returning NaN sides
+    Gr = IntrinsicGraph(lambda u, v: u * v / u, (-1, 1, -1, 1))
+    with np.errstate(divide="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match=r"max \|B\(B phi\)\| = nan"):
+        intrinsic_stability_form(Gr, bump2(0.0, 0.0, 0.9, 0.9), nu=32, nv=32)
 
 
 def test_intrinsic_form_rejects_nonminimal_graph():
