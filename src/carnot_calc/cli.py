@@ -19,7 +19,7 @@ import numpy as np
 from . import measure as msr
 from . import variation as var
 from .curvature import IDENTITY_IDS, curvature_grid, identity_battery
-from .fields import bump2
+from .fields import _zero, bump2
 from .groups import build_group
 from .surfaces import _poly2, build_surface, catalog_ids
 
@@ -123,7 +123,7 @@ def _parse_component(spec, domain):
     """One deformation coefficient: null/0, a number, bump:cu,cv,ru,rv,
     poly:<json terms in u, v>, or the string "auto"."""
     if spec in (None, 0, "0", "", "zero"):
-        return lambda u, v: 0.0 * u + 0.0 * v
+        return _zero
     if spec == "auto":
         return _domain_bump(domain)
     if isinstance(spec, (int, float)):

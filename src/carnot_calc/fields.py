@@ -235,12 +235,27 @@ def bump1(center=0.0, radius=1.0):
 
 
 def bump2(cu=0.0, cv=0.0, ru=1.0, rv=1.0):
-    """Two-variable bump supported on the open ellipse of radii (ru, rv)."""
+    """Two-variable bump supported on the open ellipse of radii (ru, rv).
+
+    The callable declares fn.support = (cu - |ru|, cu + |ru|, cv - |rv|,
+    cv + |rv|), a box (u0, u1, v0, v1) outside which it and its jet
+    derivatives are exactly 0 (up to the sign of a zero): the quadratures
+    of integrands that vanish with it evaluate only that box's nodes.
+    """
     def fn(u, v):
         a = (u - cu) * (1.0 / ru)
         b = (v - cv) * (1.0 / rv)
         return _bump_of_square(a * a + b * b)
+    fn.support = (cu - abs(ru), cu + abs(ru), cv - abs(rv), cv + abs(rv))
     return fn
+
+
+def _zero(u, v):
+    """The zero function of (u, v); its support box holds no point."""
+    return 0.0 * u + 0.0 * v
+
+
+_zero.support = (math.inf, -math.inf, math.inf, -math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,13 @@ the same level-k node inside the whole-array tree as on its own, and the
 pairwise sum of the level-k nodes of all blocks (the ragged tail of the
 last block summed on its own) is the whole-array sum bit for bit.
 Densities are elementwise, so results are bit-stable for a given grid
-regardless of the block size.
+regardless of the block size.  An integrand that is exactly 0 off a box
+(one built from a compactly supported deformation or test function, see
+QuadratureGrid.restricted) is evaluated on that box's nodes only: the
+blocks keep their rows and the other nodes enter the tree as zeros.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -28,7 +32,7 @@ from .surfaces import (_as_jet, _characteristic_band, _dilated,
                        _second_derivatives, _translated, _value_fields,
                        tangential, tangential_second, zy_second)
 from .curvature import geometry_aux
-from .fields import horizontal_jet, seed_jets
+from .fields import Jet, horizontal_jet, seed_jets
 
 __all__ = [
     "QuadratureGrid", "IntegralResult", "pairwise_sum",
@@ -67,7 +71,9 @@ class QuadratureGrid:
     nu, nv count cells; Simpson needs them even and >= 8 and places nodes at
     the nu+1 x nv+1 lattice points, midpoint uses cell centers.  The grid
     keeps only the 1-D nodes u, v and weights wu, wv; _integrate forms
-    each block's nodes and weights from them.
+    each block's nodes and weights from them.  box = (rows, columns), two
+    slices of the node indices, is the node box _integrate evaluates: the
+    whole grid, or the nodes of a support box (see restricted).
     """
 
     def __init__(self, domain, nu=128, nv=128, rule="simpson"):
@@ -89,6 +95,7 @@ class QuadratureGrid:
             self.v, self.wv = self._midpoint_1d(v0, v1, self.nv)
         else:
             raise ValueError("unknown rule %r" % rule)
+        self.box = (slice(0, self.u.size), slice(0, self.v.size))
 
     @staticmethod
     def _simpson_1d(a, b, n):
@@ -115,6 +122,30 @@ class QuadratureGrid:
         elif min(nu, nv) < 1:
             return None
         return QuadratureGrid(self.domain, nu, nv, self.rule)
+
+    def restricted(self, support):
+        """This grid with its node box cut to support, a box (u0, u1, v0,
+        v1) outside which the integrand is exactly 0 (None: the grid
+        itself).  Along each axis the box runs from one node below the
+        lower edge to one node above the upper edge, clipped to the grid,
+        so a node of the box outside the support computes the same 0 it
+        would on the whole grid; an empty support (u1 < u0 or v1 < v0)
+        holds no node."""
+        if support is None:
+            return self
+        u0, u1, v0, v1 = support
+        grid = copy.copy(self)
+        grid.box = (_node_span(self.u, u0, u1), _node_span(self.v, v0, v1))
+        return grid
+
+
+def _node_span(x, lo, hi):
+    """Slice of the increasing nodes x from one node below lo to one node
+    above hi, clipped to x; empty unless lo <= hi."""
+    if not lo <= hi:
+        return slice(0, 0)
+    return slice(max(int(np.searchsorted(x, lo)) - 1, 0),
+                 min(int(np.searchsorted(x, hi, "right")) + 1, x.size))
 
 
 class IntegralResult:
@@ -168,74 +199,188 @@ def _fold(values, k):
 
 
 def _integrate(grid, frames, densities):
-    """Integrals against du dv over the grid, streamed in blocks of rows,
-    for one or more patches at once.
+    """Integrals against du dv over the grid's node box, streamed in blocks
+    of rows, for one or more patches at once.
 
     Each block holds 2^k whole rows, k the integer nearest to
     log2(_BLOCK_NODES / columns) and at least 0, so that a block holds about
-    _BLOCK_NODES nodes (or one row, if rows are longer).  frames(u, v)
-    receives the block's nodes as zero-copy (rows x columns) views of the u-
-    and v-nodes, so seeds taken from them are (rows x 1) and (1 x columns)
-    and frame arrays may keep either shape, and returns a list of frame
-    dicts, one per patch: any dicts holding W and omega that broadcast to
-    the block's nodes (a zy_second dict, the order-1 values of
-    patch_fields_jets, the graph integrands of intrinsic_stability_form).  A
-    family of patches shares in frames what their components have in common.
-    densities(zz, rows) receives one frame dict and the block's slice of
-    grid rows, and returns an iterable of integrand arrays (density times W)
-    that broadcast to the block's nodes, reduced one at a time.  zz["band"]
-    marks the frame's nodes inside the characteristic band: they are
-    dropped, and their weighted W-mass is returned as the frame's excluded
-    mass.  Densities are evaluated with numpy's divide and invalid warnings
-    off, since the values they would flag are the dropped ones.  Returns
+    _BLOCK_NODES nodes (or one row, if rows are longer).  The integrand is
+    taken to be exactly 0 off grid.box (the whole grid unless the grid was
+    restricted to a support): a block whose rows miss the box contributes
+    all-zero level-k parts without evaluating a frame, and any other block
+    evaluates its rows and columns inside the box and places each density
+    into the block's zero plane, so the pairwise tree stays the whole
+    grid's and an integrand that is 0 off the box gives the whole grid's
+    value.  (A box holding no node still evaluates each block's empty view,
+    so that the result keeps its shape.)  frames(u, v, rows) receives the
+    nodes as zero-copy (rows x columns) views of the u- and v-nodes, so
+    seeds taken from them are (rows x 1) and (1 x columns) and frame arrays
+    may keep either shape, plus the slice of grid rows they lie on, and
+    returns a list of frame dicts, one per patch: any dicts holding W and
+    omega that broadcast to those nodes (a zy_second dict, the order-1
+    values of patch_fields_jets, the graph integrands of
+    intrinsic_stability_form).  A family of patches shares in frames what
+    their components have in common.  densities(zz, rows) receives one
+    frame dict and the same slice of grid rows, and returns an iterable of
+    integrand arrays (density times W) that broadcast to the nodes, reduced
+    one at a time.  zz["band"] marks the frame's nodes inside the
+    characteristic band: they are dropped, and their weighted W-mass is
+    returned as the frame's excluded mass (a block with no such node
+    skips both steps, whose results would be its values and zeros).
+    Densities are evaluated with numpy's divide and invalid warnings off,
+    since the values they would flag are the dropped ones.  Returns
     (integrals, excluded), the list of each frame's integrals and the list
     of each frame's excluded mass, in the order of frames.
     """
     u, v = grid.u, grid.v
+    box, cols = grid.box
     k = max(0, round(math.log2(_BLOCK_NODES / v.size)))
-    parts, excluded = [], []
+    box_has_nodes = box.start < box.stop and cols.start < cols.stop
+    blocks = []  # per block: each frame's (excluded, density) level-k parts
     for start in range(0, u.size, 1 << k):
-        rows = slice(start, start + (1 << k))
-        ws = np.outer(grid.wu[rows], grid.wv)
-        block_parts, block_excluded = [], []
-        for zz in frames(*np.broadcast_arrays(u[rows, None], v)):
+        stop = min(start + (1 << k), u.size)
+        rows = _clip(box, start, stop)
+        shape = (stop - start, v.size)
+        # the block's ceil(nodes / 2^k) level-k parts of an integrand that
+        # is 0 on it
+        zeros = np.zeros(-(-shape[0] * shape[1] >> k))
+        if box_has_nodes and rows.start == rows.stop:
+            blocks.append(zeros)  # the block misses the box
+            continue
+        sub = (slice(rows.start - start, rows.stop - start), cols)
+        if (rows.stop - rows.start, cols.stop - cols.start) == shape:
+            sub = None  # the box covers the block
+        ws = np.outer(grid.wu[rows], grid.wv[cols])
+        block_parts = []
+        for zz in frames(*np.broadcast_arrays(u[rows, None], v[cols]), rows):
             W = zz["W"]
             mask = zz["band"] = _characteristic_band(W, zz["omega"])
-            block_excluded.append(
-                _fold(np.where(mask, np.abs(W) * ws, 0.0), k))
+            banded = mask.any()  # else nothing is dropped or excluded
+            excluded = (_fold_block(np.where(mask, np.abs(W) * ws, 0.0),
+                                    shape, sub, k) if banded else zeros)
             with np.errstate(divide="ignore", invalid="ignore"):
-                block_parts.append([_fold(np.where(mask, 0.0, vals * ws), k)
-                                    for vals in densities(zz, rows)])
-        parts.append(block_parts)
-        excluded.append(block_excluded)
-    return ([[pairwise_sum(np.concatenate(col)) for col in zip(*frame)]
-             for frame in zip(*parts)],
-            [pairwise_sum(np.concatenate(col)) for col in zip(*excluded)])
+                block_parts.append((excluded, [
+                    _fold_block(np.where(mask, 0.0, vals * ws) if banded
+                                else vals * ws, shape, sub, k)
+                    for vals in densities(zz, rows)]))
+        blocks.append(block_parts)
+    layout = next(parts for parts in blocks if isinstance(parts, list))
+    blocks = [parts if isinstance(parts, list) else
+              [(parts, [parts] * len(dens)) for _, dens in layout]
+              for parts in blocks]
+    return ([[pairwise_sum(np.concatenate(col))
+              for col in zip(*(dens for _, dens in frame))]
+             for frame in zip(*blocks)],
+            [pairwise_sum(np.concatenate([ex for ex, _ in frame]))
+             for frame in zip(*blocks)])
+
+
+def _clip(span, start, stop):
+    """The part of the index slice span in [start, stop), as a slice that
+    starts at or after start even when empty."""
+    first = max(start, span.start)
+    return slice(first, max(first, min(stop, span.stop)))
+
+
+def _fold_block(values, shape, sub, k):
+    """_fold of a block's values, first placed at sub into zeros of the
+    block's shape unless sub is None (the values cover the block)."""
+    if sub is not None:
+        plane = np.zeros(shape)
+        plane[sub] = values
+        values = plane
+    return _fold(values, k)
 
 
 def _patch_frames(P, order=2):
     """The frames callable of _integrate for the one patch P: a
     one-element list holding zy_second's frame dict at the given order."""
-    return lambda u, v: [zy_second(P, None, u, v, order=order)]
+    return lambda u, v, rows: [zy_second(P, None, u, v, order=order)]
 
 
-def _family_perimeters(P, members, nu, nv, rule):
+def _family_perimeters(P, members, nu, nv, rule, support=None):
     """H-perimeters of a family of patches moved from P, in one pass.
 
-    members(u, v, x, y, t) receives a block's first-order seeds and P's
-    components on them, evaluated once per block, and returns the
-    components (x, y, t) of every member; each member's frame is that of
-    its own patch at order 1, so each value equals the member's
-    perimeter(...).value.
+    members(u, v, x, y, t) receives first-order seeds and P's components on
+    them, evaluated once per block, and returns the components (x, y, t) of
+    every member; each member's frame is that of its own patch at order 1,
+    so each value equals the member's perimeter(...).value.  support
+    (None: the whole grid) is a box off which every member's components
+    equal P's: a block that does not lie inside the support's node box
+    (see QuadratureGrid.restricted) evaluates P's frame on all its nodes
+    and calls members once on the seeds of its nodes inside the box and
+    views of P's components there, and outside the box each member's W
+    and omega are P's.  A block that misses the box hands P's frame to
+    every member without calling members, once an earlier block has told
+    their number.  That is exact: there each component is c + (a signed
+    zero), and W and the band test are blind to the sign of a zero.
     """
-    def frames(u, v):
-        uj, vj = seed_jets((u, v), order=1)
-        return [_value_fields(*(_as_jet(c, uj) for c in comps))
-                for comps in members(uj, vj, *P.components(uj, vj))]
+    grid = _grid_for(P, nu, nv, rule)
+    box, cols = grid.restricted(support).box
+    count = []  # the number of members, once members has been called
 
-    integrals, _ = _integrate(_grid_for(P, nu, nv, rule), frames,
-                              lambda zz, rows: (zz["W"],))
+    def frames(u, v, rows):
+        uj, vj = seed_jets((u, v), order=1)
+        xyt = P.components(uj, vj)
+        inside = _clip(box, rows.start, rows.stop)
+        sub = (slice(inside.start - rows.start, inside.stop - rows.start),
+               cols)
+        if u[sub].shape == u.shape:  # the box covers the block
+            return [_value_fields(*(_as_jet(c, uj) for c in comps))
+                    for comps in members(uj, vj, *xyt)]
+        xyt = [_as_jet(c, uj) for c in xyt]
+        base = _value_fields(*xyt)
+        if not u[sub].size and count:  # the block misses the box
+            return [base] * count[0]
+        us, vs = seed_jets((u[sub], v[sub]), order=1)
+
+        def cut(a):  # the box's part of a block array (a view)
+            return np.broadcast_to(a, np.shape(a)[:-2] + u.shape)[
+                (Ellipsis,) + sub]
+
+        moved = members(us, vs, *(Jet(cut(c.v), cut(c.g)) for c in xyt))
+        count[:] = [len(moved)]
+        out = []
+        for comps in moved:
+            inner = _value_fields(*(_as_jet(c, us) for c in comps))
+            zz = {nm: np.array(np.broadcast_to(base[nm], u.shape))
+                  for nm in ("W", "omega")}
+            for nm in zz:
+                zz[nm][sub] = inner[nm]
+            out.append(zz)
+        return out
+
+    integrals, _ = _integrate(grid, frames, lambda zz, rows: (zz["W"],))
     return [value for (value,) in integrals]
+
+
+def _density_integral(P, density, grid, order=2):
+    """(value, excluded mass) of density * W over grid's node box (see
+    integrate_patch)."""
+    def densities(zz, rows):
+        W = zz["W"]
+        return (W if density is None else density(zz) * W,)
+
+    [(value,)], [excluded] = _integrate(grid, _patch_frames(P, order),
+                                        densities)
+    return value, excluded
+
+
+def _supported_integral(P, density, support, nu, nv, rule):
+    """integrate_patch(P, density, ...).value for a density that is exactly
+    0 off the box support (None: the whole grid): only the nodes of the
+    support's node box are evaluated (see QuadratureGrid.restricted).
+
+    Off the box the whole grid sums signed zeros, so the two reductions
+    agree bit for bit unless the value is exactly 0, where only the whole
+    grid knows the sign of the zero: such a value is taken from it.
+    """
+    grid = _grid_for(P, nu, nv, rule)
+    box = grid.restricted(support)
+    value = _density_integral(P, density, box)[0]
+    if value == 0.0 and box is not grid:
+        value = _density_integral(P, density, grid)[0]
+    return value
 
 
 def integrate_patch(P, density, nu=None, nv=None, rule="simpson",
@@ -250,19 +395,12 @@ def integrate_patch(P, density, nu=None, nv=None, rule="simpson",
     second variation, quadratic_form) need the default order=2.
     """
     grid = _grid_for(P, nu, nv, rule)
-    frames = _patch_frames(P, order)
-
-    def densities(zz, rows):
-        W = zz["W"]
-        return (W if density is None else density(zz) * W,)
-
-    [(value,)], [excluded] = _integrate(grid, frames, densities)
+    value, excluded = _density_integral(P, density, grid, order)
     est = None
     if error_estimate:
         half = grid.halved()
         if half is not None:
-            [(v2,)], _ = _integrate(half, frames, densities)
-            est = abs(value - v2)
+            est = abs(value - _density_integral(P, density, half, order)[0])
     return IntegralResult(value, est, excluded, (grid.nu, grid.nv), rule)
 
 
@@ -367,6 +505,9 @@ def ibp_residual(P, kind, zeta, f=None, index=1, nu=None, nv=None,
     kind "gradient": integral of (grad_i zeta - zeta (H pbar_i - c_i)),
                      i = index in {1, 2}
     kind "green":    integral of (<grad f, grad zeta> + f hat-Laplacian zeta)
+
+    Every term carries zeta or a derivative of it, so only the nodes of
+    zeta.support's box are evaluated when zeta declares one.
     """
     def density(zz):
         zt = (tangential_second if kind == "green" else tangential)(
@@ -393,8 +534,8 @@ def ibp_residual(P, kind, zeta, f=None, index=1, nu=None, nv=None,
         hat = zt["Z2f"] + ob * zt["Zf"]
         return zf["Zf"] * zt["Zf"] + zf["value"] * hat
 
-    return integrate_patch(P, density, nu=nu, nv=nv, rule=rule,
-                           error_estimate=False).value
+    return _supported_integral(P, density, getattr(zeta, "support", None),
+                               nu, nv, rule)
 
 
 def green_residual(P, f, zeta, nu=None, nv=None, rule="simpson"):
@@ -406,14 +547,15 @@ def stokes_residual(P, f, nu=None, nv=None, rule="simpson"):
     """Integral of the hat tangential Laplacian of f over the patch.
 
     Zero for compactly supported f: the hat Laplacian is Z(Zf) + obar Zf,
-    and the Z rule applied to Zf kills the whole integral.
+    and the Z rule applied to Zf kills the whole integral.  Only the nodes
+    of f.support's box are evaluated when f declares one.
     """
     def density(zz):
         zf = tangential_second(zz["flds"], f)
         return zf["Z2f"] + zz["obar"] * zf["Zf"]
 
-    return integrate_patch(P, density, nu=nu, nv=nv, rule=rule,
-                           error_estimate=False).value
+    return _supported_integral(P, density, getattr(f, "support", None), nu,
+                               nv, rule)
 
 
 # ---------------------------------------------------------------------------

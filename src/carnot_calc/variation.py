@@ -15,11 +15,11 @@ import functools
 
 import numpy as np
 
-from .fields import bump1, jet_partial, seed_jets
+from .fields import _zero, bump1, jet_partial, seed_jets
 from .surfaces import (_MovedPatch, _as_jet, patch_fields_jets, tangential,
                        zy_second)
 from .measure import (_family_perimeters, _grid_for, _integrate,
-                      _patch_frames, integrate_patch)
+                      _patch_frames, _supported_integral, integrate_patch)
 
 __all__ = [
     "DeformationField", "deform_patch", "numeric_variation",
@@ -36,17 +36,31 @@ class DeformationField:
     """Coefficients (a, b, k) of a X1 + b X2 + k T as functions of (u, v).
 
     The callables must accept jets (plain +,*,... arithmetic) so tangential
-    derivatives of the coefficients can be taken where needed.
+    derivatives of the coefficients can be taken where needed.  A
+    coefficient may declare .support, a box (u0, u1, v0, v1) outside which
+    it is exactly 0 with its jet derivatives, as bump2 does; see support.
     """
 
     def __init__(self, a, b, k, name="deformation"):
         self.a, self.b, self.k = a, b, k
         self.name = name
 
+    @property
+    def support(self):
+        """Bounding box (u0, u1, v0, v1) of the coefficients' supports, or
+        None (the whole grid) when any coefficient declares no .support.
+        first_variation_analytic, second_variation_full and
+        numeric_variation evaluate the deformation only on the grid nodes
+        of this box (see QuadratureGrid.restricted)."""
+        boxes = [getattr(c, "support", None) for c in (self.a, self.b, self.k)]
+        if None in boxes:
+            return None
+        u0, u1, v0, v1 = zip(*boxes)
+        return min(u0), max(u1), min(v0), max(v1)
+
     @classmethod
     def vertical(cls, k, name="vertical"):
-        zero = lambda u, v: 0.0 * u + 0.0 * v
-        return cls(zero, zero, k, name=name)
+        return cls(_zero, _zero, k, name=name)
 
 
 def _deformation_rate(D, u, v, x, y):
@@ -80,8 +94,10 @@ def numeric_variation(P, D, order=1, nu=None, nv=None, dlam=None,
     five-point second-difference at steps d and d/2 with one Richardson
     step, since the second derivative is the harder target.  The
     perimeters of the distinct lam (4 for order 1, 7 for order 2) come
-    from one pass over the grid that evaluates P's components and the
-    rates (a, b, s) once per block; each equals the perimeter of
+    from one pass over the grid that evaluates P's components once per
+    block, and the rates (a, b, s) and the deformed frames once per block
+    that meets D.support's box, on its nodes there (outside the box every
+    deformed patch is P); each equals the perimeter of
     deform_patch(P, D, lam).
     """
     if order == 1:
@@ -100,8 +116,8 @@ def numeric_variation(P, D, order=1, nu=None, nv=None, dlam=None,
         rate = _deformation_rate(D, u, v, x, y)
         return [_deformed(lam, (x, y, t), rate) for lam in lams]
 
-    A = dict(zip(lams, _family_perimeters(P, members, nu, nv,
-                                          rule))).__getitem__
+    A = dict(zip(lams, _family_perimeters(P, members, nu, nv, rule,
+                                          D.support))).__getitem__
     if order == 1:
         return (-A(2 * d) + 8 * A(d) - 8 * A(-d) + A(-2 * d)) / (12.0 * d)
     A0 = A(0.0)
@@ -124,19 +140,20 @@ def _coeff_values(D, zz):
 
 def first_variation_analytic(P, D, nu=None, nv=None, rule="simpson"):
     """Closed-form first variation: integral of H (pbar a + qbar b + obar k)
-    against dsigma_H, for compactly supported coefficients."""
+    against dsigma_H, for compactly supported coefficients; only the
+    nodes of D.support's box are evaluated."""
 
     def density(zz):
         a, b, k = _coeff_values(D, zz)
         return zz["H"] * (zz["pbar"] * a + zz["qbar"] * b + zz["obar"] * k)
 
-    return integrate_patch(P, density, nu=nu, nv=nv, rule=rule,
-                           error_estimate=False).value
+    return _supported_integral(P, density, D.support, nu, nv, rule)
 
 
 def normal_first_variation(P, zeta, nu=None, nv=None, rule="simpson"):
     """First variation under the Euclidean-normal speed zeta / |N|:
-    the rate is the plain double integral of H zeta du dv."""
+    the rate is the plain double integral of H zeta du dv, evaluated on
+    the nodes of zeta.support's box when zeta declares one."""
 
     def density(zz):
         uj, vj = zz["flds"]["seeds"]
@@ -144,8 +161,8 @@ def normal_first_variation(P, zeta, nu=None, nv=None, rule="simpson"):
                             np.asarray(vj.v, dtype=float)), dtype=float)
         return zz["H"] * z / zz["W"]
 
-    return integrate_patch(P, density, nu=nu, nv=nv, rule=rule,
-                           error_estimate=False).value
+    return _supported_integral(P, density, getattr(zeta, "support", None),
+                               nu, nv, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +220,8 @@ def second_variation_full(P, D, nu=None, nv=None, rule="simpson"):
     """Closed-form second variation of the perimeter for the deformation D.
 
     Valid for compactly supported coefficients; every term involves only the
-    tangential derivatives Z and B = T - obar Y of a, b, k.
+    tangential derivatives Z and B = T - obar Y of a, b, k, so only the
+    nodes of D.support's box are evaluated.
     """
 
     def density(zz):
@@ -225,8 +243,7 @@ def second_variation_full(P, D, nu=None, nv=None, rule="simpson"):
                 + 2 * ob ** 2 * rad * Zk
                 - (rot + wedge * ob) ** 2)
 
-    return integrate_patch(P, density, nu=nu, nv=nv, rule=rule,
-                           error_estimate=False).value
+    return _supported_integral(P, density, D.support, nu, nv, rule)
 
 
 def _max_H(zz):
@@ -474,7 +491,7 @@ def intrinsic_stability_form(Gr, F, nu=None, nv=None, minimal_tol=1e-8):
     """
     worst = []
 
-    def frames(u, v):
+    def frames(u, v, rows):
         uj, vj = seed_jets((u, v), order=2)
         phij = _as_jet(Gr.phi(uj, vj), uj)
         phi_u, phi_v = jet_partial(phij, 0), jet_partial(phij, 1)

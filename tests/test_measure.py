@@ -19,11 +19,13 @@ from carnot_calc import (
     coordinate_laplacians,
     dilate_patch,
     eps_area,
+    first_variation_analytic,
     frame_param,
     ibp_residual,
     integrate_patch,
     left_translate_patch,
     mcf_residual,
+    normal_first_variation,
     pairwise_sum,
     perimeter,
     quadratic_form,
@@ -163,7 +165,9 @@ def test_folded_row_blocks_reduce_to_the_whole_pairwise_sum(data, k, groups,
     assert pairwise_sum(np.concatenate(parts)) == pairwise_sum(x)
 
 
-def _block_shapes(monkeypatch, P, nu, nv, rule="simpson"):
+def _block_shapes(monkeypatch, P, nu, nv, rule="simpson", route=None):
+    """The node shapes of the frames a quadrature evaluates: those of
+    integrate_patch(P, None), or of route(P, nu=nu, nv=nv)."""
     shapes = []
     inner = measure.zy_second
 
@@ -172,7 +176,11 @@ def _block_shapes(monkeypatch, P, nu, nv, rule="simpson"):
         return inner(P, f, u, v, order=order)
 
     monkeypatch.setattr(measure, "zy_second", counted)
-    integrate_patch(P, None, nu=nu, nv=nv, rule=rule, error_estimate=False)
+    if route is None:
+        integrate_patch(P, None, nu=nu, nv=nv, rule=rule,
+                        error_estimate=False)
+    else:
+        route(P, nu=nu, nv=nv)
     monkeypatch.setattr(measure, "zy_second", inner)
     return shapes
 
@@ -193,6 +201,65 @@ def test_row_blocks_hold_the_power_of_two_of_rows_nearest_the_block_size(
         full, tail = divmod(n_rows, rows)
         assert shapes == ([(rows, n_cols)] * full
                           + ([(tail, n_cols)] if tail else []))
+
+
+def test_support_box_runs_from_one_node_below_to_one_node_above():
+    grid = measure.QuadratureGrid((0.5, 1.5, 0.5, 1.5), 16, 16)  # h = 1/16
+    whole = (slice(0, 17), slice(0, 17))
+    assert grid.box == whole and grid.restricted(None) is grid
+    for support, box in (
+            # u-edges on nodes 4 and 8, v-edges between nodes 2, 3 and 5, 6
+            ((0.75, 1.0, 0.65, 0.85), (slice(3, 10), slice(2, 7))),
+            # across the domain edges: clipped
+            ((0.0, 0.6, 1.45, 3.0), (slice(0, 3), slice(15, 17))),
+            # beyond the grid: the nearest node is the one below / above
+            ((1.6, 2.0, -1.0, 0.4), (slice(16, 17), slice(0, 1))),
+            ((0.0, 2.0, 0.0, 2.0), whole),
+            # no point, so no node
+            ((np.inf, -np.inf, np.inf, -np.inf),
+             (slice(0, 0), slice(0, 0)))):
+        restricted = grid.restricted(support)
+        assert restricted.box == box
+        assert restricted.u is grid.u and grid.box == whole
+
+
+def test_v1_evaluates_only_the_support_box(monkeypatch):
+    # a bump on the lower-left quarter: 34 x 34 of the 65 x 65 nodes, in
+    # the three 16-row blocks that meet rows 0..33; the other two blocks
+    # evaluate no frame
+    P = build_surface("t-graph:parab").patch
+    D = DeformationField.vertical(bump2(0.75, 0.75, 0.25, 0.25))
+    monkeypatch.setattr(measure, "_BLOCK_NODES", 1000)
+    shapes = _block_shapes(monkeypatch, P, 64, 64, route=lambda P, **kw:
+                           first_variation_analytic(P, D, **kw))
+    assert shapes == [(16, 34), (16, 34), (2, 34)]
+    assert sum(r * c for r, c in shapes) == 34 * 34
+
+
+def _hidden(f):
+    """f without its .support attribute: integrated on the whole grid."""
+    return lambda u, v: f(u, v)
+
+
+def test_supported_identities_equal_the_whole_grid(monkeypatch):
+    # ibp (every kind), stokes and the normal first variation vanish off
+    # the support of zeta (or f); bumps inside the domain, across its
+    # corner and off the grid
+    P = build_surface("t-graph:parab").patch
+    f = bump2(0.9, 1.1, 0.3, 0.25)
+    routes = [lambda z, kind=kind: ibp_residual(P, kind, z, f=f, nu=32,
+                                                  nv=32)
+              for kind in ("Z", "TY", "gradient", "green")]
+    routes += [lambda z: ibp_residual(P, "gradient", z, index=2, nu=32,
+                                      nv=32),
+               lambda z: stokes_residual(P, z, nu=32, nv=32),
+               lambda z: normal_first_variation(P, z, nu=32, nv=32)]
+    for z in (bump2(1.0, 1.0, 0.4, 0.4), bump2(0.5, 1.5, 0.3, 0.2),
+              bump2(1.1, 0.8, 0.07, 0.1), bump2(2.0, 1.0, 0.3, 0.3)):
+        whole = [repr(route(_hidden(z))) for route in routes]
+        for block_nodes in (8192, 100):
+            monkeypatch.setattr(measure, "_BLOCK_NODES", block_nodes)
+            assert [repr(route(z)) for route in routes] == whole
 
 
 def test_quadrature_seeds_hold_each_row_and_column_once(monkeypatch):

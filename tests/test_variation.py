@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carnot_calc import measure, surfaces, variation
 from carnot_calc import (
@@ -27,6 +28,7 @@ from carnot_calc import (
     seed_jets,
     stability_scan,
 )
+from carnot_calc.cli import parse_field_spec
 
 ZERO = lambda u, v: 0.0 * u
 
@@ -164,6 +166,121 @@ def test_numeric_variation_family_equals_per_patch_route(order, n, sid,
                          bump2(cv, cu, rv, ru))
     assert numeric_variation(P, D, order=order, nu=n, nv=n) == \
         _numeric_per_patch(P, D, order, n)
+
+
+# -- compactly supported deformations: the support's node box only -----------
+
+_H = 1.0 / 16  # node spacing of the 16-cell grids below on (0.5, 1.5)^2
+_SUPPORTED_ROUTES = (
+    first_variation_analytic, variation.second_variation_full,
+    lambda P, D, **kw: numeric_variation(P, D, order=1, **kw),
+    lambda P, D, **kw: numeric_variation(P, D, order=2, **kw))
+
+
+def _hidden(c):
+    """c without its .support attribute."""
+    return lambda u, v: c(u, v)
+
+
+def _bump_axis(draw):
+    """(center, radius) along one axis of the parab patch."""
+    kind = draw(st.sampled_from(["node line", "one block", "anywhere"]))
+    if kind == "node line":  # dyadic: the lower edge is exactly node i
+        i, j = draw(st.integers(0, 16)), draw(st.integers(1, 6))
+        return 0.5 + (i + j) * _H, j * _H
+    if kind == "one block":  # inside rows 4b .. 4b + 3 with 4-row blocks
+        b = draw(st.integers(0, 3))
+        return 0.5 + (4 * b + 1.5) * _H, draw(st.floats(0.2, 1.4)) * _H
+    # crosses the domain edge or misses the grid as often as not
+    return draw(st.floats(-0.5, 2.5)), draw(st.floats(0.01, 1.2))
+
+
+@st.composite
+def _coefficients(draw):
+    out = []
+    for _ in range(3):
+        if draw(st.booleans()) and draw(st.booleans()):
+            out.append(variation._zero)
+            continue
+        (cu, ru), (cv, rv) = _bump_axis(draw), _bump_axis(draw)
+        out.append(bump2(cu, cv, ru, rv))
+    return out
+
+
+@settings(max_examples=20, deadline=None)
+@given(coeffs=_coefficients())
+def test_supported_variations_equal_the_whole_grid(coeffs):
+    # v1, v2-full and numeric:1/2 evaluate only D.support's node box; with
+    # the attribute hidden they run on the whole grid, and every block size
+    # gives the whole grid's bits
+    P = build_surface("t-graph:parab").patch
+    D = DeformationField(*coeffs)
+    hidden = DeformationField(*(_hidden(c) for c in coeffs))
+    assert hidden.support is None
+    whole = [repr(route(P, hidden, nu=16, nv=16))
+             for route in _SUPPORTED_ROUTES]
+    with pytest.MonkeyPatch.context() as mp:
+        # one block, blocks of 4 rows, blocks of 1 row (17 columns)
+        for block_nodes in (10 ** 9, 64, 20):
+            mp.setattr(measure, "_BLOCK_NODES", block_nodes)
+            assert [repr(route(P, D, nu=16, nv=16))
+                    for route in _SUPPORTED_ROUTES] == whole
+
+
+def test_deformation_support_is_the_box_of_its_coefficients():
+    k = bump2(1.0, 0.75, -0.2, 0.25)  # the sign of a radius is immaterial
+    assert k.support == (0.8, 1.2, 0.5, 1.0)
+    assert DeformationField.vertical(k).support == k.support
+    assert DeformationField(k, bump2(0.5, 1.5, 0.1, 0.1), k).support == \
+        (0.4, 1.2, 0.5, 1.6)
+    assert DeformationField(k, ZERO, k).support is None
+    assert parse_field_spec('{"k": "bump:1.0,0.75,0.2,0.25", "a": 0}',
+                            (0.5, 1.5, 0.5, 1.5)).support == k.support
+    assert parse_field_spec('{"a": "poly:[[1.0, [1, 0]]]"}',
+                            (0.5, 1.5, 0.5, 1.5)).support is None
+
+
+def test_a_support_holding_no_node_returns_the_whole_grid_value():
+    # the zero field's support box holds no node; the whole grid sums
+    # signed zeros, and its -0.0 (v1) and 0.0 (v2-full) are kept
+    P = build_surface("t-graph:parab").patch
+    D = parse_field_spec("{}", P.domain)
+    assert D.support == (np.inf, -np.inf, np.inf, -np.inf)
+    grid = measure._grid_for(P, 32, 32, "simpson").restricted(D.support)
+    assert grid.box == (slice(0, 0), slice(0, 0))
+    hidden = DeformationField(*(_hidden(c) for c in (D.a, D.b, D.k)))
+    values = [repr(route(P, D, nu=32, nv=32)) for route in _SUPPORTED_ROUTES]
+    assert values == [repr(route(P, hidden, nu=32, nv=32))
+                      for route in _SUPPORTED_ROUTES]
+    assert values[:2] == ["-0.0", "0.0"]
+
+
+@pytest.mark.parametrize("center, blocks", [
+    # the support's node box holds rows and columns 0..33: the blocks of
+    # rows 0..15, 16..31 and 32..33 deform each lam once on their box rows,
+    # and the last two blocks deform nothing
+    (0.75, [16, 16, 2]),
+    # rows and columns 31..64: the first block misses the box before the
+    # number of lam is known, so it deforms them on its empty view
+    (1.25, [0, 1, 16, 16, 1])])
+def test_numeric_variation_deforms_only_the_support_box(monkeypatch, center,
+                                                       blocks):
+    # 65 x 65 nodes in blocks of 16 rows
+    P = build_surface("t-graph:parab").patch
+    D = DeformationField.vertical(bump2(center, center, 0.25, 0.25))
+    expected = numeric_variation(P, DeformationField.vertical(
+        _hidden(D.k)), order=1, nu=64, nv=64)
+    monkeypatch.setattr(measure, "_BLOCK_NODES", 1000)
+    shapes = []
+    inner = variation._deformed
+
+    def recording(lam, xyt, rate):
+        shapes.append(np.broadcast_shapes(*(np.shape(c.v) for c in xyt)))
+        return inner(lam, xyt, rate)
+
+    monkeypatch.setattr(variation, "_deformed", recording)
+    assert numeric_variation(P, D, order=1, nu=64, nv=64) == expected
+    assert shapes == [(rows, 34) for rows in blocks for _ in range(4)]
 
 
 def test_minimal_plane_is_critical():
