@@ -372,7 +372,8 @@ def _merge_config(args):
             cfg[key] = default
     if cfg["points"] < 1:
         raise UsageError("--points must be positive")
-    if cfg["grid"] < 8:
+    # only the verbs that integrate build a Simpson grid (>= 8 cells)
+    if args.verb in ("measure", "variation", "stability") and cfg["grid"] < 8:
         raise UsageError("--grid must be at least 8")
     return cfg
 

@@ -19,8 +19,10 @@ last block summed on its own) is the whole-array sum bit for bit.
 Densities are elementwise, so results are bit-stable for a given grid
 regardless of the block size.  An integrand that is exactly 0 off a box
 (one built from a compactly supported deformation or test function, see
-QuadratureGrid.restricted) is evaluated on that box's nodes only: the
-blocks keep their rows and the other nodes enter the tree as zeros.
+QuadratureGrid.restricted) is evaluated on that box's nodes only: only
+the blocks that meet the box write into the integral's one zero buffer of
+the whole grid's level-k nodes.  A box holding no node runs on the whole
+grid.
 """
 
 import copy
@@ -206,73 +208,69 @@ def _integrate(grid, frames, densities):
     log2(_BLOCK_NODES / columns) and at least 0, so that a block holds about
     _BLOCK_NODES nodes (or one row, if rows are longer).  The integrand is
     taken to be exactly 0 off grid.box (the whole grid unless the grid was
-    restricted to a support): a block whose rows miss the box contributes
-    all-zero level-k parts without evaluating a frame, and any other block
-    evaluates its rows and columns inside the box and places each density
-    into the block's zero plane, so the pairwise tree stays the whole
-    grid's and an integrand that is 0 off the box gives the whole grid's
-    value.  (A box holding no node still evaluates each block's empty view,
-    so that the result keeps its shape.)  frames(u, v, rows) receives the
-    nodes as zero-copy (rows x columns) views of the u- and v-nodes, so
-    seeds taken from them are (rows x 1) and (1 x columns) and frame arrays
-    may keep either shape, plus the slice of grid rows they lie on, and
-    returns a list of frame dicts, one per patch: any dicts holding W and
-    omega that broadcast to those nodes (a zy_second dict, the order-1
-    values of patch_fields_jets, the graph integrands of
-    intrinsic_stability_form).  A family of patches shares in frames what
-    their components have in common.  densities(zz, rows) receives one
-    frame dict and the same slice of grid rows, and returns an iterable of
-    integrand arrays (density times W) that broadcast to the nodes, reduced
-    one at a time.  zz["band"] marks the frame's nodes inside the
-    characteristic band: they are dropped, and their weighted W-mass is
-    returned as the frame's excluded mass (a block with no such node
-    skips both steps, whose results would be its values and zeros).
-    Densities are evaluated with numpy's divide and invalid warnings off,
-    since the values they would flag are the dropped ones.  Returns
-    (integrals, excluded), the list of each frame's integrals and the list
-    of each frame's excluded mass, in the order of frames.
+    restricted to a support), which must hold a node.  Only the blocks that
+    meet the box are visited, each on its rows and columns inside the box.
+    Each integral, and each frame's excluded mass, has one zero buffer of
+    the whole grid's ceil(nodes / 2^k) level-k parts: a block at row start
+    places each density into its zero plane (_placed) and writes its _fold
+    at part start * columns / 2^k, so the pairwise tree stays the whole
+    grid's.  frames(u, v, rows) receives the nodes as zero-copy
+    (rows x columns) views of the u- and v-nodes, so seeds taken from them
+    are (rows x 1) and (1 x columns) and frame arrays may keep either
+    shape, plus the slice of grid rows they lie on, and returns a list of
+    frame dicts, one per patch: any dicts holding W and omega that
+    broadcast to those nodes (a zy_second dict, the order-1 values of
+    patch_fields_jets, the graph integrands of intrinsic_stability_form).
+    A family of patches shares in frames what their components have in
+    common.  densities(zz, rows) receives one frame dict and the same slice
+    of grid rows, and returns an iterable of integrand arrays (density
+    times W) that broadcast to the nodes, reduced one at a time.
+    zz["band"] marks the frame's nodes inside the characteristic band: they
+    are dropped, and their weighted W-mass is returned as the frame's
+    excluded mass (a block with no such node skips both steps, whose
+    results would be its values and zeros).  Densities are evaluated with
+    numpy's divide and invalid warnings off, since the values they would
+    flag are the dropped ones.  Returns (integrals, excluded), the list of
+    each frame's integrals and the list of each frame's excluded mass, in
+    the order of frames.
     """
     u, v = grid.u, grid.v
     box, cols = grid.box
     k = max(0, round(math.log2(_BLOCK_NODES / v.size)))
-    box_has_nodes = box.start < box.stop and cols.start < cols.stop
-    blocks = []  # per block: each frame's (excluded, density) level-k parts
-    for start in range(0, u.size, 1 << k):
+    size = -(-u.size * v.size >> k)
+    # per frame: the level-k parts of each integral; those of the excluded
+    # mass, a list that stays empty while no node is dropped
+    integrals, excluded = [], []
+
+    def write(buffers, i, values):  # buffers[i] made when first written
+        if i == len(buffers):
+            buffers.append(np.zeros(size))
+        parts = _fold(_placed(values, 0.0, shape, sub), k)
+        buffers[i][at:at + parts.size] = parts
+
+    for start in range(box.start >> k << k, box.stop, 1 << k):
         stop = min(start + (1 << k), u.size)
         rows = _clip(box, start, stop)
         shape = (stop - start, v.size)
-        # the block's ceil(nodes / 2^k) level-k parts of an integrand that
-        # is 0 on it
-        zeros = np.zeros(-(-shape[0] * shape[1] >> k))
-        if box_has_nodes and rows.start == rows.stop:
-            blocks.append(zeros)  # the block misses the box
-            continue
         sub = (slice(rows.start - start, rows.stop - start), cols)
-        if (rows.stop - rows.start, cols.stop - cols.start) == shape:
-            sub = None  # the box covers the block
+        at = start * v.size >> k
         ws = np.outer(grid.wu[rows], grid.wv[cols])
-        block_parts = []
-        for zz in frames(*np.broadcast_arrays(u[rows, None], v[cols]), rows):
+        nodes = np.broadcast_arrays(u[rows, None], v[cols])
+        for f, zz in enumerate(frames(*nodes, rows)):
+            if f == len(integrals):  # the first block visited
+                integrals.append([])
+                excluded.append([])
             W = zz["W"]
             mask = zz["band"] = _characteristic_band(W, zz["omega"])
             banded = mask.any()  # else nothing is dropped or excluded
-            excluded = (_fold_block(np.where(mask, np.abs(W) * ws, 0.0),
-                                    shape, sub, k) if banded else zeros)
+            if banded:
+                write(excluded[f], 0, np.where(mask, np.abs(W) * ws, 0.0))
             with np.errstate(divide="ignore", invalid="ignore"):
-                block_parts.append((excluded, [
-                    _fold_block(np.where(mask, 0.0, vals * ws) if banded
-                                else vals * ws, shape, sub, k)
-                    for vals in densities(zz, rows)]))
-        blocks.append(block_parts)
-    layout = next(parts for parts in blocks if isinstance(parts, list))
-    blocks = [parts if isinstance(parts, list) else
-              [(parts, [parts] * len(dens)) for _, dens in layout]
-              for parts in blocks]
-    return ([[pairwise_sum(np.concatenate(col))
-              for col in zip(*(dens for _, dens in frame))]
-             for frame in zip(*blocks)],
-            [pairwise_sum(np.concatenate([ex for ex, _ in frame]))
-             for frame in zip(*blocks)])
+                for i, vals in enumerate(densities(zz, rows)):
+                    write(integrals[f], i, np.where(mask, 0.0, vals * ws)
+                          if banded else vals * ws)
+    return ([[pairwise_sum(parts) for parts in frame] for frame in integrals],
+            [pairwise_sum(parts[0]) if parts else 0.0 for parts in excluded])
 
 
 def _clip(span, start, stop):
@@ -282,14 +280,14 @@ def _clip(span, start, stop):
     return slice(first, max(first, min(stop, span.stop)))
 
 
-def _fold_block(values, shape, sub, k):
-    """_fold of a block's values, first placed at sub into zeros of the
-    block's shape unless sub is None (the values cover the block)."""
-    if sub is not None:
-        plane = np.zeros(shape)
-        plane[sub] = values
-        values = plane
-    return _fold(values, k)
+def _placed(values, background, shape, sub):
+    """values placed at sub, a pair of slices, into background broadcast
+    to shape: values itself when sub covers shape, else a new array."""
+    if all(s.indices(n)[:2] == (0, n) for s, n in zip(sub, shape)):
+        return values
+    plane = np.array(np.broadcast_to(background, shape))
+    plane[sub] = values
+    return plane
 
 
 def _patch_frames(P, order=2):
@@ -307,10 +305,10 @@ def _family_perimeters(P, members, nu, nv, rule, support=None):
     so each value equals the member's perimeter(...).value.  support
     (None: the whole grid) is a box off which every member's components
     equal P's: a block that does not lie inside the support's node box
-    (see QuadratureGrid.restricted) evaluates P's frame on all its nodes
-    and calls members once on the seeds of its nodes inside the box and
-    views of P's components there, and outside the box each member's W
-    and omega are P's.  A block that misses the box hands P's frame to
+    (see QuadratureGrid.restricted) evaluates P's frame on all its nodes,
+    calls members once on the seeds of its nodes inside the box and views
+    of P's components there, and places each member's W and omega there
+    into P's (_placed).  A block that misses the box hands P's frame to
     every member without calling members, once an earlier block has told
     their number.  That is exact: there each component is c + (a signed
     zero), and W and the band test are blind to the sign of a zero.
@@ -343,11 +341,8 @@ def _family_perimeters(P, members, nu, nv, rule, support=None):
         out = []
         for comps in moved:
             inner = _value_fields(*(_as_jet(c, us) for c in comps))
-            zz = {nm: np.array(np.broadcast_to(base[nm], u.shape))
-                  for nm in ("W", "omega")}
-            for nm in zz:
-                zz[nm][sub] = inner[nm]
-            out.append(zz)
+            out.append({nm: _placed(inner[nm], base[nm], u.shape, sub)
+                         for nm in ("W", "omega")})
         return out
 
     integrals, _ = _integrate(grid, frames, lambda zz, rows: (zz["W"],))
@@ -373,10 +368,13 @@ def _supported_integral(P, density, support, nu, nv, rule):
 
     Off the box the whole grid sums signed zeros, so the two reductions
     agree bit for bit unless the value is exactly 0, where only the whole
-    grid knows the sign of the zero: such a value is taken from it.
+    grid knows the sign of the zero: such a value is taken from it.  A box
+    that holds no node is not integrated: the whole grid is, directly.
     """
     grid = _grid_for(P, nu, nv, rule)
     box = grid.restricted(support)
+    if any(span.start == span.stop for span in box.box):
+        box = grid  # the box holds no node
     value = _density_integral(P, density, box)[0]
     if value == 0.0 and box is not grid:
         value = _density_integral(P, density, grid)[0]

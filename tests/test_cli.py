@@ -391,6 +391,17 @@ def test_tiny_grid_rejected(capsys):
     assert rc == 2
 
 
+def test_grid_is_checked_only_by_the_verbs_that_integrate(capsys):
+    # curvature reads no --grid: a tiny one prints the default's bytes
+    rc, out, _ = invoke(capsys, ["curvature", "--grid", "6"])
+    assert (rc, out) == invoke(capsys, ["curvature"])[:2]
+    assert rc == 0
+    for verb in ("identities", "flow-check", "catalog"):
+        assert invoke(capsys, [verb, "--grid", "6"])[0] == 0
+    for verb in ("measure", "variation", "stability"):
+        assert invoke(capsys, [verb, "--grid", "6"])[0] == 2
+
+
 def test_csv_format_rejected_for_json_verbs(capsys):
     rc, _, err = invoke(capsys, ["measure", "--surface", "t-graph:parab",
                                  "--grid", "32", "--format", "csv"])

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from carnot_calc import measure, surfaces
 from carnot_calc import (
@@ -38,6 +38,7 @@ from carnot_calc import (
     tangential_laplacian,
     translation_ratio,
 )
+from carnot_calc.cli import parse_field_spec
 
 H1 = build_group("h1")
 
@@ -234,6 +235,85 @@ def test_v1_evaluates_only_the_support_box(monkeypatch):
                            first_variation_analytic(P, D, **kw))
     assert shapes == [(16, 34), (16, 34), (2, 34)]
     assert sum(r * c for r, c in shapes) == 34 * 34
+
+
+def test_a_support_holding_no_node_evaluates_no_frame_before_the_whole_grid(
+        monkeypatch):
+    # the zero field's support box holds no node: v1 integrates the whole
+    # grid's five blocks of rows straight away and keeps the sign of its
+    # zero
+    P = build_surface("t-graph:parab").patch
+    D = parse_field_spec("{}", P.domain)
+    monkeypatch.setattr(measure, "_BLOCK_NODES", 1000)
+    values = []
+    shapes = _block_shapes(monkeypatch, P, 64, 64, route=lambda P, **kw:
+                           values.append(first_variation_analytic(P, D, **kw)))
+    assert shapes == [(16, 65)] * 4 + [(1, 65)]
+    assert repr(values) == "[-0.0]"
+
+
+@st.composite
+def _reducer_cases(draw):
+    """(cells, box, block nodes, seed) for a midpoint grid of cells and a
+    node box holding at least one node."""
+    cells = (draw(st.integers(1, 24)), draw(st.integers(1, 24)))
+    box = []
+    for n in cells:
+        start = draw(st.integers(0, n - 1))
+        box.append((start, draw(st.integers(start + 1, n))))
+    return (cells, tuple(box), draw(st.sampled_from([10 ** 9, 64, 20])),
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_reducer_cases())
+@example(case=((15, 13), ((5, 10), (2, 9)), 64, 0))
+@example(case=((15, 13), ((2, 15), (0, 13)), 64, 1))
+def test_integrate_is_the_pairwise_sum_of_the_whole_grid_plane(case):
+    # synthetic frames: W with exact zeros and negative values, which the
+    # band drops, for the first and none for the second; densities divided
+    # by W, so a dropped node would be inf or nan.  The examples: 15 x 13
+    # nodes at 64 block nodes make blocks of 4 rows and a last one of 3
+    # rows with a ragged tail of 3 nodes; one box starts inside the second
+    # block, one ends in the last
+    (nu, nv), ((r0, r1), (c0, c1)), block_nodes, seed = case
+    grid = measure.QuadratureGrid((0.0, 1.0, -1.0, 2.0), nu, nv, "midpoint")
+    box = (slice(r0, r1), slice(c0, c1))
+    grid.box = box
+    rng = np.random.default_rng(seed)
+    shape = (nu, nv)
+    W0 = rng.normal(size=shape) + 1.0
+    W0[rng.uniform(size=shape) < 0.2] = 0.0
+    Ws = [W0, 1.0 + np.abs(rng.normal(size=shape))]
+    omegas = [rng.normal(size=shape) for _ in Ws]
+    numerators = [rng.normal(size=(2,) + shape), rng.normal(size=(1,) + shape)]
+
+    def frames(u, v, rows):
+        assert rows.start < rows.stop  # a visited block meets the box
+        assert u.shape == v.shape == (rows.stop - rows.start, c1 - c0)
+        return [{"W": W[rows, box[1]], "omega": om[rows, box[1]], "f": f}
+                for f, (W, om) in enumerate(zip(Ws, omegas))]
+
+    def densities(zz, rows):
+        for num in numerators[zz["f"]]:
+            yield num[rows, box[1]] / zz["W"]
+
+    inside = np.zeros(shape, dtype=bool)
+    inside[box] = True
+    ws = np.outer(grid.wu, grid.wv)
+    integrals, excluded = [], []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for W, om, nums in zip(Ws, omegas, numerators):
+            band = surfaces._characteristic_band(W, om)
+            integrals.append([pairwise_sum(np.where(inside & ~band,
+                                                    num / W * ws, 0.0))
+                              for num in nums])
+            excluded.append(pairwise_sum(np.where(inside & band,
+                                                  np.abs(W) * ws, 0.0)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measure, "_BLOCK_NODES", block_nodes)
+        assert measure._integrate(grid, frames, densities) == (integrals,
+                                                               excluded)
 
 
 def _hidden(f):
