@@ -227,10 +227,16 @@ def _bump_of_square(s):
 
 
 def bump1(center=0.0, radius=1.0):
-    """One-variable C-infinity bump supported on |x-center| < radius."""
+    """One-variable C-infinity bump supported on |x-center| < radius.
+
+    The callable declares fn.support = (center - |radius|, center +
+    |radius|), an interval outside which it and its jet derivatives are
+    exactly 0 (up to the sign of a zero), as bump2 does in 2-D.
+    """
     def fn(x):
         z = (x - center) * (1.0 / radius)
         return _bump_of_square(z * z)
+    fn.support = (center - abs(radius), center + abs(radius))
     return fn
 
 

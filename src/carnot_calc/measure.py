@@ -20,9 +20,12 @@ Densities are elementwise, so results are bit-stable for a given grid
 regardless of the block size.  An integrand that is exactly 0 off a box
 (one built from a compactly supported deformation or test function, see
 QuadratureGrid.restricted) is evaluated on that box's nodes only: only
-the blocks that meet the box write into the integral's one zero buffer of
-the whole grid's level-k nodes.  A box holding no node runs on the whole
-grid.
+the aligned groups of 2^k nodes that meet the box's rows are folded into
+the integral's one zero buffer of the whole grid's level-k nodes, whose
+other nodes keep the +0.0 that zeros fold to.  A box holding no node runs
+on the whole grid.  A density may also name its own box per block (the
+stability scan's bumps do).  The buffers of all integrals are summed in
+one pass of the tree (_pairwise_rows, which pairwise_sum runs too).
 """
 
 import copy
@@ -49,22 +52,31 @@ __all__ = [
 # Nodes per evaluation block, which holds the power of two of whole rows
 # nearest to it (at least one row): small enough that the order-2 jet
 # temporaries of one block stay in cache instead of streaming whole-grid
-# arrays, large enough that the per-block Python work stays small.
+# arrays, large enough that the per-block Python work stays small.  The
+# reducer also folds the runs of several densities together once they hold
+# this many nodes.
 _BLOCK_NODES = 8192
 
 
 def pairwise_sum(values):
     """Deterministic pairwise reduction of a row-major flattened array."""
-    a = np.asarray(values, dtype=float).ravel()
-    if a.size == 0:
-        return 0.0
-    while a.size > 1:
-        even = a.size // 2 * 2
-        paired = a[0:even:2] + a[1:even:2]
-        if even < a.size:
-            paired = np.concatenate([paired, a[even:]])
+    return float(_pairwise_rows(
+        np.asarray(values, dtype=float).reshape(1, -1))[0])
+
+
+def _pairwise_rows(a):
+    """pairwise_sum of each row of the 2-D array a, in one pass of the
+    tree along its last axis: neighbours are paired level by level, an odd
+    last node is carried up a level, and an empty row sums to 0.0."""
+    if a.shape[1] == 0:
+        return np.zeros(a.shape[0])
+    while a.shape[1] > 1:
+        even = a.shape[1] // 2 * 2
+        paired = a[:, 0:even:2] + a[:, 1:even:2]
+        if even < a.shape[1]:
+            paired = np.concatenate([paired, a[:, even:]], axis=1)
         a = paired
-    return float(a[0])
+    return a[:, 0]
 
 
 class QuadratureGrid:
@@ -185,19 +197,24 @@ def _grid_for(P, nu, nv, rule):
     return QuadratureGrid(P.domain, nu or P.grid[0], nv or P.grid[1], rule)
 
 
-def _fold(values, k):
-    """The level-k nodes of pairwise_sum's tree over values, a run of
-    row-major nodes that starts at a multiple of 2^k: each whole group of
-    2^k nodes folded k pairwise levels, then the ragged tail, if any,
-    summed by pairwise_sum."""
-    a = np.ravel(values)
-    whole = a.size >> k << k
-    head = a[:whole].reshape(-1, 1 << k)
-    for _ in range(k):
-        head = head[:, 0::2] + head[:, 1::2]
-    if whole == a.size:
-        return head.ravel()
-    return np.append(head.ravel(), pairwise_sum(a[whole:]))
+def _fold(runs, k):
+    """The level-k nodes of pairwise_sum's tree over each of runs, 1-D runs
+    of row-major nodes that each start at a multiple of 2^k: each whole
+    group of 2^k nodes folded k pairwise levels, then the ragged tail, if
+    any, summed by pairwise_sum.  The whole groups of all runs are folded
+    in one pass."""
+    if not runs:
+        return []
+    wholes = [run.size >> k << k for run in runs]
+    heads = _pairwise_rows(np.concatenate(
+        [run[:whole] for run, whole in zip(runs, wholes)]).reshape(-1, 1 << k))
+    out, at = [], 0
+    for run, whole in zip(runs, wholes):
+        parts = heads[at:at + (whole >> k)]
+        at += whole >> k
+        out.append(parts if whole == run.size else
+                   np.append(parts, pairwise_sum(run[whole:])))
+    return out
 
 
 def _integrate(grid, frames, densities):
@@ -210,29 +227,39 @@ def _integrate(grid, frames, densities):
     taken to be exactly 0 off grid.box (the whole grid unless the grid was
     restricted to a support), which must hold a node.  Only the blocks that
     meet the box are visited, each on its rows and columns inside the box.
-    Each integral, and each frame's excluded mass, has one zero buffer of
-    the whole grid's ceil(nodes / 2^k) level-k parts: a block at row start
-    places each density into its zero plane (_placed) and writes its _fold
-    at part start * columns / 2^k, so the pairwise tree stays the whole
-    grid's.  frames(u, v, rows) receives the nodes as zero-copy
-    (rows x columns) views of the u- and v-nodes, so seeds taken from them
-    are (rows x 1) and (1 x columns) and frame arrays may keep either
-    shape, plus the slice of grid rows they lie on, and returns a list of
-    frame dicts, one per patch: any dicts holding W and omega that
-    broadcast to those nodes (a zy_second dict, the order-1 values of
-    patch_fields_jets, the graph integrands of intrinsic_stability_form).
-    A family of patches shares in frames what their components have in
-    common.  densities(zz, rows) receives one frame dict and the same slice
-    of grid rows, and returns an iterable of integrand arrays (density
-    times W) that broadcast to the nodes, reduced one at a time.
+    frames(u, v, rows) receives the nodes as zero-copy (rows x columns)
+    views of the u- and v-nodes, so seeds taken from them are (rows x 1)
+    and (1 x columns) and frame arrays may keep either shape, plus the
+    slice of grid rows they lie on, and returns a list of frame dicts, one
+    per patch: any dicts holding W and omega that broadcast to those nodes
+    (a zy_second dict, the order-1 values of patch_fields_jets, the graph
+    integrands of intrinsic_stability_form).  A family of patches shares
+    in frames what their components have in common.  densities(zz, rows)
+    receives one frame dict and the same slice of grid rows, and returns
+    an iterable of integrands (density times W), reduced one at a time:
+    each an array that broadcasts to the frame's nodes, or a pair
+    (box, values) of a node box, two slices of grid indices inside the
+    frame's nodes, and values on it, the integrand being exactly 0 off the
+    box (a box holding no node contributes nothing, and its values are not
+    read).  An array is the pair of the frame's whole box.
     zz["band"] marks the frame's nodes inside the characteristic band: they
     are dropped, and their weighted W-mass is returned as the frame's
     excluded mass (a block with no such node skips both steps, whose
     results would be its values and zeros).  Densities are evaluated with
     numpy's divide and invalid warnings off, since the values they would
-    flag are the dropped ones.  Returns (integrals, excluded), the list of
-    each frame's integrals and the list of each frame's excluded mass, in
-    the order of frames.
+    flag are the dropped ones.
+
+    Each integral, and each frame's excluded mass, has one zero buffer of
+    the whole grid's ceil(nodes / 2^k) level-k parts, so the pairwise tree
+    stays the whole grid's: a box's weighted values are placed into the
+    zero run of the aligned groups of 2^k nodes that meet its rows
+    (_placed), and the runs are folded (_fold) and written in place, in
+    one pass once they hold _BLOCK_NODES nodes and at the end of each
+    block; every other part keeps the +0.0 that the whole grid's zeros
+    fold to.  The buffers of all integrals are summed in one pass of the
+    tree (_pairwise_rows).  Returns (integrals, excluded), the list of each
+    frame's integrals and the list of each frame's excluded mass, in the
+    order of frames.
     """
     u, v = grid.u, grid.v
     box, cols = grid.box
@@ -241,36 +268,72 @@ def _integrate(grid, frames, densities):
     # per frame: the level-k parts of each integral; those of the excluded
     # mass, a list that stays empty while no node is dropped
     integrals, excluded = [], []
+    # runs of nodes waiting to be folded, and the buffer and part each
+    # one's parts start at
+    runs, targets = [], []
 
-    def write(buffers, i, values):  # buffers[i] made when first written
+    def write(buffers, i, node_box, values, drop):
+        """The integrand values on node_box, times the weights, with the
+        nodes where drop holds (None: none) set to 0, into buffers[i]
+        (made when first written)."""
         if i == len(buffers):
             buffers.append(np.zeros(size))
-        parts = _fold(_placed(values, 0.0, shape, sub), k)
-        buffers[i][at:at + parts.size] = parts
+        rs, cs = node_box
+        if rs.start == rs.stop or cs.start == cs.stop:
+            return
+        at = (slice(rs.start - rows.start, rs.stop - rows.start),
+              slice(cs.start - cols.start, cs.stop - cols.start))
+        values = values * ws[at]
+        if drop is not None:
+            values = np.where(drop[at], 0.0, values)
+        # the aligned groups of 2^k block nodes that meet the box's rows,
+        # in the whole rows first to last that hold them
+        lo = (rs.start - start) * v.size >> k << k
+        hi = min(-(-(rs.stop - start) * v.size >> k) << k, nodes)
+        first, last = lo // v.size, -(-hi // v.size)
+        plane = _placed(values, 0.0, (last - first, v.size),
+                        (slice(rs.start - start - first,
+                               rs.stop - start - first), cs))
+        runs.append(np.ravel(plane)[lo - first * v.size:
+                                    hi - first * v.size])
+        targets.append((buffers[i], (start * v.size + lo) >> k))
+        if sum(run.size for run in runs) >= _BLOCK_NODES:
+            flush()
+
+    def flush():
+        """Fold the pending runs in one pass and write their parts."""
+        for (buffer, offset), parts in zip(targets, _fold(runs, k)):
+            buffer[offset:offset + parts.size] = parts
+        runs.clear()
+        targets.clear()
 
     for start in range(box.start >> k << k, box.stop, 1 << k):
         stop = min(start + (1 << k), u.size)
+        nodes = (stop - start) * v.size
         rows = _clip(box, start, stop)
-        shape = (stop - start, v.size)
-        sub = (slice(rows.start - start, rows.stop - start), cols)
-        at = start * v.size >> k
         ws = np.outer(grid.wu[rows], grid.wv[cols])
-        nodes = np.broadcast_arrays(u[rows, None], v[cols])
-        for f, zz in enumerate(frames(*nodes, rows)):
+        for f, zz in enumerate(frames(*np.broadcast_arrays(u[rows, None],
+                                                           v[cols]), rows)):
             if f == len(integrals):  # the first block visited
                 integrals.append([])
                 excluded.append([])
             W = zz["W"]
             mask = zz["band"] = _characteristic_band(W, zz["omega"])
-            banded = mask.any()  # else nothing is dropped or excluded
-            if banded:
-                write(excluded[f], 0, np.where(mask, np.abs(W) * ws, 0.0))
+            if mask.any():
+                mask = np.broadcast_to(mask, ws.shape)
+                write(excluded[f], 0, (rows, cols), np.abs(W), ~mask)
+            else:  # nothing is dropped or excluded
+                mask = None
             with np.errstate(divide="ignore", invalid="ignore"):
                 for i, vals in enumerate(densities(zz, rows)):
-                    write(integrals[f], i, np.where(mask, 0.0, vals * ws)
-                          if banded else vals * ws)
-    return ([[pairwise_sum(parts) for parts in frame] for frame in integrals],
-            [pairwise_sum(parts[0]) if parts else 0.0 for parts in excluded])
+                    node_box, vals = (vals if isinstance(vals, tuple)
+                                      else ((rows, cols), vals))
+                    write(integrals[f], i, node_box, vals, mask)
+        flush()
+    stacked = [parts for frame in integrals + excluded for parts in frame]
+    sums = iter(_pairwise_rows(np.reshape(stacked, (-1, size))).tolist())
+    return ([[next(sums) for _ in frame] for frame in integrals],
+            [next(sums) if parts else 0.0 for parts in excluded])
 
 
 def _clip(span, start, stop):
@@ -282,10 +345,12 @@ def _clip(span, start, stop):
 
 def _placed(values, background, shape, sub):
     """values placed at sub, a pair of slices, into background broadcast
-    to shape: values itself when sub covers shape, else a new array."""
-    if all(s.indices(n)[:2] == (0, n) for s, n in zip(sub, shape)):
+    to shape: values itself when it has that shape (so sub covers it),
+    else a new array."""
+    if np.shape(values) == shape:
         return values
-    plane = np.array(np.broadcast_to(background, shape))
+    plane = np.empty(shape)
+    plane[...] = background
     plane[sub] = values
     return plane
 

@@ -18,7 +18,7 @@ import numpy as np
 from .fields import _zero, bump1, jet_partial, seed_jets
 from .surfaces import (_MovedPatch, _as_jet, patch_fields_jets, tangential,
                        zy_second)
-from .measure import (_family_perimeters, _grid_for, _integrate,
+from .measure import (_clip, _family_perimeters, _grid_for, _integrate,
                       _patch_frames, _supported_integral, integrate_patch)
 
 __all__ = [
@@ -349,6 +349,13 @@ class _ProductBump:
     def __init__(self, bu, bv):
         self.factors = (bu, bv)
 
+    @property
+    def support(self):
+        """The box (u0, u1, v0, v1) of the factors' support intervals, or
+        None (the whole grid) when either factor declares none."""
+        spans = [getattr(b, "support", None) for b in self.factors]
+        return None if None in spans else (*spans[0], *spans[1])
+
     def __call__(self, u, v):
         bu, bv = self.factors
         return bu(u) * bv(v)
@@ -418,9 +425,14 @@ def stability_scan(P, bumps=None, n_centers=5, n_radii=5, nu=None, nv=None,
     grid's u- or v-nodes, and each block broadcasts the factor values of
     its rows against those of all columns into F = a b, F_u = a' b and
     F_v = a b', leaving ZF = (F_u gamma_v - F_v gamma_u) / det per node.
-    Any other bump goes through tangential(), as in quadratic_form.  The
-    scan raises if max |H| over the non-characteristic nodes exceeds
-    minimal_tol.
+    Its density is formed and reduced only on the nodes of its support's
+    node box (F.support, see QuadratureGrid.restricted) inside each block:
+    off the box the factors and their derivatives are signed zeros, so the
+    density there is +0.0 wherever the frame is finite (everywhere off the
+    characteristic band, which is dropped).  Any other bump goes through
+    tangential() on the whole block, as in quadratic_form.  The scan
+    raises if max |H| over the non-characteristic nodes of the whole grid
+    exceeds minimal_tol.
     Returns the full table (in lattice order), the minimum and its argmin
     (both None for an empty family), and the first witness with
     Q < witness_threshold (None if the scan stays nonnegative).
@@ -439,25 +451,33 @@ def stability_scan(P, bumps=None, n_centers=5, n_radii=5, nu=None, nv=None,
         fac = getattr(F, "factors", None)
         factors.append(None if fac is None else
                        (_factor_jets(fac[0], us, u_memo),
-                        _factor_jets(fac[1], vs, v_memo)))
+                        _factor_jets(fac[1], vs, v_memo),
+                        grid.restricted(getattr(F, "support", None)).box))
     worst = []
 
     def densities(zz, rows):
         worst.append(_max_H(zz))
         flds = zz["flds"]
-        gu, gv = flds["gamma_u"], flds["gamma_v"]
-        rdet = 1.0 / flds["det"]
-        pot = _potential(zz)
+        # the block's frame arrays, broadcast to its nodes (views)
+        gu, gv, rdet, pot, W = (
+            np.broadcast_to(a, (rows.stop - rows.start, vs.size)) for a in (
+                flds["gamma_u"], flds["gamma_v"], 1.0 / flds["det"],
+                _potential(zz), zz["W"]))
         for (F, _), fac in zip(bumps, factors):
             if fac is None:
-                q = _q_of(zz, F, pot)
-            else:
-                (a, da), (b, db) = fac
-                a, da = a[rows, None], da[rows, None]
-                # tangential()'s jet operation order keeps Q bit-identical
-                ZF = ((da * b) * gv + -((a * db) * gu)) * rdet
-                q = _q_density(pot, a * b, ZF)
-            yield q * zz["W"]
+                yield _q_of(zz, F, pot) * W
+                continue
+            (a, da), (b, db), (box_rows, cols) = fac
+            r = _clip(box_rows, rows.start, rows.stop)
+            at = (slice(r.start - rows.start, r.stop - rows.start), cols)
+            if r.start == r.stop or cols.start == cols.stop:
+                yield (r, cols), None  # the block misses the box
+                continue
+            a, da = a[r, None], da[r, None]
+            b, db = b[cols], db[cols]
+            # tangential()'s jet operation order keeps Q bit-identical
+            ZF = ((da * b) * gv[at] + -((a * db) * gu[at])) * rdet[at]
+            yield (r, cols), _q_density(pot[at], a * b, ZF) * W[at]
 
     Qs = []
     if bumps:  # an empty family evaluates no frame

@@ -112,6 +112,17 @@ def test_bump1_support_and_smoothness():
     uj, vj = seed_jets((np.array([0.0, 0.999, 1.001]), np.zeros(3)), order=2)
     bj = b(uj)
     assert np.all(np.isfinite(bj.v)) and np.all(np.isfinite(bj.g))
+    # the declared support interval, and exact zeros outside it: the value
+    # +0.0, the derivatives 0 up to their sign
+    assert b.support == (-1.0, 1.0)
+    assert bump1(0.5, -0.25).support == (0.25, 0.75)
+    x = np.array([-3.0, -1.0, 1.0, 1.5, 2.0])
+    for order in (1, 2):
+        (xj,) = seed_jets((x,), order=order)
+        bj = b(xj)
+        assert np.all(bj.v == 0.0) and not np.any(np.signbit(bj.v))
+        assert np.all(bj.g == 0.0)
+        assert order == 1 or np.all(bj.h == 0.0)
 
 
 def test_bump2_jets_match_finite_differences():

@@ -162,7 +162,7 @@ def test_folded_row_blocks_reduce_to_the_whole_pairwise_sum(data, k, groups,
     size = blocks * step + data.draw(st.integers(1, step))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     x = rng.normal(size=size) * np.exp(rng.uniform(-8, 8, size=size))
-    parts = [measure._fold(x[i:i + step], k) for i in range(0, size, step)]
+    parts = measure._fold([x[i:i + step] for i in range(0, size, step)], k)
     assert pairwise_sum(np.concatenate(parts)) == pairwise_sum(x)
 
 
@@ -314,6 +314,82 @@ def test_integrate_is_the_pairwise_sum_of_the_whole_grid_plane(case):
         mp.setattr(measure, "_BLOCK_NODES", block_nodes)
         assert measure._integrate(grid, frames, densities) == (integrals,
                                                                excluded)
+
+
+@st.composite
+def _box_cases(draw):
+    """(rule, cells, box, block nodes, seed) for a grid and a node box of
+    it, which may hold no node."""
+    rule = draw(st.sampled_from(["simpson", "midpoint"]))
+    if rule == "simpson":
+        cells = tuple(2 * draw(st.integers(4, 12)) for _ in range(2))
+        nodes = [n + 1 for n in cells]
+    else:
+        cells = (draw(st.integers(1, 24)), draw(st.integers(1, 24)))
+        nodes = list(cells)
+    box = []
+    for n in nodes:
+        start = draw(st.integers(0, n))
+        box.append((start, draw(st.integers(start, n))))
+    return (rule, cells, tuple(box), draw(st.sampled_from([1, 20, 64, 10 ** 9])),
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_box_cases())
+# 17 x 17 Simpson nodes at 64 block nodes: blocks of 4 rows, the last one
+# of 1 row; a box across block edges to the last row, one inside a block,
+# and one holding no node
+@example(case=("simpson", (16, 16), ((2, 17), (3, 11)), 64, 0))
+@example(case=("simpson", (16, 16), ((5, 7), (0, 17)), 64, 1))
+@example(case=("simpson", (16, 16), ((6, 6), (2, 9)), 64, 2))
+# 1-row blocks, and a ragged last block of 3 rows holding 3 of 4 groups
+@example(case=("midpoint", (13, 9), ((0, 13), (4, 5)), 1, 3))
+@example(case=("midpoint", (15, 13), ((9, 15), (2, 9)), 64, 4))
+def test_a_density_on_a_node_box_reduces_as_placed_into_the_whole_block(
+        case):
+    # each block yields the box's part of a density as (box, values) and
+    # the same values placed into a zero plane of the block; with a band
+    # of dropped nodes (W = 0), both reduce to the same bits
+    rule, (nu, nv), ((r0, r1), (c0, c1)), block_nodes, seed = case
+    grid = measure.QuadratureGrid((0.0, 1.0, -1.0, 2.0), nu, nv, rule)
+    rng = np.random.default_rng(seed)
+    shape = (grid.u.size, grid.v.size)
+    W = 1.0 + np.abs(rng.normal(size=shape))
+    W[rng.uniform(size=shape) < 0.2] = 0.0
+    num = rng.normal(size=shape)
+
+    def frames(u, v, rows):
+        return [{"W": W[rows], "omega": np.ones(u.shape)}]
+
+    def densities(zz, rows):
+        r = measure._clip(slice(r0, r1), rows.start, rows.stop)
+        box = (r, slice(c0, c1))
+        placed = np.zeros_like(zz["W"])
+        placed[r.start - rows.start:r.stop - rows.start, c0:c1] = (
+            num[box] / W[box])
+        return [(box, num[box] / W[box]), placed]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measure, "_BLOCK_NODES", block_nodes)
+        [(on_box, whole)], _ = measure._integrate(grid, frames, densities)
+    assert repr(on_box) == repr(whole)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(1, 5), length=st.integers(0, 70),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(rows=3, length=1, seed=0)
+@example(rows=2, length=67, seed=1)
+def test_the_stacked_reduction_is_the_pairwise_sum_of_each_row(rows, length,
+                                                               seed):
+    # odd lengths carry a node up a level, length 1 is its own sum and
+    # length 0 sums to 0.0
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(rows, length)) * np.exp(
+        rng.uniform(-8, 8, size=(rows, length)))
+    sums = measure._pairwise_rows(a)
+    assert [float(x) for x in sums] == [pairwise_sum(row) for row in a]
 
 
 def _hidden(f):

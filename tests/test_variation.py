@@ -9,6 +9,7 @@ from carnot_calc import (
     DeformationField,
     IntrinsicGraph,
     build_surface,
+    bump1,
     bump2,
     deform_patch,
     first_variation_analytic,
@@ -503,6 +504,86 @@ def test_stability_scan_differentiates_only_bumps_without_factors(
     bumps = _mixed_family(P, 4, 3)
     stability_scan(P, bumps=bumps, nu=96, nv=96)  # 97^2 nodes: 2 blocks
     assert calls == [F for F, meta in bumps if "shape" in meta] * 2
+
+
+def test_product_bump_support_is_the_box_of_its_factors():
+    F = variation._ProductBump(bump1(0.5, 0.25), bump1(-1.0, -0.5))
+    assert F.support == (0.25, 0.75, -1.5, -0.5)
+    # a factor that declares no support leaves the whole grid
+    plain = lambda x: 1.0 + 0.0 * x
+    assert variation._ProductBump(bump1(0.5, 0.25), plain).support is None
+    assert variation._ProductBump(plain, bump1(0.5, 0.25)).support is None
+    for F, meta in random_product_bumps((0, 1, 0, 2), 4,
+                                        np.random.default_rng(2)):
+        cu, cv, ru, rv = (meta[k] for k in ("cu", "cv", "ru", "rv"))
+        assert F.support == (cu - ru, cu + ru, cv - rv, cv + rv)
+
+
+def _nothing(x):
+    """A 1-D factor that is 0 everywhere; its support holds no point."""
+    return 0.0 * x
+
+
+_nothing.support = (np.inf, -np.inf)
+
+
+@pytest.mark.parametrize("sid, domain, family", [
+    # the characteristic point (0, 0) is a node at 64^2 and lies inside
+    # the boxes of several lattice bumps: the band path
+    pytest.param("t-graph:zero", (-1, 1, -1, 1), "lattice", id="band"),
+    # a product bump whose box holds no node, among others
+    pytest.param("xyt-graph", None, "empty-box", id="empty-box"),
+])
+def test_stability_scan_over_support_boxes_matches_quadratic_form(
+        sid, domain, family):
+    P = build_surface(sid, domain=domain).patch
+    if family == "lattice":
+        bumps = _lattice(P, 64)
+        out = stability_scan(P, nu=64, nv=64)
+        assert sum(F.support[0] < 0.0 < F.support[1]
+                   and F.support[2] < 0.0 < F.support[3]
+                   for F, _ in bumps) > 1
+    else:
+        bumps = random_product_bumps(P.domain, 4, np.random.default_rng(8))
+        empty = variation._ProductBump(_nothing, bump1(0.0, 1.0))
+        bumps.insert(2, (empty, {"cu": 0.0, "cv": 0.0, "ru": 0.0,
+                                 "rv": 1.0}))
+        out = stability_scan(P, bumps=bumps, nu=64, nv=64)
+        assert out["table"][2]["Q"] == 0.0
+    assert out == _expected_scan(P, bumps, 64)
+
+
+@pytest.mark.parametrize("block_nodes", [8192, 1000])
+def test_stability_scan_evaluates_each_product_bump_on_its_box_only(
+        monkeypatch, block_nodes):
+    # the density of each product bump is formed, per block, on the nodes
+    # of its support box inside the block; a block that misses the box
+    # forms none.  97 x 97 nodes: blocks of 64 (8192) or 8 (1000) rows
+    P = build_surface("xyt-graph").patch
+    bumps = random_product_bumps(P.domain, 12, np.random.default_rng(5))
+    ref = stability_scan(P, bumps=bumps, nu=96, nv=96)
+    monkeypatch.setattr(measure, "_BLOCK_NODES", block_nodes)
+    grid = measure.QuadratureGrid(P.domain, 96, 96)
+    rows = 64 if block_nodes == 8192 else 8
+    expected = []
+    for start in range(0, 97, rows):
+        for F, _ in bumps:
+            box_rows, cols = grid.restricted(F.support).box
+            r = measure._clip(box_rows, start, min(start + rows, 97))
+            if r.start < r.stop:
+                expected.append((r.stop - r.start, cols.stop - cols.start))
+    shapes = []
+    inner = variation._q_density
+
+    def counted(pot, F, ZF):
+        shapes.append(np.broadcast_shapes(*map(np.shape, (pot, F, ZF))))
+        return inner(pot, F, ZF)
+
+    monkeypatch.setattr(variation, "_q_density", counted)
+    out = stability_scan(P, bumps=bumps, nu=96, nv=96)
+    assert out == ref
+    assert shapes == expected
+    assert sum(r * c for r, c in shapes) < 0.5 * len(bumps) * 97 * 97
 
 
 def test_lattice_bumps_share_their_factors():
