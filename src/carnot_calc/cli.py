@@ -11,6 +11,7 @@ check failed, 2 usage/config error.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -243,20 +244,31 @@ def cmd_variation(cfg):
     return out, "json", None, True
 
 
+_FAMILY_FORMS = "bump-lattice[:<nc>,<nr>] or random:<count>,<seed>"
+
+
 def _parse_family(spec, P, nquad):
     if spec in (None, "bump-lattice"):
         return None  # stability_scan builds the default lattice
-    s = str(spec)
-    if s.startswith("bump-lattice:"):
-        nc, nr = (int(z) for z in s.split(":", 1)[1].split(","))
+    kind, colon, params = str(spec).partition(":")
+    if kind not in ("bump-lattice", "random") or not colon:
+        raise UsageError("unknown stability family %r (expected %s)"
+                         % (spec, _FAMILY_FORMS))
+    try:
+        first, second = (int(z) for z in params.split(","))
+        if first < 0 or second < 0:
+            raise ValueError
+    except ValueError:
+        raise UsageError("bad stability family %r: expected %s, with"
+                         " non-negative integers" % (spec, _FAMILY_FORMS)
+                         ) from None
+    if kind == "bump-lattice":
         u0, u1, v0, v1 = P.domain
         cell = max(u1 - u0, v1 - v0) / float(nquad)
-        return var.product_bump_lattice(P.domain, nc, nr, margin=cell)
-    if s.startswith("random:"):
-        count, seed = (int(z) for z in s.split(":", 1)[1].split(","))
-        rng = np.random.default_rng(seed)
-        return var.random_product_bumps(P.domain, count, rng)
-    raise ValueError("unknown stability family %r" % spec)
+        return var.product_bump_lattice(P.domain, first, second,
+                                        margin=cell)
+    return var.random_product_bumps(P.domain, first,
+                                    np.random.default_rng(second))
 
 
 def cmd_stability(cfg):
@@ -309,6 +321,7 @@ _VERBS = {
 # argument handling
 
 
+@functools.lru_cache(maxsize=None)  # built once, on the first run
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="carnot-calc",
@@ -327,8 +340,7 @@ def _build_parser():
     p.add_argument("--mode", help="variation mode: "
                                   "v1|v2-full|v2-geometric (or v2-geom)|"
                                   "numeric:1|numeric:2")
-    p.add_argument("--family", help="stability family: bump-lattice"
-                                    "[:<nc>,<nr>] or random:<count>,<seed>")
+    p.add_argument("--family", help="stability family: " + _FAMILY_FORMS)
     p.add_argument("--config", help="flat JSON config file; flags override")
     p.add_argument("--out", help="report path (default stdout)")
     p.add_argument("--format", choices=["csv", "json"],

@@ -229,13 +229,19 @@ def _bump_of_square(s):
 def bump1(center=0.0, radius=1.0):
     """One-variable C-infinity bump supported on |x-center| < radius.
 
-    The callable declares fn.support = (center - |radius|, center +
-    |radius|), an interval outside which it and its jet derivatives are
-    exactly 0 (up to the sign of a zero), as bump2 does in 2-D.
+    The callable records fn.center and fn.radius, and declares fn.support =
+    (center - |radius|, center + |radius|), an interval outside which it
+    and its jet derivatives are exactly 0 (up to the sign of a zero), as
+    bump2 does in 2-D.  Every operation is elementwise, so center and
+    radius may be arrays: bump1 of (m x 1) centres and radii, called on a
+    (1 x n) jet, evaluates m bumps at once, row i bit for bit the jet of
+    bump1(center[i, 0], radius[i, 0]) (stability_scan stacks its factors
+    so).
     """
     def fn(x):
         z = (x - center) * (1.0 / radius)
         return _bump_of_square(z * z)
+    fn.center, fn.radius = center, radius
     fn.support = (center - abs(radius), center + abs(radius))
     return fn
 

@@ -3,10 +3,12 @@
 The sub-Riemannian area element of a patch is dsigma_H = W du dv.  All
 integrals use deterministic composite rules with a fixed pairwise summation
 tree over the row-major grid, and all run through one streaming reducer:
-the grid is cut into blocks of 2^k whole rows, the frame is evaluated once
-per block on seeds of the block's u-nodes (rows x 1) and the grid's
-v-nodes (1 x columns), and every density is folded k levels of the pairwise
-tree per block, so no whole-grid frame is ever held.  A family of patches
+the grid is cut into blocks of 2^k whole rows, the least power of two of
+rows that holds _BLOCK_NODES nodes (so a grid of no more nodes is one
+block), the frame is evaluated once per block on seeds of the block's
+u-nodes (rows x 1) and the grid's v-nodes (1 x columns), and every
+density is folded k levels of the pairwise tree per block, so no
+whole-grid frame is ever held.  A family of patches
 moved from one patch (the dilation and translation ratios, the deformed
 patches of numeric_variation) shares one pass: each block evaluates the
 base components once and forms every member's frame from them.  Since a u-only or
@@ -49,12 +51,13 @@ __all__ = [
     "mcf_residual",
 ]
 
-# Nodes per evaluation block, which holds the power of two of whole rows
-# nearest to it (at least one row): small enough that the order-2 jet
-# temporaries of one block stay in cache instead of streaming whole-grid
-# arrays, large enough that the per-block Python work stays small.  The
-# reducer also folds the runs of several densities together once they hold
-# this many nodes.
+# Nodes per evaluation block, which holds the least power of two of whole
+# rows that holds at least this many nodes (at least one row), or the
+# whole grid: small enough that the order-2 jet temporaries of one block
+# stay near cache instead of streaming whole-grid arrays, large enough
+# that the per-block Python work stays small, and a grid that fits in one
+# block pays that work once.  The reducer also folds the runs of several
+# densities together once they hold this many nodes.
 _BLOCK_NODES = 8192
 
 
@@ -149,17 +152,21 @@ class QuadratureGrid:
             return self
         u0, u1, v0, v1 = support
         grid = copy.copy(self)
-        grid.box = (_node_span(self.u, u0, u1), _node_span(self.v, v0, v1))
+        grid.box = (_node_span(self.u, [u0], [u1])[0],
+                    _node_span(self.v, [v0], [v1])[0])
         return grid
 
 
 def _node_span(x, lo, hi):
-    """Slice of the increasing nodes x from one node below lo to one node
-    above hi, clipped to x; empty unless lo <= hi."""
-    if not lo <= hi:
-        return slice(0, 0)
-    return slice(max(int(np.searchsorted(x, lo)) - 1, 0),
-                 min(int(np.searchsorted(x, hi, "right")) + 1, x.size))
+    """Slices of the increasing nodes x, one per pair of edges lo[i] and
+    hi[i] (1-D arrays): from one node below lo[i] to one node above hi[i],
+    clipped to x; empty unless lo[i] <= hi[i], so a reversed or NaN pair
+    holds no node.  One search per array of edges."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    starts = np.maximum(np.searchsorted(x, lo) - 1, 0).tolist()
+    stops = np.minimum(np.searchsorted(x, hi, "right") + 1, x.size).tolist()
+    return [slice(a, b) if keep else slice(0, 0)
+            for a, b, keep in zip(starts, stops, (lo <= hi).tolist())]
 
 
 class IntegralResult:
@@ -221,9 +228,10 @@ def _integrate(grid, frames, densities):
     """Integrals against du dv over the grid's node box, streamed in blocks
     of rows, for one or more patches at once.
 
-    Each block holds 2^k whole rows, k the integer nearest to
-    log2(_BLOCK_NODES / columns) and at least 0, so that a block holds about
-    _BLOCK_NODES nodes (or one row, if rows are longer).  The integrand is
+    Each block holds 2^k whole rows, k the least integer >=
+    log2(_BLOCK_NODES / columns) and at least 0, so that a block holds at
+    least _BLOCK_NODES nodes (one row, if rows are longer) or the whole
+    grid.  The integrand is
     taken to be exactly 0 off grid.box (the whole grid unless the grid was
     restricted to a support), which must hold a node.  Only the blocks that
     meet the box are visited, each on its rows and columns inside the box.
@@ -263,7 +271,7 @@ def _integrate(grid, frames, densities):
     """
     u, v = grid.u, grid.v
     box, cols = grid.box
-    k = max(0, round(math.log2(_BLOCK_NODES / v.size)))
+    k = max(0, math.ceil(math.log2(_BLOCK_NODES / v.size)))
     size = -(-u.size * v.size >> k)
     # per frame: the level-k parts of each integral; those of the excluded
     # mass, a list that stays empty while no node is dropped

@@ -19,7 +19,8 @@ from .fields import _zero, bump1, jet_partial, seed_jets
 from .surfaces import (_MovedPatch, _as_jet, patch_fields_jets, tangential,
                        zy_second)
 from .measure import (_clip, _family_perimeters, _grid_for, _integrate,
-                      _patch_frames, _supported_integral, integrate_patch)
+                      _node_span, _patch_frames, _supported_integral,
+                      integrate_patch)
 
 __all__ = [
     "DeformationField", "deform_patch", "numeric_variation",
@@ -402,14 +403,33 @@ def random_product_bumps(domain, count, rng, margin=0.0):
     return out
 
 
-def _factor_jets(b, x, memo):
-    """Value and derivative arrays of the 1-D factor b at the nodes x,
-    evaluated once per factor object (memo is keyed by id)."""
-    if id(b) not in memo:
-        (xj,) = seed_jets((x,), order=1)
-        bj = b(xj)
-        memo[id(b)] = bj.v, bj.g[0]
-    return memo[id(b)]
+_BUMP1 = bump1().__code__  # the body of every bump1 factor
+
+
+def _factor_jets(factors, x):
+    """Value and derivative arrays of each distinct 1-D factor (by
+    identity) at the nodes x, keyed by id.  The bump1 factors whose centre
+    and radius are floats are evaluated by one call of bump1 on (m x 1)
+    arrays of their centres and radii, at one first-order seed of
+    x[None, :]: row i is factor i's own jet bit for bit (see bump1).  Any
+    other factor is evaluated on its own seed of x."""
+    distinct = {id(b): b for b in factors}
+    stacked = [b for b in distinct.values()
+               if getattr(b, "__code__", None) is _BUMP1
+               and isinstance(b.center, float) and isinstance(b.radius, float)]
+    out = {}
+    if stacked:
+        (xj,) = seed_jets((x[None, :],), order=1)
+        bj = bump1(*(np.array([[getattr(b, nm)] for b in stacked])
+                     for nm in ("center", "radius")))(xj)
+        out.update((id(b), (bj.v[i], bj.g[0, i]))
+                   for i, b in enumerate(stacked))
+    for key, b in distinct.items():
+        if key not in out:
+            (xj,) = seed_jets((x,), order=1)
+            bj = b(xj)
+            out[key] = bj.v, bj.g[0]
+    return out
 
 
 def stability_scan(P, bumps=None, n_centers=5, n_radii=5, nu=None, nv=None,
@@ -421,12 +441,14 @@ def stability_scan(P, bumps=None, n_centers=5, n_radii=5, nu=None, nv=None,
     quadratic_form(P, F, nu=nu, nv=nv) bit for bit.  A product bump
     F = bu(u) bv(v) (one with .factors, as product_bump_lattice and
     random_product_bumps build) is differentiated by sum factorization:
-    each distinct factor is evaluated once, on first-order jets at the
-    grid's u- or v-nodes, and each block broadcasts the factor values of
+    each distinct factor is evaluated once on first-order jets at the
+    grid's u- or v-nodes, all bump1 factors of an axis in one stacked
+    call (_factor_jets), and each block broadcasts the factor values of
     its rows against those of all columns into F = a b, F_u = a' b and
     F_v = a b', leaving ZF = (F_u gamma_v - F_v gamma_u) / det per node.
     Its density is formed and reduced only on the nodes of its support's
-    node box (F.support, see QuadratureGrid.restricted) inside each block:
+    node box (F.support, see QuadratureGrid.restricted; the boxes of all
+    bumps are cut in one search per edge) inside each block:
     off the box the factors and their derivatives are signed zeros, so the
     density there is +0.0 wherever the frame is finite (everywhere off the
     characteristic band, which is dropped).  Any other bump goes through
@@ -445,14 +467,21 @@ def stability_scan(P, bumps=None, n_centers=5, n_radii=5, nu=None, nv=None,
     bumps = list(bumps)
     grid = _grid_for(P, nu, nv, "simpson")
     us, vs = grid.u, grid.v
-    u_memo, v_memo = {}, {}
-    factors = []
-    for F, _ in bumps:
-        fac = getattr(F, "factors", None)
-        factors.append(None if fac is None else
-                       (_factor_jets(fac[0], us, u_memo),
-                        _factor_jets(fac[1], vs, v_memo),
-                        grid.restricted(getattr(F, "support", None)).box))
+    facs = [getattr(F, "factors", None) for F, _ in bumps]
+    products = [(F, fac) for (F, _), fac in zip(bumps, facs)
+                if fac is not None]
+    u_jets = _factor_jets([fac[0] for _, fac in products], us)
+    v_jets = _factor_jets([fac[1] for _, fac in products], vs)
+    # the node box of every product bump's support, as
+    # QuadratureGrid.restricted cuts it (no support: the whole grid)
+    supports = [getattr(F, "support", None) for F, _ in products]
+    edges = np.reshape([(-np.inf, np.inf, -np.inf, np.inf) if e is None
+                        else e for e in supports], (-1, 4)).T
+    boxes = iter(zip(_node_span(us, edges[0], edges[1]),
+                     _node_span(vs, edges[2], edges[3])))
+    factors = [None if fac is None else
+               (u_jets[id(fac[0])], v_jets[id(fac[1])], next(boxes))
+               for fac in facs]
     worst = []
 
     def densities(zz, rows):

@@ -231,10 +231,63 @@ def test_stability_sized_lattice_family(capsys):
 
 
 def test_stability_unknown_family_is_an_error(capsys):
-    rc, _, err = invoke(capsys, ["stability", "--surface", "xyt-graph",
-                                 "--grid", "32", "--family", "gaussians"])
-    assert rc == 2
-    assert "unknown stability family" in err
+    for family in ("gaussians", "random"):
+        rc, _, err = invoke(capsys, ["stability", "--surface", "xyt-graph",
+                                     "--grid", "32", "--family", family])
+        assert rc == 2
+        assert err == ("error: unknown stability family %r (expected"
+                       " bump-lattice[:<nc>,<nr>] or random:<count>,<seed>)\n"
+                       % family)
+
+
+@pytest.mark.parametrize("family", [
+    "random:-3,1", "bump-lattice:-2,3", "random:2,-1", "bump-lattice:5",
+    "random:64", "random:a,b", "random:1,2,3", "bump-lattice:", "random:",
+    "bump-lattice:3,", "random:1.5,2"])
+def test_stability_malformed_family_is_a_usage_error(capsys, family):
+    # negative counts used to print an empty scan; the other specs failed
+    # with Python's unpacking or int() text
+    rc, out, err = invoke(capsys, ["stability", "--surface", "xyt-graph",
+                                   "--grid", "16", "--family", family])
+    assert (rc, out) == (2, "")
+    assert err == ("error: bad stability family %r: expected"
+                   " bump-lattice[:<nc>,<nr>] or random:<count>,<seed>,"
+                   " with non-negative integers\n" % family)
+
+
+@pytest.mark.parametrize("family", ["bump-lattice:0,0", "bump-lattice:0,3",
+                                    "random:0,0"])
+def test_stability_zero_count_families_are_empty_scans(capsys, family):
+    rc, out, _ = invoke(capsys, ["stability", "--surface", "xyt-graph",
+                                 "--grid", "16", "--family", family])
+    assert rc == 0
+    assert json.loads(out)["count"] == 0
+
+
+def test_one_parser_serves_every_run_in_a_process(capsys, monkeypatch):
+    # run builds its parser on the first call and reuses it: help, a bad
+    # flag and two verbs print the same bytes, with the same exit codes, as
+    # a parser built afresh for each
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = [["--help"], ["measure", "--no-such-flag"],
+             ["catalog"],
+             ["measure", "--surface", "t-graph:parab", "--grid", "8"]]
+
+    def outcome(argv):
+        rc = run(argv)
+        out = capsys.readouterr()
+        return rc, out.out, out.err
+
+    fresh = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    cli._build_parser.cache_clear()
+    assert [outcome(argv) for argv in argvs] == fresh
+    assert cli._build_parser.cache_info().misses == 1
+    assert [rc for rc, _, _ in fresh] == [0, 2, 0, 0]
+    assert fresh[0][1].startswith("usage: carnot-calc")
+    assert "unrecognized arguments: --no-such-flag" in fresh[1][2]
 
 
 def _reject_constant(name):

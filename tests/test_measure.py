@@ -188,12 +188,14 @@ def _block_shapes(monkeypatch, P, nu, nv, rule="simpson", route=None):
 
 def test_row_blocks_hold_the_power_of_two_of_rows_nearest_the_block_size(
         monkeypatch):
-    # 2^k whole rows, k the integer nearest to log2(_BLOCK_NODES / columns)
-    # and at least 0; only the last block is shorter
+    # 2^k whole rows, k the least integer >= log2(_BLOCK_NODES / columns)
+    # and at least 0, so a block holds at least _BLOCK_NODES nodes or the
+    # whole grid; only the last block is shorter.  97 columns: one block
+    # at 8192 (128 rows hold all 97), 16 rows at 1000
     P = build_surface("t-graph:parab").patch
     for block_nodes, nu, nv, rule, rows in (
             (8192, 128, 128, "simpson", 64), (8192, 512, 512, "simpson", 16),
-            (8192, 96, 96, "simpson", 64), (1000, 96, 96, "simpson", 8),
+            (8192, 96, 96, "simpson", 128), (1000, 96, 96, "simpson", 16),
             (1000, 30, 40, "midpoint", 32), (1000, 48, 16, "simpson", 64),
             (10, 16, 16, "simpson", 1), (10 ** 9, 64, 16, "simpson", 2 ** 26)):
         monkeypatch.setattr(measure, "_BLOCK_NODES", block_nodes)
@@ -222,6 +224,27 @@ def test_support_box_runs_from_one_node_below_to_one_node_above():
         restricted = grid.restricted(support)
         assert restricted.box == box
         assert restricted.u is grid.u and grid.box == whole
+
+
+def test_node_spans_of_many_edge_pairs_are_those_of_each_support():
+    # one search per array of edges gives each support's box, as
+    # restricted cuts it one support at a time; a reversed, NaN or
+    # (inf, -inf) pair holds no node
+    grid = measure.QuadratureGrid((0.5, 1.5, 0.5, 1.5), 16, 16)
+    supports = [(0.75, 1.0, 0.65, 0.85), (0.0, 0.6, 1.45, 3.0),
+                (1.6, 2.0, -1.0, 0.4), (0.0, 2.0, 0.0, 2.0),
+                (np.inf, -np.inf, np.inf, -np.inf),
+                (1.0, 0.75, 0.85, 0.65),  # reversed
+                (np.nan, 1.0, 0.7, np.nan), (np.nan, np.nan, np.nan, np.nan),
+                (1.0, 1.0, 0.5, 0.5)]  # a point, on a node
+    u0, u1, v0, v1 = np.array(supports).T
+    spans = list(zip(measure._node_span(grid.u, u0, u1),
+                     measure._node_span(grid.v, v0, v1)))
+    assert spans == [grid.restricted(s).box for s in supports]
+    empty = (slice(0, 0), slice(0, 0))
+    assert spans[4:8] == [empty] * 4
+    assert spans[8] == (slice(7, 10), slice(0, 2))
+    assert measure._node_span(grid.u, [], []) == []
 
 
 def test_v1_evaluates_only_the_support_box(monkeypatch):

@@ -222,7 +222,7 @@ def test_supported_variations_equal_the_whole_grid(coeffs):
              for route in _SUPPORTED_ROUTES]
     with pytest.MonkeyPatch.context() as mp:
         # one block, blocks of 4 rows, blocks of 1 row (17 columns)
-        for block_nodes in (10 ** 9, 64, 20):
+        for block_nodes in (10 ** 9, 64, 17):
             mp.setattr(measure, "_BLOCK_NODES", block_nodes)
             assert [repr(route(P, D, nu=16, nv=16))
                     for route in _SUPPORTED_ROUTES] == whole
@@ -502,8 +502,13 @@ def test_stability_scan_differentiates_only_bumps_without_factors(
     out = stability_scan(P, nu=96, nv=96)
     assert out["count"] == 125 and calls == []
     bumps = _mixed_family(P, 4, 3)
-    stability_scan(P, bumps=bumps, nu=96, nv=96)  # 97^2 nodes: 2 blocks
-    assert calls == [F for F, meta in bumps if "shape" in meta] * 2
+    ellipses = [F for F, meta in bumps if "shape" in meta]
+    stability_scan(P, bumps=bumps, nu=96, nv=96)  # 97^2 nodes: 1 block
+    assert calls == ellipses
+    calls.clear()
+    monkeypatch.setattr(measure, "_BLOCK_NODES", 4096)  # 2 blocks of 64 rows
+    stability_scan(P, bumps=bumps, nu=96, nv=96)
+    assert calls == ellipses * 2
 
 
 def test_product_bump_support_is_the_box_of_its_factors():
@@ -553,18 +558,19 @@ def test_stability_scan_over_support_boxes_matches_quadratic_form(
     assert out == _expected_scan(P, bumps, 64)
 
 
-@pytest.mark.parametrize("block_nodes", [8192, 1000])
+@pytest.mark.parametrize("block_nodes", [8192, 4096, 1000, 776])
 def test_stability_scan_evaluates_each_product_bump_on_its_box_only(
         monkeypatch, block_nodes):
     # the density of each product bump is formed, per block, on the nodes
     # of its support box inside the block; a block that misses the box
-    # forms none.  97 x 97 nodes: blocks of 64 (8192) or 8 (1000) rows
+    # forms none.  97 x 97 nodes: one block (8192), or blocks of 64
+    # (4096), 16 (1000) or 8 (776) rows
     P = build_surface("xyt-graph").patch
     bumps = random_product_bumps(P.domain, 12, np.random.default_rng(5))
     ref = stability_scan(P, bumps=bumps, nu=96, nv=96)
     monkeypatch.setattr(measure, "_BLOCK_NODES", block_nodes)
     grid = measure.QuadratureGrid(P.domain, 96, 96)
-    rows = 64 if block_nodes == 8192 else 8
+    rows = {8192: 97, 4096: 64, 1000: 16, 776: 8}[block_nodes]
     expected = []
     for start in range(0, 97, rows):
         for F, _ in bumps:
@@ -598,9 +604,70 @@ def test_lattice_bumps_share_their_factors():
         assert bu(meta["cu"]) == bv(meta["cv"]) == np.exp(-1.0)
 
 
+def _own_jet(b, x):
+    """Value and derivative of the 1-D factor b at the nodes x, from its
+    own first-order seed."""
+    (xj,) = seed_jets((x,), order=1)
+    bj = b(xj)
+    return bj.v, bj.g[0]
+
+
+def _same_bits(a, b):
+    return (np.shape(a) == np.shape(b) and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def _plain(x):
+    """A 1-D factor that is 1 everywhere and declares no support."""
+    return 1.0 + 0.0 * x
+
+
+@pytest.mark.parametrize("family", ["lattice", "random", "reversed",
+                                    "mixed"])
+def test_stacked_factor_jets_equal_the_per_factor_jets(monkeypatch, family):
+    # the bump1 factors of an axis are evaluated in one stacked call of
+    # bump1; every value and derivative, signed zeros included, is that of
+    # the factor's own jet.  Other factors (and a bump1 of int centre and
+    # radius) fall back to their own seed
+    P = build_surface("xyt-graph").patch
+    grid = measure.QuadratureGrid(P.domain, 96, 96)
+    if family == "lattice":
+        pairs = [F.factors for F, _ in _lattice(P, 96)]
+    elif family == "random":
+        pairs = [F.factors for F, _ in random_product_bumps(
+            P.domain, 64, np.random.default_rng(4))]
+    elif family == "reversed":  # a negative radius, edges on nodes
+        grid = measure.QuadratureGrid((-2.0, 0.0, -2.0, 0.0), 96, 96)
+        pairs = [(bump1(-1.0, -0.5), bump1(-1.0, -0.5))]
+    else:
+        b = bump1(0.5, 0.25)
+        pairs = [(b, _plain), (_nothing, b), (b, bump1(0.5, 0.25)),
+                 (bump1(1, 2), bump1(1, 2))]
+    seeds = []
+    inner = variation.seed_jets
+    monkeypatch.setattr(variation, "seed_jets",
+                        lambda *a, **k: seeds.append(1) or inner(*a, **k))
+    for axis, x in enumerate((grid.u, grid.v)):
+        factors = [pair[axis] for pair in pairs]
+        seeds.clear()
+        jets = variation._factor_jets(factors, x)
+        assert set(jets) == {id(b) for b in factors}
+        for b in factors:
+            own = _own_jet(b, x)
+            assert all(_same_bits(*z) for z in zip(jets[id(b)], own))
+        # one seed for the stacked bump1 factors, one per other factor
+        fallback = {id(b) for b in factors
+                    if not isinstance(getattr(b, "center", None), float)}
+        assert len(seeds) == (len(fallback) < len(jets)) + len(fallback)
+        assert len(fallback) == (2 if family == "mixed" else 0)
+    if family == "random":
+        assert len({id(b) for b, _ in pairs}) == 64
+
+
 def test_stability_scan_evaluates_each_factor_and_potential_once(
         monkeypatch):
-    # one 1-D jet per distinct factor and axis; one potential per block
+    # the 25 distinct bump1 factors of each axis share one stacked 1-D
+    # jet; one potential per block
     P = build_surface("xyt-graph").patch
     ref = stability_scan(P, nu=96, nv=96)
     seeds, pots = [], []
@@ -611,16 +678,17 @@ def test_stability_scan_evaluates_each_factor_and_potential_once(
                         lambda zz: pots.append(1) or inner_pot(zz))
     out = stability_scan(P, nu=96, nv=96)
     assert out == ref
-    assert len(seeds) == 25 + 25
-    assert len(pots) == 2  # 97^2 nodes: two blocks
+    assert len(seeds) == 2
+    assert len(pots) == 1  # 97^2 nodes: one block
 
 
-@pytest.mark.parametrize("block_nodes, blocks", [(8192, 2), (1000, 13)])
+@pytest.mark.parametrize("block_nodes, blocks", [(8192, 1), (4096, 2),
+                                                  (776, 13)])
 def test_stability_scan_evaluates_the_frame_once_per_block(monkeypatch,
                                                            block_nodes,
                                                            blocks):
-    # 97 x 97 nodes: two blocks of 64 rows (6208 nodes) by default, thirteen
-    # of 8 rows (776 nodes) at 1000, each last block shorter
+    # 97 x 97 nodes: one block by default, two of 64 rows (6208 nodes) at
+    # 4096, thirteen of 8 rows (776 nodes) at 776, each last block shorter
     P = build_surface("xyt-graph").patch
     bumps = random_product_bumps(P.domain, 12, np.random.default_rng(5))
     ref = stability_scan(P, bumps=bumps, nu=96, nv=96)
