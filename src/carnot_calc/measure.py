@@ -25,9 +25,10 @@ QuadratureGrid.restricted) is evaluated on that box's nodes only: only
 the aligned groups of 2^k nodes that meet the box's rows are folded into
 the integral's one zero buffer of the whole grid's level-k nodes, whose
 other nodes keep the +0.0 that zeros fold to.  A box holding no node runs
-on the whole grid.  A density may also name its own box per block (the
-stability scan's bumps do).  The buffers of all integrals are summed in
-one pass of the tree (_pairwise_rows, which pairwise_sum runs too).
+on the whole grid.  The buffers of all integrals are summed in one pass
+of the tree (_pairwise_rows, which pairwise_sum runs too).  The stability
+scan also uses the block walk to fill its four whole-grid node planes
+(see variation.stability_scan), which it sums by matrix products instead.
 """
 
 import copy
@@ -56,8 +57,7 @@ __all__ = [
 # whole grid: small enough that the order-2 jet temporaries of one block
 # stay near cache instead of streaming whole-grid arrays, large enough
 # that the per-block Python work stays small, and a grid that fits in one
-# block pays that work once.  The reducer also folds the runs of several
-# densities together once they hold this many nodes.
+# block pays that work once.
 _BLOCK_NODES = 8192
 
 
@@ -147,26 +147,18 @@ class QuadratureGrid:
         lower edge to one node above the upper edge, clipped to the grid,
         so a node of the box outside the support computes the same 0 it
         would on the whole grid; an empty support (u1 < u0 or v1 < v0)
-        holds no node."""
+        holds no node, nor does a NaN edge."""
         if support is None:
             return self
         u0, u1, v0, v1 = support
+        spans = []
+        for x, lo, hi in ((self.u, u0, u1), (self.v, v0, v1)):
+            start = max(int(np.searchsorted(x, lo)) - 1, 0)
+            stop = min(int(np.searchsorted(x, hi, "right")) + 1, x.size)
+            spans.append(slice(start, stop) if lo <= hi else slice(0, 0))
         grid = copy.copy(self)
-        grid.box = (_node_span(self.u, [u0], [u1])[0],
-                    _node_span(self.v, [v0], [v1])[0])
+        grid.box = tuple(spans)
         return grid
-
-
-def _node_span(x, lo, hi):
-    """Slices of the increasing nodes x, one per pair of edges lo[i] and
-    hi[i] (1-D arrays): from one node below lo[i] to one node above hi[i],
-    clipped to x; empty unless lo[i] <= hi[i], so a reversed or NaN pair
-    holds no node.  One search per array of edges."""
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    starts = np.maximum(np.searchsorted(x, lo) - 1, 0).tolist()
-    stops = np.minimum(np.searchsorted(x, hi, "right") + 1, x.size).tolist()
-    return [slice(a, b) if keep else slice(0, 0)
-            for a, b, keep in zip(starts, stops, (lo <= hi).tolist())]
 
 
 class IntegralResult:
@@ -204,24 +196,15 @@ def _grid_for(P, nu, nv, rule):
     return QuadratureGrid(P.domain, nu or P.grid[0], nv or P.grid[1], rule)
 
 
-def _fold(runs, k):
-    """The level-k nodes of pairwise_sum's tree over each of runs, 1-D runs
-    of row-major nodes that each start at a multiple of 2^k: each whole
-    group of 2^k nodes folded k pairwise levels, then the ragged tail, if
-    any, summed by pairwise_sum.  The whole groups of all runs are folded
-    in one pass."""
-    if not runs:
-        return []
-    wholes = [run.size >> k << k for run in runs]
-    heads = _pairwise_rows(np.concatenate(
-        [run[:whole] for run, whole in zip(runs, wholes)]).reshape(-1, 1 << k))
-    out, at = [], 0
-    for run, whole in zip(runs, wholes):
-        parts = heads[at:at + (whole >> k)]
-        at += whole >> k
-        out.append(parts if whole == run.size else
-                   np.append(parts, pairwise_sum(run[whole:])))
-    return out
+def _fold(run, k):
+    """The level-k nodes of pairwise_sum's tree over run, a 1-D run of
+    row-major nodes that starts at a multiple of 2^k: each whole group of
+    2^k nodes folded k pairwise levels, then the ragged tail, if any,
+    summed by pairwise_sum."""
+    whole = run.size >> k << k
+    parts = _pairwise_rows(run[:whole].reshape(-1, 1 << k))
+    return (parts if whole == run.size else
+            np.append(parts, pairwise_sum(run[whole:])))
 
 
 def _integrate(grid, frames, densities):
@@ -244,12 +227,8 @@ def _integrate(grid, frames, densities):
     integrands of intrinsic_stability_form).  A family of patches shares
     in frames what their components have in common.  densities(zz, rows)
     receives one frame dict and the same slice of grid rows, and returns
-    an iterable of integrands (density times W), reduced one at a time:
-    each an array that broadcasts to the frame's nodes, or a pair
-    (box, values) of a node box, two slices of grid indices inside the
-    frame's nodes, and values on it, the integrand being exactly 0 off the
-    box (a box holding no node contributes nothing, and its values are not
-    read).  An array is the pair of the frame's whole box.
+    an iterable of integrand arrays (density times W) that broadcast to
+    the frame's nodes, reduced one at a time.
     zz["band"] marks the frame's nodes inside the characteristic band: they
     are dropped, and their weighted W-mass is returned as the frame's
     excluded mass (a block with no such node skips both steps, whose
@@ -259,11 +238,10 @@ def _integrate(grid, frames, densities):
 
     Each integral, and each frame's excluded mass, has one zero buffer of
     the whole grid's ceil(nodes / 2^k) level-k parts, so the pairwise tree
-    stays the whole grid's: a box's weighted values are placed into the
-    zero run of the aligned groups of 2^k nodes that meet its rows
-    (_placed), and the runs are folded (_fold) and written in place, in
-    one pass once they hold _BLOCK_NODES nodes and at the end of each
-    block; every other part keeps the +0.0 that the whole grid's zeros
+    stays the whole grid's: a block's weighted values on the box are
+    placed into the zero run of the aligned groups of 2^k nodes that meet
+    the box's rows (_placed), and the run is folded (_fold) and written in
+    place; every other part keeps the +0.0 that the whole grid's zeros
     fold to.  The buffers of all integrals are summed in one pass of the
     tree (_pairwise_rows).  Returns (integrals, excluded), the list of each
     frame's integrals and the list of each frame's excluded mass, in the
@@ -276,44 +254,28 @@ def _integrate(grid, frames, densities):
     # per frame: the level-k parts of each integral; those of the excluded
     # mass, a list that stays empty while no node is dropped
     integrals, excluded = [], []
-    # runs of nodes waiting to be folded, and the buffer and part each
-    # one's parts start at
-    runs, targets = [], []
 
-    def write(buffers, i, node_box, values, drop):
-        """The integrand values on node_box, times the weights, with the
-        nodes where drop holds (None: none) set to 0, into buffers[i]
-        (made when first written)."""
+    def write(buffers, i, values, drop):
+        """The integrand values on the block's nodes inside the box, times
+        the weights, with the nodes where drop holds (None: none) set to
+        0, folded into buffers[i] (made when first written)."""
         if i == len(buffers):
             buffers.append(np.zeros(size))
-        rs, cs = node_box
-        if rs.start == rs.stop or cs.start == cs.stop:
-            return
-        at = (slice(rs.start - rows.start, rs.stop - rows.start),
-              slice(cs.start - cols.start, cs.stop - cols.start))
-        values = values * ws[at]
+        values = values * ws
         if drop is not None:
-            values = np.where(drop[at], 0.0, values)
+            values = np.where(drop, 0.0, values)
         # the aligned groups of 2^k block nodes that meet the box's rows,
         # in the whole rows first to last that hold them
-        lo = (rs.start - start) * v.size >> k << k
-        hi = min(-(-(rs.stop - start) * v.size >> k) << k, nodes)
+        lo = (rows.start - start) * v.size >> k << k
+        hi = min(-(-(rows.stop - start) * v.size >> k) << k, nodes)
         first, last = lo // v.size, -(-hi // v.size)
         plane = _placed(values, 0.0, (last - first, v.size),
-                        (slice(rs.start - start - first,
-                               rs.stop - start - first), cs))
-        runs.append(np.ravel(plane)[lo - first * v.size:
-                                    hi - first * v.size])
-        targets.append((buffers[i], (start * v.size + lo) >> k))
-        if sum(run.size for run in runs) >= _BLOCK_NODES:
-            flush()
-
-    def flush():
-        """Fold the pending runs in one pass and write their parts."""
-        for (buffer, offset), parts in zip(targets, _fold(runs, k)):
-            buffer[offset:offset + parts.size] = parts
-        runs.clear()
-        targets.clear()
+                        (slice(rows.start - start - first,
+                               rows.stop - start - first), cols))
+        parts = _fold(np.ravel(plane)[lo - first * v.size:
+                                      hi - first * v.size], k)
+        at = (start * v.size + lo) >> k
+        buffers[i][at:at + parts.size] = parts
 
     for start in range(box.start >> k << k, box.stop, 1 << k):
         stop = min(start + (1 << k), u.size)
@@ -329,15 +291,12 @@ def _integrate(grid, frames, densities):
             mask = zz["band"] = _characteristic_band(W, zz["omega"])
             if mask.any():
                 mask = np.broadcast_to(mask, ws.shape)
-                write(excluded[f], 0, (rows, cols), np.abs(W), ~mask)
+                write(excluded[f], 0, np.abs(W), ~mask)
             else:  # nothing is dropped or excluded
                 mask = None
             with np.errstate(divide="ignore", invalid="ignore"):
                 for i, vals in enumerate(densities(zz, rows)):
-                    node_box, vals = (vals if isinstance(vals, tuple)
-                                      else ((rows, cols), vals))
-                    write(integrals[f], i, node_box, vals, mask)
-        flush()
+                    write(integrals[f], i, vals, mask)
     stacked = [parts for frame in integrals + excluded for parts in frame]
     sums = iter(_pairwise_rows(np.reshape(stacked, (-1, size))).tolist())
     return ([[next(sums) for _ in frame] for frame in integrals],

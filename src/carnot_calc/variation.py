@@ -18,9 +18,8 @@ import numpy as np
 from .fields import _zero, bump1, jet_partial, seed_jets
 from .surfaces import (_MovedPatch, _as_jet, patch_fields_jets, tangential,
                        zy_second)
-from .measure import (_clip, _family_perimeters, _grid_for, _integrate,
-                      _node_span, _patch_frames, _supported_integral,
-                      integrate_patch)
+from .measure import (_family_perimeters, _grid_for, _integrate,
+                      _patch_frames, _supported_integral, integrate_patch)
 
 __all__ = [
     "DeformationField", "deform_patch", "numeric_variation",
@@ -350,13 +349,6 @@ class _ProductBump:
     def __init__(self, bu, bv):
         self.factors = (bu, bv)
 
-    @property
-    def support(self):
-        """The box (u0, u1, v0, v1) of the factors' support intervals, or
-        None (the whole grid) when either factor declares none."""
-        spans = [getattr(b, "support", None) for b in self.factors]
-        return None if None in spans else (*spans[0], *spans[1])
-
     def __call__(self, u, v):
         bu, bv = self.factors
         return bu(u) * bv(v)
@@ -369,6 +361,9 @@ def product_bump_lattice(domain, n_centers=5, n_radii=5, margin=0.0):
     supports are clipped to keep a `margin` distance from the boundary.
     Bumps with the same centre and radius along an axis share that factor.
     """
+    if n_centers < 0 or n_radii < 0:
+        raise ValueError("bump counts must be >= 0, got n_centers=%d, "
+                         "n_radii=%d" % (n_centers, n_radii))
     u0, u1, v0, v1 = (float(d) for d in domain)
     cus = u0 + (u1 - u0) * (np.arange(n_centers) + 1.0) / (n_centers + 1.0)
     cvs = v0 + (v1 - v0) * (np.arange(n_centers) + 1.0) / (n_centers + 1.0)
@@ -391,6 +386,8 @@ def product_bump_lattice(domain, n_centers=5, n_radii=5, margin=0.0):
 
 def random_product_bumps(domain, count, rng, margin=0.0):
     """Random product bumps with supports strictly inside the rectangle."""
+    if int(count) < 0:
+        raise ValueError("bump count must be >= 0, got %d" % count)
     u0, u1, v0, v1 = (float(d) for d in domain)
     out = []
     for _ in range(int(count)):
@@ -436,25 +433,30 @@ def stability_scan(P, bumps=None, n_centers=5, n_radii=5, nu=None, nv=None,
                    witness_threshold=-1e-6, minimal_tol=1e-6):
     """Evaluate the stability form over a family of normal-speed bumps.
 
-    The frame is evaluated once per row block of the quadrature grid and
-    every bump is reduced against it; each Q equals
-    quadratic_form(P, F, nu=nu, nv=nv) bit for bit.  A product bump
-    F = bu(u) bv(v) (one with .factors, as product_bump_lattice and
-    random_product_bumps build) is differentiated by sum factorization:
-    each distinct factor is evaluated once on first-order jets at the
-    grid's u- or v-nodes, all bump1 factors of an axis in one stacked
-    call (_factor_jets), and each block broadcasts the factor values of
-    its rows against those of all columns into F = a b, F_u = a' b and
-    F_v = a b', leaving ZF = (F_u gamma_v - F_v gamma_u) / det per node.
-    Its density is formed and reduced only on the nodes of its support's
-    node box (F.support, see QuadratureGrid.restricted; the boxes of all
-    bumps are cut in one search per edge) inside each block:
-    off the box the factors and their derivatives are signed zeros, so the
-    density there is +0.0 wherever the frame is finite (everywhere off the
-    characteristic band, which is dropped).  Any other bump goes through
-    tangential() on the whole block, as in quadratic_form.  The scan
-    raises if max |H| over the non-characteristic nodes of the whole grid
-    exceeds minimal_tol.
+    The frame is evaluated once per row block of the quadrature grid, and
+    each block writes its rows of four whole-grid node planes, w the
+    Simpson weight times W:
+
+        C1 = w gamma_v^2 / det^2,  C2 = w gamma_u^2 / det^2,
+        C3 = -2 w gamma_u gamma_v / det^2,  C4 = w (2 A - obar^2),
+
+    each zeroed on the characteristic band once formed (the frame is NaN
+    there).  A product bump F = a(u) b(v) (one with .factors, as
+    product_bump_lattice and random_product_bumps build) has
+    ZF = (a' b gamma_v - a b' gamma_u) / det, so its Q is the sum of the
+    four separable terms (a'^2)^T C1 (b^2) + (a^2)^T C2 (b'^2)
+    + (a a')^T C3 (b b') + (a^2)^T C4 (b^2) (sum factorization).  Each
+    distinct factor is evaluated once on first-order jets at the grid's
+    u- or v-nodes, all bump1 factors of an axis in one stacked call
+    (_factor_jets), and each bump's four row vectors meet the planes in
+    products of its own, so its Q depends neither on the rest of the
+    family nor on the block size.  It agrees with quadratic_form(P, F,
+    nu=nu, nv=nv), which sums the same density in the pairwise tree, to
+    rounding (a few 1e-16 of the family's max |Q| measured).  Any other
+    bump goes through tangential() on each block and the pairwise tree,
+    and equals quadratic_form bit for bit.  The scan raises if max |H|
+    over the non-characteristic nodes of the whole grid exceeds
+    minimal_tol.
     Returns the full table (in lattice order), the minimum and its argmin
     (both None for an empty family), and the first witness with
     Q < witness_threshold (None if the scan stays nonnegative).
@@ -466,52 +468,30 @@ def stability_scan(P, bumps=None, n_centers=5, n_radii=5, nu=None, nv=None,
                                      margin=cell)
     bumps = list(bumps)
     grid = _grid_for(P, nu, nv, "simpson")
-    us, vs = grid.u, grid.v
-    facs = [getattr(F, "factors", None) for F, _ in bumps]
-    products = [(F, fac) for (F, _), fac in zip(bumps, facs)
-                if fac is not None]
-    u_jets = _factor_jets([fac[0] for _, fac in products], us)
-    v_jets = _factor_jets([fac[1] for _, fac in products], vs)
-    # the node box of every product bump's support, as
-    # QuadratureGrid.restricted cuts it (no support: the whole grid)
-    supports = [getattr(F, "support", None) for F, _ in products]
-    edges = np.reshape([(-np.inf, np.inf, -np.inf, np.inf) if e is None
-                        else e for e in supports], (-1, 4)).T
-    boxes = iter(zip(_node_span(us, edges[0], edges[1]),
-                     _node_span(vs, edges[2], edges[3])))
-    factors = [None if fac is None else
-               (u_jets[id(fac[0])], v_jets[id(fac[1])], next(boxes))
-               for fac in facs]
+    products = [F.factors for F, _ in bumps if hasattr(F, "factors")]
+    others = [F for F, _ in bumps if not hasattr(F, "factors")]
+    planes = np.empty((4, grid.u.size, grid.v.size))
     worst = []
 
     def densities(zz, rows):
         worst.append(_max_H(zz))
         flds = zz["flds"]
-        # the block's frame arrays, broadcast to its nodes (views)
-        gu, gv, rdet, pot, W = (
-            np.broadcast_to(a, (rows.stop - rows.start, vs.size)) for a in (
-                flds["gamma_u"], flds["gamma_v"], 1.0 / flds["det"],
-                _potential(zz), zz["W"]))
-        for (F, _), fac in zip(bumps, factors):
-            if fac is None:
-                yield _q_of(zz, F, pot) * W
-                continue
-            (a, da), (b, db), (box_rows, cols) = fac
-            r = _clip(box_rows, rows.start, rows.stop)
-            at = (slice(r.start - rows.start, r.stop - rows.start), cols)
-            if r.start == r.stop or cols.start == cols.stop:
-                yield (r, cols), None  # the block misses the box
-                continue
-            a, da = a[r, None], da[r, None]
-            b, db = b[cols], db[cols]
-            # tangential()'s jet operation order keeps Q bit-identical
-            ZF = ((da * b) * gv[at] + -((a * db) * gu[at])) * rdet[at]
-            yield (r, cols), _q_density(pot[at], a * b, ZF) * W[at]
+        gu, gv, pot = flds["gamma_u"], flds["gamma_v"], _potential(zz)
+        w = np.outer(grid.wu[rows], grid.wv) * zz["W"]
+        r = w / flds["det"] ** 2
+        for plane, values in zip(planes, (r * gv ** 2, r * gu ** 2,
+                                          -2 * r * gu * gv, w * pot)):
+            plane[rows] = np.where(zz["band"], 0.0, values)
+        return [_q_of(zz, F, pot) * zz["W"] for F in others]
 
     Qs = []
     if bumps:  # an empty family evaluates no frame
-        [Qs], _ = _integrate(grid, _patch_frames(P), densities)
+        [others_q], _ = _integrate(grid, _patch_frames(P), densities)
         _require_minimal(worst, minimal_tol)
+        products_q = iter(_separable_forms(products, grid, planes))
+        others_q = iter(others_q)
+        Qs = [next(products_q if hasattr(F, "factors") else others_q)
+              for F, _ in bumps]
     table = [dict(meta, Q=Q) for (_, meta), Q in zip(bumps, Qs)]
     witness = next((rec for rec in table if rec["Q"] < witness_threshold),
                    None)
@@ -522,6 +502,24 @@ def stability_scan(P, bumps=None, n_centers=5, n_radii=5, nu=None, nv=None,
         argmin = min_value = None
     return {"table": table, "min_value": min_value, "argmin": argmin,
             "witness": witness, "count": len(table)}
+
+
+def _separable_forms(products, grid, planes):
+    """Q of each product bump F = a(u) b(v), given by its factors (a, b),
+    against the four node planes of stability_scan.  Each bump's rows
+    (a'^2, a^2, a a', a^2) meet their planes in one (1 x u-nodes) product
+    each, the same BLAS call for every bump, and the results are dotted
+    with its rows (b^2, b'^2, b b', b^2)."""
+    if not products:
+        return []
+    u_jets = _factor_jets([a for a, _ in products], grid.u)
+    v_jets = _factor_jets([b for _, b in products], grid.v)
+    a, da = map(np.array, zip(*(u_jets[id(a)] for a, _ in products)))
+    b, db = map(np.array, zip(*(v_jets[id(b)] for _, b in products)))
+    left = np.stack([da * da, a * a, a * da, a * a], axis=1)
+    right = np.stack([b * b, db * db, b * db, b * b], axis=1)
+    rows = np.matmul(left[:, :, None, :], planes)[:, :, 0, :]
+    return np.sum((rows * right).reshape(len(products), -1), axis=1).tolist()
 
 
 def intrinsic_stability_form(Gr, F, nu=None, nv=None, minimal_tol=1e-8):

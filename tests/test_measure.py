@@ -162,7 +162,7 @@ def test_folded_row_blocks_reduce_to_the_whole_pairwise_sum(data, k, groups,
     size = blocks * step + data.draw(st.integers(1, step))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     x = rng.normal(size=size) * np.exp(rng.uniform(-8, 8, size=size))
-    parts = measure._fold([x[i:i + step] for i in range(0, size, step)], k)
+    parts = [measure._fold(x[i:i + step], k) for i in range(0, size, step)]
     assert pairwise_sum(np.concatenate(parts)) == pairwise_sum(x)
 
 
@@ -218,33 +218,17 @@ def test_support_box_runs_from_one_node_below_to_one_node_above():
             # beyond the grid: the nearest node is the one below / above
             ((1.6, 2.0, -1.0, 0.4), (slice(16, 17), slice(0, 1))),
             ((0.0, 2.0, 0.0, 2.0), whole),
-            # no point, so no node
+            # a point on a node: that node and one on each side, clipped
+            ((1.0, 1.0, 0.5, 0.5), (slice(7, 10), slice(0, 2))),
+            # no point, so no node: (inf, -inf), reversed or NaN edges
             ((np.inf, -np.inf, np.inf, -np.inf),
-             (slice(0, 0), slice(0, 0)))):
+             (slice(0, 0), slice(0, 0))),
+            ((1.0, 0.75, 0.85, 0.65), (slice(0, 0), slice(0, 0))),
+            ((np.nan, 1.0, 0.7, np.nan), (slice(0, 0), slice(0, 0))),
+            ((np.nan, np.nan, 0.75, 1.0), (slice(0, 0), slice(3, 10)))):
         restricted = grid.restricted(support)
         assert restricted.box == box
         assert restricted.u is grid.u and grid.box == whole
-
-
-def test_node_spans_of_many_edge_pairs_are_those_of_each_support():
-    # one search per array of edges gives each support's box, as
-    # restricted cuts it one support at a time; a reversed, NaN or
-    # (inf, -inf) pair holds no node
-    grid = measure.QuadratureGrid((0.5, 1.5, 0.5, 1.5), 16, 16)
-    supports = [(0.75, 1.0, 0.65, 0.85), (0.0, 0.6, 1.45, 3.0),
-                (1.6, 2.0, -1.0, 0.4), (0.0, 2.0, 0.0, 2.0),
-                (np.inf, -np.inf, np.inf, -np.inf),
-                (1.0, 0.75, 0.85, 0.65),  # reversed
-                (np.nan, 1.0, 0.7, np.nan), (np.nan, np.nan, np.nan, np.nan),
-                (1.0, 1.0, 0.5, 0.5)]  # a point, on a node
-    u0, u1, v0, v1 = np.array(supports).T
-    spans = list(zip(measure._node_span(grid.u, u0, u1),
-                     measure._node_span(grid.v, v0, v1)))
-    assert spans == [grid.restricted(s).box for s in supports]
-    empty = (slice(0, 0), slice(0, 0))
-    assert spans[4:8] == [empty] * 4
-    assert spans[8] == (slice(7, 10), slice(0, 2))
-    assert measure._node_span(grid.u, [], []) == []
 
 
 def test_v1_evaluates_only_the_support_box(monkeypatch):
@@ -337,66 +321,6 @@ def test_integrate_is_the_pairwise_sum_of_the_whole_grid_plane(case):
         mp.setattr(measure, "_BLOCK_NODES", block_nodes)
         assert measure._integrate(grid, frames, densities) == (integrals,
                                                                excluded)
-
-
-@st.composite
-def _box_cases(draw):
-    """(rule, cells, box, block nodes, seed) for a grid and a node box of
-    it, which may hold no node."""
-    rule = draw(st.sampled_from(["simpson", "midpoint"]))
-    if rule == "simpson":
-        cells = tuple(2 * draw(st.integers(4, 12)) for _ in range(2))
-        nodes = [n + 1 for n in cells]
-    else:
-        cells = (draw(st.integers(1, 24)), draw(st.integers(1, 24)))
-        nodes = list(cells)
-    box = []
-    for n in nodes:
-        start = draw(st.integers(0, n))
-        box.append((start, draw(st.integers(start, n))))
-    return (rule, cells, tuple(box), draw(st.sampled_from([1, 20, 64, 10 ** 9])),
-            draw(st.integers(0, 2 ** 32 - 1)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(case=_box_cases())
-# 17 x 17 Simpson nodes at 64 block nodes: blocks of 4 rows, the last one
-# of 1 row; a box across block edges to the last row, one inside a block,
-# and one holding no node
-@example(case=("simpson", (16, 16), ((2, 17), (3, 11)), 64, 0))
-@example(case=("simpson", (16, 16), ((5, 7), (0, 17)), 64, 1))
-@example(case=("simpson", (16, 16), ((6, 6), (2, 9)), 64, 2))
-# 1-row blocks, and a ragged last block of 3 rows holding 3 of 4 groups
-@example(case=("midpoint", (13, 9), ((0, 13), (4, 5)), 1, 3))
-@example(case=("midpoint", (15, 13), ((9, 15), (2, 9)), 64, 4))
-def test_a_density_on_a_node_box_reduces_as_placed_into_the_whole_block(
-        case):
-    # each block yields the box's part of a density as (box, values) and
-    # the same values placed into a zero plane of the block; with a band
-    # of dropped nodes (W = 0), both reduce to the same bits
-    rule, (nu, nv), ((r0, r1), (c0, c1)), block_nodes, seed = case
-    grid = measure.QuadratureGrid((0.0, 1.0, -1.0, 2.0), nu, nv, rule)
-    rng = np.random.default_rng(seed)
-    shape = (grid.u.size, grid.v.size)
-    W = 1.0 + np.abs(rng.normal(size=shape))
-    W[rng.uniform(size=shape) < 0.2] = 0.0
-    num = rng.normal(size=shape)
-
-    def frames(u, v, rows):
-        return [{"W": W[rows], "omega": np.ones(u.shape)}]
-
-    def densities(zz, rows):
-        r = measure._clip(slice(r0, r1), rows.start, rows.stop)
-        box = (r, slice(c0, c1))
-        placed = np.zeros_like(zz["W"])
-        placed[r.start - rows.start:r.stop - rows.start, c0:c1] = (
-            num[box] / W[box])
-        return [(box, num[box] / W[box]), placed]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(measure, "_BLOCK_NODES", block_nodes)
-        [(on_box, whole)], _ = measure._integrate(grid, frames, densities)
-    assert repr(on_box) == repr(whole)
 
 
 @settings(max_examples=40, deadline=None)

@@ -446,17 +446,43 @@ def _expected_scan(P, bumps, n):
             "witness": witness, "count": len(bumps)}
 
 
+def _position(scan, key):
+    """The table position of the record scan[key], or None."""
+    return next((i for i, rec in enumerate(scan["table"])
+                 if rec is scan[key]), None)
+
+
+def _assert_matches(out, bumps, expected):
+    # a product bump's Q sums the four node planes, not quadratic_form's
+    # pairwise tree: equal to 1e-12 of the largest |Q|; any other bump's Q,
+    # the meta, count, argmin and witness ==
+    scale = max(abs(rec["Q"]) for rec in expected["table"])
+    for (F, _), got, want in zip(bumps, out["table"], expected["table"],
+                                 strict=True):
+        assert dict(got, Q=None) == dict(want, Q=None)
+        if hasattr(F, "factors"):
+            assert abs(got["Q"] - want["Q"]) <= 1e-12 * scale
+        else:
+            assert got["Q"] == want["Q"]
+    assert out["count"] == expected["count"]
+    assert out["min_value"] == out["argmin"]["Q"]
+    for key in ("argmin", "witness"):
+        assert _position(out, key) == _position(expected, key)
+
+
 @pytest.mark.parametrize("family, sid, n", [
     pytest.param("lattice", "xyt-graph", 96, id="lattice"),
     pytest.param("random", "xyt-graph", 96, id="random"),
     pytest.param("lattice", "vertical-plane:1,0,0", 96, id="plane-lattice"),
     # 131^2 nodes: two blocks of 64 rows and a last one of 3 rows
     pytest.param("random", "xyt-graph", 130, id="random-130"),
+    # gamma_u gamma_v != 0 off the band: the cross plane C3 is not 0
+    pytest.param("lattice", "intrinsic:xyt", 96, id="intrinsic-lattice"),
 ])
 def test_stability_scan_matches_per_bump_quadratic_form(family, sid, n):
-    # the scan differentiates product bumps from 1-D factor jets; each Q
-    # must be the value of the independent second-order route of
-    # quadratic_form, bit for bit
+    # the scan differentiates product bumps from 1-D factor jets and sums
+    # them against four node planes; each Q must be the value of the
+    # independent second-order route of quadratic_form, to rounding
     P = build_surface(sid).patch
     if family == "lattice":
         bumps = _lattice(P, n)
@@ -465,7 +491,7 @@ def test_stability_scan_matches_per_bump_quadratic_form(family, sid, n):
         bumps = random_product_bumps(P.domain, 32,
                                      np.random.default_rng(11))
         out = stability_scan(P, bumps=bumps, nu=n, nv=n)
-    assert out == _expected_scan(P, bumps, n)
+    _assert_matches(out, bumps, _expected_scan(P, bumps, n))
     assert (out["witness"] is not None) == (sid == "xyt-graph")
 
 
@@ -484,7 +510,7 @@ def test_stability_scan_of_a_mixed_family_matches_quadratic_form():
     P = build_surface("xyt-graph").patch
     bumps = _mixed_family(P, 6, 3)
     out = stability_scan(P, bumps=bumps, nu=64, nv=64)
-    assert out == _expected_scan(P, bumps, 64)
+    _assert_matches(out, bumps, _expected_scan(P, bumps, 64))
 
 
 def test_stability_scan_differentiates_only_bumps_without_factors(
@@ -511,19 +537,6 @@ def test_stability_scan_differentiates_only_bumps_without_factors(
     assert calls == ellipses * 2
 
 
-def test_product_bump_support_is_the_box_of_its_factors():
-    F = variation._ProductBump(bump1(0.5, 0.25), bump1(-1.0, -0.5))
-    assert F.support == (0.25, 0.75, -1.5, -0.5)
-    # a factor that declares no support leaves the whole grid
-    plain = lambda x: 1.0 + 0.0 * x
-    assert variation._ProductBump(bump1(0.5, 0.25), plain).support is None
-    assert variation._ProductBump(plain, bump1(0.5, 0.25)).support is None
-    for F, meta in random_product_bumps((0, 1, 0, 2), 4,
-                                        np.random.default_rng(2)):
-        cu, cv, ru, rv = (meta[k] for k in ("cu", "cv", "ru", "rv"))
-        assert F.support == (cu - ru, cu + ru, cv - rv, cv + rv)
-
-
 def _nothing(x):
     """A 1-D factor that is 0 everywhere; its support holds no point."""
     return 0.0 * x
@@ -536,7 +549,8 @@ _nothing.support = (np.inf, -np.inf)
     # the characteristic point (0, 0) is a node at 64^2 and lies inside
     # the boxes of several lattice bumps: the band path
     pytest.param("t-graph:zero", (-1, 1, -1, 1), "lattice", id="band"),
-    # a product bump whose box holds no node, among others
+    # a product bump whose box holds no node (it is 0 everywhere), among
+    # others
     pytest.param("xyt-graph", None, "empty-box", id="empty-box"),
 ])
 def test_stability_scan_over_support_boxes_matches_quadratic_form(
@@ -545,9 +559,9 @@ def test_stability_scan_over_support_boxes_matches_quadratic_form(
     if family == "lattice":
         bumps = _lattice(P, 64)
         out = stability_scan(P, nu=64, nv=64)
-        assert sum(F.support[0] < 0.0 < F.support[1]
-                   and F.support[2] < 0.0 < F.support[3]
-                   for F, _ in bumps) > 1
+        assert sum(bu.support[0] < 0.0 < bu.support[1]
+                   and bv.support[0] < 0.0 < bv.support[1]
+                   for (bu, bv) in (F.factors for F, _ in bumps)) > 1
     else:
         bumps = random_product_bumps(P.domain, 4, np.random.default_rng(8))
         empty = variation._ProductBump(_nothing, bump1(0.0, 1.0))
@@ -555,41 +569,40 @@ def test_stability_scan_over_support_boxes_matches_quadratic_form(
                                  "rv": 1.0}))
         out = stability_scan(P, bumps=bumps, nu=64, nv=64)
         assert out["table"][2]["Q"] == 0.0
-    assert out == _expected_scan(P, bumps, 64)
+    _assert_matches(out, bumps, _expected_scan(P, bumps, 64))
 
 
-@pytest.mark.parametrize("block_nodes", [8192, 4096, 1000, 776])
-def test_stability_scan_evaluates_each_product_bump_on_its_box_only(
-        monkeypatch, block_nodes):
-    # the density of each product bump is formed, per block, on the nodes
-    # of its support box inside the block; a block that misses the box
-    # forms none.  97 x 97 nodes: one block (8192), or blocks of 64
-    # (4096), 16 (1000) or 8 (776) rows
+@pytest.mark.parametrize("sid, domain", [
+    pytest.param("xyt-graph", None, id="xyt-graph"),
+    # a band node at (0, 0), in the planes of one block or another
+    pytest.param("t-graph:zero", (-1, 1, -1, 1), id="band"),
+])
+def test_stability_scan_does_not_depend_on_the_block_size(monkeypatch, sid,
+                                                          domain):
+    # the planes hold the same values per node whatever the blocks, and
+    # the non-product bumps reduce in the whole grid's tree.  65 x 65
+    # nodes: one block (8192), or blocks of 64 (4096), 16 (1000) or 4
+    # (200) rows
+    P = build_surface(sid, domain=domain).patch
+    bumps = _mixed_family(P, 4, 5)
+    ref = stability_scan(P, bumps=bumps, nu=64, nv=64)
+    for block_nodes in (4096, 1000, 200):
+        monkeypatch.setattr(measure, "_BLOCK_NODES", block_nodes)
+        assert stability_scan(P, bumps=bumps, nu=64, nv=64) == ref
+
+
+def test_negative_family_counts_are_rejected():
     P = build_surface("xyt-graph").patch
-    bumps = random_product_bumps(P.domain, 12, np.random.default_rng(5))
-    ref = stability_scan(P, bumps=bumps, nu=96, nv=96)
-    monkeypatch.setattr(measure, "_BLOCK_NODES", block_nodes)
-    grid = measure.QuadratureGrid(P.domain, 96, 96)
-    rows = {8192: 97, 4096: 64, 1000: 16, 776: 8}[block_nodes]
-    expected = []
-    for start in range(0, 97, rows):
-        for F, _ in bumps:
-            box_rows, cols = grid.restricted(F.support).box
-            r = measure._clip(box_rows, start, min(start + rows, 97))
-            if r.start < r.stop:
-                expected.append((r.stop - r.start, cols.stop - cols.start))
-    shapes = []
-    inner = variation._q_density
-
-    def counted(pot, F, ZF):
-        shapes.append(np.broadcast_shapes(*map(np.shape, (pot, F, ZF))))
-        return inner(pot, F, ZF)
-
-    monkeypatch.setattr(variation, "_q_density", counted)
-    out = stability_scan(P, bumps=bumps, nu=96, nv=96)
-    assert out == ref
-    assert shapes == expected
-    assert sum(r * c for r, c in shapes) < 0.5 * len(bumps) * 97 * 97
+    rng = np.random.default_rng(0)
+    for make in (lambda: product_bump_lattice(P.domain, -2, 3),
+                 lambda: product_bump_lattice(P.domain, 3, -1),
+                 lambda: random_product_bumps(P.domain, -3, rng),
+                 lambda: stability_scan(P, n_centers=-2, nu=16, nv=16)):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            make()
+    # no bump is an empty family, not an error
+    assert product_bump_lattice(P.domain, 0, 3) == []
+    assert random_product_bumps(P.domain, 0, rng) == []
 
 
 def test_lattice_bumps_share_their_factors():
