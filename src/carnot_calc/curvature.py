@@ -14,9 +14,10 @@ have curvature 1/R.
 import numpy as np
 
 from .fields import ANALYTIC, FD, horizontal_jet
-from .groups import frame_at, frame_jacobian
+from .groups import _dot, frame_at, frame_jacobian
 from .surfaces import (CharacteristicPointError, _characteristic_band,
-                       _checked_frame, burgers, frame_levelset, zy_second)
+                       _checked_frame, _require_frames, burgers,
+                       frame_levelset, zy_second)
 
 __all__ = [
     "CurvatureReport", "hmc_levelset", "hmc_divergence", "hmc_param",
@@ -66,48 +67,73 @@ def levelset_fields(S, g):
     here is exact given exact phi callbacks; only quantities needing three
     derivatives of phi require an outer finite difference on top (see
     directional_fd).
+
+    g may be one point (dim,) or a batch (n, dim): every entry of a batch
+    then carries a leading point axis (H of shape (n,), dp of shape
+    (n, dim, m), ...).  One point is the batch of one, and each point's
+    values do not depend on the batch it is evaluated in.  A batch raises
+    what the first point failing the degenerate-normal or characteristic
+    check raises alone.
     """
     G = S.group
     g = np.asarray(g, dtype=float)
-    ph = S.phi.jet(g, order=2)
-    grad = np.asarray(ph.g, dtype=float)
-    hess = np.asarray(ph.h, dtype=float)
-    A = frame_at(G, g)
-    J = frame_jacobian(G, g)
-    fr = _checked_frame(G, g, A.T @ grad)
-    # dcomps[l, i] = d/dg_l of <N, frame_i>
-    dcomps = np.einsum("lki,k->li", J, grad) + hess @ A
-    m = G.m
-    p, om, W, pbar, obar = fr.p, fr.omega, fr.W, fr.pbar, fr.obar
-    dp, dom = dcomps[:, :m], dcomps[:, m:]
-    dW = dp @ p / W
-    dpbar = dp / W - np.outer(dW, p) / W ** 2
-    dobar = dom / W - np.outer(dW, om) / W ** 2
+    pts = np.atleast_2d(g)
+    n, dim, m = len(pts), G.dim, G.m
+    ph = S.phi.jet(pts, order=2)
+    grad = np.broadcast_to(ph.g, (dim, n)).T
+    hess = np.moveaxis(np.broadcast_to(ph.h, (dim, dim, n)), -1, 0)
+    A = frame_at(G, pts)
+    J = frame_jacobian(G, pts)
+    At = np.swapaxes(A, -1, -2)
+    comps = _dot(At, grad[:, None, :])
+    p, om = comps[:, :m], comps[:, m:]
+    W = np.sqrt(_dot(p, p))
+    normN = np.sqrt(W ** 2 + _dot(om, om))
+    _require_frames(pts, W, normN)
+    # dcomps[k, l, i] = d/dg_l of <N, frame_i> at the k-th point
+    dcomps = (_dot(np.swapaxes(J, -1, -2), grad[:, None, None, :])
+              + _dot(hess[:, :, None, :], At[:, None, :, :]))
+    Wc = W[:, None]
+    pbar, obar = p / Wc, om / Wc
+    dp, dom = dcomps[..., :m], dcomps[..., m:]
+    dW = _dot(dp, p[:, None, :]) / Wc
+    W2 = (W ** 2)[:, None, None]
+    dpbar = dp / Wc[..., None] - dW[..., None] * p[:, None, :] / W2
+    dobar = dom / Wc[..., None] - dW[..., None] * om[:, None, :] / W2
     # canonical curvature sum_i X_i(pbar_i), exact
-    H = float(sum(A[:, i] @ dpbar[:, i] for i in range(m)))
+    H = sum(_dot(A[..., i], dpbar[..., i]) for i in range(m))
     out = {"g": g, "A": A, "p": p, "om": om, "dp": dp, "dom": dom, "W": W,
-           "normN": fr.normN, "dW": dW, "pbar": pbar, "obar": obar,
+           "normN": normN, "dW": dW, "pbar": pbar, "obar": obar,
            "dpbar": dpbar, "dobar": dobar, "H": H}
     if G.is_heisenberg and G.dim == 3:
-        X1, X2, T = A[:, 0], A[:, 1], A[:, 2]
-        Zv = pbar[1] * X1 - pbar[0] * X2
-        Yv = pbar[0] * X1 + pbar[1] * X2
+        X1, X2, T = A[..., 0], A[..., 1], A[..., 2]
+        pb, qb = pbar[:, 0], pbar[:, 1]
+        Zv = qb[:, None] * X1 - pb[:, None] * X2
+        Yv = pb[:, None] * X1 + qb[:, None] * X2
         der = {}
         for nm, vec in (("X1", X1), ("X2", X2), ("T", T), ("Z", Zv), ("Y", Yv)):
-            der[nm + "pbar"] = float(vec @ dpbar[:, 0])
-            der[nm + "qbar"] = float(vec @ dpbar[:, 1])
-            der[nm + "obar"] = float(vec @ dobar[:, 0])
-            der[nm + "om"] = float(vec @ dom[:, 0])
-            der[nm + "W"] = float(vec @ dW)
-            der[nm + "p"] = float(vec @ dp[:, 0])
-            der[nm + "q"] = float(vec @ dp[:, 1])
+            der[nm + "pbar"] = _dot(vec, dpbar[..., 0])
+            der[nm + "qbar"] = _dot(vec, dpbar[..., 1])
+            der[nm + "obar"] = _dot(vec, dobar[..., 0])
+            der[nm + "om"] = _dot(vec, dom[..., 0])
+            der[nm + "W"] = _dot(vec, dW)
+            der[nm + "p"] = _dot(vec, dp[..., 0])
+            der[nm + "q"] = _dot(vec, dp[..., 1])
         out.update(der)
         out.update({"X1v": X1, "X2v": X2, "Tv": T, "Zv": Zv, "Yv": Yv,
-                    "Bv": T - obar[0] * Yv,
+                    "Bv": T - obar * Yv,
                     "Acurv": -der["Zobar"],
-                    "kappaY": pbar[1] * der["Ypbar"] - pbar[0] * der["Yqbar"],
-                    "kappaT": pbar[1] * der["Tpbar"] - pbar[0] * der["Tqbar"]})
+                    "kappaY": qb * der["Ypbar"] - pb * der["Yqbar"],
+                    "kappaT": qb * der["Tpbar"] - pb * der["Tqbar"]})
+    if g.ndim == 1:
+        out = {k: v if k == "g" else _first(v) for k, v in out.items()}
     return out
+
+
+def _first(v):
+    """The first point's entry of a batched field: a float for a scalar."""
+    v = v[0]
+    return float(v) if v.ndim == 0 else v
 
 
 def directional_fd(fn, g, vec, h=None):
@@ -442,31 +468,45 @@ def _id_second_z(f, d):
     return abs(lhs + f["Zpbar"] ** 2 + f["Zqbar"] ** 2)
 
 
+# name -> (residual, the directions in {Z, Y, T, B} that it differentiates
+# along); identity_battery evaluates the stencil points of exactly these
 _IDENTITIES = {
-    "unit-gradient": _id_unit_gradient,
-    "z-of-normal": _id_z_of_normal,
-    "curvature-squared": _id_curvature_squared,
-    "frame-curvature": _id_frame_curvature,
-    "y-antisymmetry": _id_y_antisymmetry,
-    "z-log-area": _id_z_log_area,
-    "y-omega": _id_y_omega,
-    "z-omega": _id_z_omega,
-    "vertical-rate": _id_vertical_rate,
-    "perp-forms": _id_perp_forms,
-    "wedge-curvature": _id_wedge_curvature,
-    "zy-commutator": _id_zy_commutator,
-    "zt-commutator": _id_zt_commutator,
-    "mixed-commutator": _id_mixed_commutator,
-    "z-vertical-rate": _id_z_vertical_rate,
-    "z-y-coefficient": _id_z_y_coefficient,
-    "z-t-coefficient": _id_z_t_coefficient,
-    "y-curvature": _id_y_curvature,
-    "t-curvature": _id_t_curvature,
-    "z-frame-split": _id_z_frame_split,
-    "second-z": _id_second_z,
+    "unit-gradient": (_id_unit_gradient, ""),
+    "z-of-normal": (_id_z_of_normal, ""),
+    "curvature-squared": (_id_curvature_squared, ""),
+    "frame-curvature": (_id_frame_curvature, ""),
+    "y-antisymmetry": (_id_y_antisymmetry, ""),
+    "z-log-area": (_id_z_log_area, ""),
+    "y-omega": (_id_y_omega, ""),
+    "z-omega": (_id_z_omega, ""),
+    "vertical-rate": (_id_vertical_rate, ""),
+    "perp-forms": (_id_perp_forms, ""),
+    "wedge-curvature": (_id_wedge_curvature, ""),
+    "zy-commutator": (_id_zy_commutator, "ZY"),
+    "zt-commutator": (_id_zt_commutator, "ZT"),
+    "mixed-commutator": (_id_mixed_commutator, "ZB"),
+    "z-vertical-rate": (_id_z_vertical_rate, "ZB"),
+    "z-y-coefficient": (_id_z_y_coefficient, "ZY"),
+    "z-t-coefficient": (_id_z_t_coefficient, "ZT"),
+    "y-curvature": (_id_y_curvature, "Y"),
+    "t-curvature": (_id_t_curvature, "T"),
+    "z-frame-split": (_id_z_frame_split, ""),
+    "second-z": (_id_second_z, "Z"),
 }
 
 IDENTITY_IDS = sorted(_IDENTITIES)
+
+
+class _Point:
+    """The fields of one point, read from batched levelset_fields output."""
+
+    __slots__ = ("fields", "k")
+
+    def __init__(self, fields, k):
+        self.fields, self.k = fields, k
+
+    def __getitem__(self, key):
+        return self.fields[key][self.k]
 
 
 def identity_battery(S, points, ids=None, h=None):
@@ -474,26 +514,52 @@ def identity_battery(S, points, ids=None, h=None):
 
     points: iterable of ambient points on the surface.  Returns a list of
     {identity, point, residual} records; residuals are worst-case over the
-    sub-checks of each identity.  levelset_fields runs once at each point
-    and once at each stencil point g +- h v of the directions v the
-    requested identities differentiate along.
+    sub-checks of each identity.  levelset_fields runs twice, each time on
+    a batch: once at all the points, then once at all the distinct stencil
+    points g +- h v, for the directions v in {Z, Y, T, B} (frozen at each
+    g) that the requested identities declare.  Each point's values equal a
+    single-point call, so every residual is the one per-point evaluation
+    gives; an identity that differentiates along a direction it does not
+    declare raises ValueError.
     """
     ids = list(ids) if ids else IDENTITY_IDS
     unknown = [i for i in ids if i not in _IDENTITIES]
     if unknown:
         raise ValueError("unknown identities: %s" % ", ".join(unknown))
+    pts = [np.asarray(g, dtype=float) for g in points]
+    if not pts:
+        return []
+    F = levelset_fields(S, np.array(pts))
+    dirs = [D for D in "ZYTB" if any(D in _IDENTITIES[i][1] for i in ids)]
+    steps = [FD.step1(g) if h is None else h for g in pts]
+    stencil = {}  # the distinct stencil points, by their bytes
+    for k, (g, step) in enumerate(zip(pts, steps)):
+        for D in dirs:
+            vec = F[D + "v"][k]
+            for gp in (g + step * vec, g - step * vec):
+                stencil.setdefault(gp.tobytes(), gp)
+    row = {key: r for r, key in enumerate(stencil)}
+    Fs = (levelset_fields(S, np.array(list(stencil.values())))
+          if stencil else None)
     records = []
-    for g in points:
-        g = np.asarray(g, dtype=float)
-        f, dv = _stencil(S, g, h)
-
-        def d(q, D):
-            # along the direction D in {Z, Y, T, B} frozen at g
-            return dv(q, f[D + "v"])
-
+    for k, (g, step) in enumerate(zip(pts, steps)):
+        f = _Point(F, k)
         for ident in ids:
+            fn, declared = _IDENTITIES[ident]
+
+            def d(q, D):
+                # along the direction D frozen at g
+                if D not in declared:
+                    raise ValueError("identity %r differentiates along %s, "
+                                     "which it does not declare"
+                                     % (ident, D))
+                val = q if callable(q) else (lambda fl: fl[q])
+                return directional_fd(
+                    lambda gp: val(_Point(Fs, row[gp.tobytes()])),
+                    g, f[D + "v"], h=step)
+
             records.append({"identity": ident, "point": g,
-                            "residual": float(_IDENTITIES[ident](f, d))})
+                            "residual": float(fn(f, d))})
     return records
 
 

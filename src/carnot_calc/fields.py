@@ -333,19 +333,31 @@ class ScalarField:
     __call__ = value
 
     def jet(self, g, order=2):
-        """Coordinate-space jet at g (exact for jet-safe fn or callbacks)."""
+        """Coordinate-space jet at g (exact for jet-safe fn or callbacks).
+
+        g may be one point (dim,) or a batch (n, dim), whose jet holds (n,)
+        values, (dim, n) gradients and (dim, dim, n) Hessians; callbacks
+        are called once per point of a batch.
+        """
         g = np.asarray(g, dtype=float)
         if self.gradient is not None and (order < 2 or self.hessian is not None):
+            if g.ndim > 1:
+                jets = [self.jet(gk, order) for gk in g]
+                return Jet(np.array([j.v for j in jets]),
+                           np.stack([j.g for j in jets], axis=-1),
+                           None if order < 2 else
+                           np.stack([j.h for j in jets], axis=-1))
             grad = np.asarray(self.gradient(*g), dtype=float)
             hess = None
             if order >= 2:
                 hess = np.asarray(self.hessian(*g), dtype=float)
                 hess = 0.5 * (hess + hess.T)
             return Jet(self.fn(*g), grad, hess)
-        out = self.fn(*seed_jets(g, order=order))
+        out = self.fn(*seed_jets(g.T, order=order))
         if not isinstance(out, Jet):  # constant field
-            n = len(g)
-            out = Jet(out, np.zeros(n), np.zeros((n, n)) if order >= 2 else None)
+            n, shape = g.shape[-1], g.shape[:-1]
+            out = Jet(out + np.zeros(shape), np.zeros((n,) + shape),
+                      np.zeros((n, n) + shape) if order >= 2 else None)
         return out
 
 

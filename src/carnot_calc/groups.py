@@ -68,6 +68,9 @@ class StratifiedGroup:
         # ad(e_i) as a matrix acting on coefficient vectors:
         # (_ad_basis[i])[k, j] = <[e_i, e_j], e_k>
         self._ad_basis = np.array([self.b[i].T for i in range(self.dim)])
+        # the basis vectors with a nonzero bracket, which alone enter ad_g
+        self._ad_terms = [(i, a) for i, a in enumerate(self._ad_basis)
+                          if a.any()]
 
     def _validate(self):
         b = self.b
@@ -105,9 +108,15 @@ class StratifiedGroup:
         return self.b[:m, :m, m + s]
 
     def ad(self, g):
-        """Matrix of ad_g acting on coefficient vectors: ad(g) @ v = [g, v]."""
+        """Matrix of ad_g acting on coefficient vectors: ad(g) @ v = [g, v].
+
+        g may carry leading point axes, (n, dim) giving (n, dim, dim).
+        """
         g = np.asarray(g, dtype=float)
-        return np.einsum("i,ikj->kj", g, self.b.swapaxes(1, 2))
+        M = np.zeros(g.shape[:-1] + (self.dim, self.dim))
+        for i, a in self._ad_terms:
+            M += g[..., i, None, None] * a
+        return M
 
     def bracket(self, u, v):
         return np.einsum("i,j,ijk->k", u, v, self.b)
@@ -182,29 +191,46 @@ def build_group(spec):
 # frames and the group law
 
 
+def _dot(a, b):
+    """sum_k a[..., k] b[..., k], broadcasting the leading axes.  Each sum
+    runs in one fixed order, not through BLAS or einsum, so a point's value
+    does not depend on how many points are stacked with it."""
+    out = a[..., 0] * b[..., 0]
+    for k in range(1, a.shape[-1]):
+        out = out + a[..., k] * b[..., k]
+    return out
+
+
+def _matmul(a, b):
+    """a @ b over the last two axes, summed as _dot sums."""
+    return _dot(a[..., :, None, :], np.swapaxes(b, -1, -2)[..., None, :, :])
+
+
 def frame_at(G, g):
     """Left-invariant frame at g, as a matrix whose columns are the frame
     vectors (X_1..X_m, then the vertical layers) in coordinate components.
 
     In exponential coordinates of the first kind the frame is
-    A(g) = I + ad_g/2 + ad_g^2/12, exact for step <= 3.
+    A(g) = I + ad_g/2 + ad_g^2/12, exact for step <= 3.  g may be one point
+    (dim,) or a batch (n, dim), giving (n, dim, dim).
     """
     g = np.asarray(g, dtype=float)
     M = G.ad(g)
     A = np.eye(G.dim) + 0.5 * M
     if G.step >= 3:
-        A += (M @ M) / 12.0
+        A += _matmul(M, M) / 12.0
     return A
 
 
 def frame_jacobian(G, g):
-    """d(frame)/d(coordinates): tensor J with J[i] = d A / d g_i."""
+    """d(frame)/d(coordinates): tensor J with J[i] = d A / d g_i; a batch
+    g (n, dim) gives (n, dim, dim, dim) with J[k, i] the i-th one at g[k]."""
     g = np.asarray(g, dtype=float)
-    J = 0.5 * G._ad_basis.copy()
+    B = G._ad_basis
+    J = np.multiply(0.5, B, out=np.empty(g.shape[:-1] + B.shape))
     if G.step >= 3:
-        M = G.ad(g)
-        J = J + (np.einsum("ikl,lj->ikj", G._ad_basis, M)
-                 + np.einsum("kl,ilj->ikj", M, G._ad_basis)) / 12.0
+        M = G.ad(g)[..., None, :, :]
+        J = J + (_matmul(B, M) + _matmul(M, B)) / 12.0
     return J
 
 

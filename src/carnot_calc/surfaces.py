@@ -76,9 +76,7 @@ class SurfaceFrame:
 
     def require_noncharacteristic(self):
         if self.is_characteristic:
-            raise CharacteristicPointError(
-                "characteristic point (W = %.3e below tolerance) at %s"
-                % (self.W, self.point))
+            raise _characteristic_point(self.W, self.point)
 
     # ambient vectors in coordinate components
 
@@ -141,10 +139,33 @@ def _checked_frame(G, g, comps, normalized=True):
     fr = SurfaceFrame(G, g, comps[: G.m], comps[G.m:])
     scale = max(1.0, float(np.max(np.abs(g))))
     if fr.normN <= 1e-12 * scale:
-        raise DegenerateSurfaceError("grad phi vanishes at %s" % (g,))
+        raise _vanishing_gradient(g)
     if normalized:
         fr.require_noncharacteristic()
     return fr
+
+
+def _require_frames(g, W, normN):
+    """The checks of _checked_frame as masks over a batch of points g
+    (n, dim) with arrays W and normN (n,): raise for the first failing
+    point what _checked_frame raises for it alone."""
+    scale = np.maximum(1.0, np.max(np.abs(g), axis=-1))
+    degenerate = normN <= 1e-12 * scale
+    failing = degenerate | ~(W > characteristic_tolerance(normN))
+    if failing.any():
+        k = int(np.argmax(failing))
+        if degenerate[k]:
+            raise _vanishing_gradient(g[k])
+        raise _characteristic_point(W[k], g[k])
+
+
+def _vanishing_gradient(g):
+    return DegenerateSurfaceError("grad phi vanishes at %s" % (g,))
+
+
+def _characteristic_point(W, g):
+    return CharacteristicPointError(
+        "characteristic point (W = %.3e below tolerance) at %s" % (W, g))
 
 
 # ---------------------------------------------------------------------------

@@ -457,9 +457,11 @@ def stability_scan(P, bumps=None, n_centers=5, n_radii=5, nu=None, nv=None,
     and equals quadratic_form bit for bit.  The scan raises if max |H|
     over the non-characteristic nodes of the whole grid exceeds
     minimal_tol.
-    Returns the full table (in lattice order), the minimum and its argmin
-    (both None for an empty family), and the first witness with
-    Q < witness_threshold (None if the scan stays nonnegative).
+    Returns the full table (in lattice order), the argmin, the first bump
+    whose Q is within 1e-12 of the family's max |Q| of the smallest, and
+    its Q as min_value (both None for an empty family), and the first
+    witness with Q < witness_threshold (None if the scan stays
+    nonnegative).
     """
     if bumps is None:
         u0, u1, v0, v1 = P.domain
@@ -496,7 +498,12 @@ def stability_scan(P, bumps=None, n_centers=5, n_radii=5, nu=None, nv=None,
     witness = next((rec for rec in table if rec["Q"] < witness_threshold),
                    None)
     if table:
-        argmin = min(table, key=lambda e: e["Q"])
+        # Q values that tie in exact arithmetic (mirror-image bumps on a
+        # symmetric surface) differ by rounding, which must not pick the
+        # argmin: take the first bump within 1e-12 max |Q| of the minimum
+        low = min(rec["Q"] for rec in table)
+        tol = 1e-12 * max(abs(rec["Q"]) for rec in table)
+        argmin = next(rec for rec in table if rec["Q"] - low <= tol)
         min_value = argmin["Q"]
     else:
         argmin = min_value = None

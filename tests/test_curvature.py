@@ -6,6 +6,7 @@ from carnot_calc.curvature import directional_fd, levelset_fields
 from carnot_calc.fields import CBRT_EPS
 from carnot_calc import (
     CharacteristicPointError,
+    DegenerateSurfaceError,
     FD,
     DerivativeEngine,
     IDENTITY_IDS,
@@ -313,12 +314,14 @@ def test_identity_battery_subset_selection():
 
 
 def _count_evaluations(monkeypatch):
-    seen = {"points": [], "frames": [], "jets": 0}
+    # points: every point levelset_fields evaluates, one per row of a batch
+    seen = {"points": [], "calls": 0, "frames": [], "jets": 0}
     fields, frame, jet = (curvature.levelset_fields, curvature.frame_levelset,
                           ScalarField.jet)
 
     def counted_fields(S, g):
-        seen["points"].append(np.array(g))
+        seen["points"].extend(np.array(np.atleast_2d(g)))
+        seen["calls"] += 1
         return fields(S, g)
 
     def counted_frame(S, g, *args, **kwargs):
@@ -335,17 +338,19 @@ def _count_evaluations(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("ids, calls", [(None, 9), (["unit-gradient"], 1),
-                                        (["second-z"], 3),
-                                        (["mixed-commutator"], 5)])
+@pytest.mark.parametrize("ids, points", [(None, 9), (["unit-gradient"], 1),
+                                         (["second-z"], 3),
+                                         (["mixed-commutator"], 5)])
 def test_identity_battery_evaluates_each_stencil_point_once(monkeypatch, ids,
-                                                            calls):
-    # once at g, then twice per direction read: Z, Y, T and B = T - obar Y
+                                                            points):
+    # once at g, then twice per direction read: Z, Y, T and B = T - obar Y,
+    # in one batched call for g and one for its stencil points
     cat = build_surface("t-graph:parab")
-    seen = _count_evaluations(monkeypatch)["points"]
+    seen = _count_evaluations(monkeypatch)
     identity_battery(cat.levelset, [cat.patch.point(1.0, 1.2)], ids=ids)
-    assert len(seen) == calls
-    assert len({g.tobytes() for g in seen}) == calls
+    assert len(seen["points"]) == points
+    assert len({g.tobytes() for g in seen["points"]}) == points
+    assert seen["calls"] == (1 if points == 1 else 2)
 
 
 @pytest.mark.parametrize("route, fields, frames, jets", [
@@ -397,6 +402,78 @@ def test_shared_stencil_matches_per_identity_differences():
         mixed = max(mixed, abs(lhs - ob * (Bv[c] + f["H"] * f["Zv"][c])))
     rows = identity_battery(S, [g], ids=["second-z", "mixed-commutator"])
     assert [r["residual"] for r in rows] == [second_z, mixed]
+
+
+def _engel_level_set():
+    return LevelSetSurface(build_group("engel"),
+                           "poly:[[1,[2,0,0,0]],[1,[0,2,0,0]],[0.5,[0,0,1,0]],"
+                           "[0.3,[0,0,0,1]],[-1,[0,0,0,0]]]")
+
+
+def _batch_surface(name, rng, n=72):
+    """A level set and n points on it (off it for Engel) away from the
+    characteristic band."""
+    if name == "hn:2-cylinder":
+        w = rng.normal(size=(n, 4))
+        w *= 2.0 / np.linalg.norm(w, axis=1)[:, None]
+        return cylinder(2.0, build_group("hn:2")), np.c_[w, rng.normal(size=n)]
+    if name == "engel":
+        return _engel_level_set(), rng.uniform(0.2, 0.8, size=(n, 4))
+    if name == "plane-x":  # a coordinate field: gradient callbacks, no jets
+        return LevelSetSurface(H1, "x"), np.c_[np.zeros(n),
+                                               rng.normal(size=(n, 2))]
+    cat = build_surface(name)
+    u0, u1, v0, v1 = cat.patch.domain
+    uv = rng.uniform((u0, v0), (u1, v1), size=(n, 2))
+    return cat.levelset, np.array([cat.patch.point(u, v) for u, v in uv])
+
+
+@pytest.mark.parametrize("name", [
+    "t-graph:poly:[[1,[2,0]],[1,[0,2]],[0.05,[3,0]],[-0.07,[2,1]],"
+    "[0.02,[1,2]],[0.09,[0,3]]]",
+    "xyt-graph", "intrinsic:uv", "hn:2-cylinder", "engel", "plane-x"])
+def test_batched_levelset_fields_equal_single_point_calls(name, rng):
+    # every key, H^1-only ones included, row for row ==, in batches of 1,
+    # 9 and 72 rows
+    S, pts = _batch_surface(name, rng)
+    batches = [levelset_fields(S, pts[:n]) for n in (1, 9, 72)]
+    for k, g in enumerate(pts[:9]):
+        single = levelset_fields(S, g)
+        for batch in batches[k > 0:]:
+            assert set(batch) == set(single)
+            for key, value in single.items():
+                assert np.array_equal(batch[key][k], value), key
+
+
+@pytest.mark.parametrize("bad, later", [
+    ([0.0, 0.0, 1.0], [0.0, 0.0, 0.0]),
+    ([0.0, 0.0, 0.0], [0.0, 0.0, 1.0]),
+], ids=["characteristic", "zero-gradient"])
+def test_batched_levelset_fields_raise_for_the_first_failing_point(bad,
+                                                                   later):
+    # on x^2 + y^2 + t^2 = 1 the poles are characteristic and grad phi
+    # vanishes at the origin: a batch raises what its first failing point
+    # raises alone, naming it, ahead of a later point failing the other check
+    S = LevelSetSurface(H1, "poly:[[1,[2,0,0]],[1,[0,2,0]],[1,[0,0,2]],"
+                            "[-1,[0,0,0]]]")
+    with pytest.raises((CharacteristicPointError,
+                        DegenerateSurfaceError)) as alone:
+        levelset_fields(S, bad)
+    with pytest.raises(type(alone.value)) as batched:
+        levelset_fields(S, [[1.0, 0.5, 0.2], bad, [0.5, 0.5, 0.1], later])
+    assert str(batched.value) == str(alone.value)
+    assert str(np.array(bad)) in str(batched.value)
+
+
+def test_undeclared_stencil_direction_raises(monkeypatch):
+    # an identity reading d(., "Y") must declare Y, or its stencil points
+    # are not evaluated
+    monkeypatch.setitem(curvature._IDENTITIES, "stray",
+                        (lambda f, d: d("H", "Y"), "Z"))
+    cat = build_surface("t-graph:parab")
+    with pytest.raises(ValueError, match="does not declare"):
+        identity_battery(cat.levelset, [cat.patch.point(1.0, 1.2)],
+                         ids=["stray"])
 
 
 # -- grid sweep ---------------------------------------------------------------------------

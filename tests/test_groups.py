@@ -132,6 +132,17 @@ def test_frames_match_closed_forms_at_random_points(rng):
 
 
 @pytest.mark.parametrize("G", [H1, H2, ENGEL], ids=lambda G: G.name)
+def test_batched_frames_equal_single_point_frames(G, rng):
+    # a leading point axis stacks the per-point results bit for bit
+    pts = rng.normal(size=(9, G.dim)) * 3
+    A, J = frame_at(G, pts), frame_jacobian(G, pts)
+    assert A.shape == (9,) + (G.dim,) * 2 and J.shape == (9,) + (G.dim,) * 3
+    for k, g in enumerate(pts):
+        assert np.array_equal(A[k], frame_at(G, g))
+        assert np.array_equal(J[k], frame_jacobian(G, g))
+
+
+@pytest.mark.parametrize("G", [H1, H2, ENGEL], ids=lambda G: G.name)
 def test_frame_columns_are_divergence_free(G, rng):
     # Euclidean divergence of each frame field: sum_i d(A[i, j])/d(g_i) = 0
     for _ in range(10):

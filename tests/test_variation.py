@@ -440,7 +440,10 @@ def _expected_scan(P, bumps, n):
     # the scan's report, built from per-bump quadratic_form calls
     table = [dict(meta, Q=quadratic_form(P, F, nu=n, nv=n))
              for F, meta in bumps]
-    argmin = min(table, key=lambda e: e["Q"])
+    # the first bump in table order within 1e-12 max |Q| of the minimum
+    Qs = [rec["Q"] for rec in table]
+    argmin = table[next(i for i, Q in enumerate(Qs)
+                        if Q - min(Qs) <= 1e-12 * max(map(abs, Qs)))]
     witness = next((rec for rec in table if rec["Q"] < -1e-6), None)
     return {"table": table, "min_value": argmin["Q"], "argmin": argmin,
             "witness": witness, "count": len(bumps)}
@@ -476,8 +479,11 @@ def _assert_matches(out, bumps, expected):
     pytest.param("lattice", "vertical-plane:1,0,0", 96, id="plane-lattice"),
     # 131^2 nodes: two blocks of 64 rows and a last one of 3 rows
     pytest.param("random", "xyt-graph", 130, id="random-130"),
-    # gamma_u gamma_v != 0 off the band: the cross plane C3 is not 0
-    pytest.param("lattice", "intrinsic:xyt", 96, id="intrinsic-lattice"),
+    # gamma_u gamma_v != 0 off the band: the cross plane C3 is not 0; at
+    # 64^2 the mirror bumps 52 and 72 tie in Q, and the two routes round
+    # the tie differently (the scan reads both ...245, quadratic_form reads
+    # ...249 for 52), so the argmin rests on the stated tie-break
+    pytest.param("lattice", "intrinsic:xyt", 64, id="intrinsic-lattice"),
 ])
 def test_stability_scan_matches_per_bump_quadratic_form(family, sid, n):
     # the scan differentiates product bumps from 1-D factor jets and sums
@@ -493,6 +499,21 @@ def test_stability_scan_matches_per_bump_quadratic_form(family, sid, n):
         out = stability_scan(P, bumps=bumps, nu=n, nv=n)
     _assert_matches(out, bumps, _expected_scan(P, bumps, n))
     assert (out["witness"] is not None) == (sid == "xyt-graph")
+
+
+def test_stability_scan_argmin_is_the_first_of_tied_bumps():
+    # bumps 52 and 72 of the 64^2 intrinsic:xyt lattice are mirror images
+    # with one Q in exact arithmetic; 52 as a plain callable takes the
+    # tangential() route and reads ...249, 72 the node planes and reads
+    # ...245, so the tie-break, not rounding, must pick 52
+    P = build_surface("intrinsic:xyt").patch
+    (F52, m52), (F72, m72) = (_lattice(P, 64)[k] for k in (52, 72))
+    out = stability_scan(P, bumps=[(lambda u, v: F52(u, v), m52), (F72, m72)],
+                         nu=64, nv=64)
+    Q52, Q72 = (rec["Q"] for rec in out["table"])
+    assert Q72 < Q52 <= Q72 + 1e-12 * Q52
+    assert out["argmin"] is out["table"][0]
+    assert out["min_value"] == Q52
 
 
 def _mixed_family(P, count, seed):
