@@ -13,6 +13,7 @@ check failed, 2 usage/config error.
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -26,6 +27,7 @@ from .surfaces import _poly2, build_surface, catalog_ids
 
 IDENTITY_TOL = 1e-4
 FLOW_TOL = 1e-4
+_ASCII = json.encoder.encode_basestring_ascii  # a str as a JSON literal
 
 _CSV_HELP = """\
 CSV columns by verb:
@@ -39,23 +41,6 @@ fails with exit code 2."""
 
 # ---------------------------------------------------------------------------
 # report rendering
-
-
-def _plain(x):
-    """Convert numpy scalars/arrays and other values to JSON-safe types."""
-    if isinstance(x, (bool, np.bool_)):
-        return bool(x)
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    if isinstance(x, (float, np.floating)):
-        return float(x)
-    if isinstance(x, np.ndarray):
-        return [_plain(v) for v in x.tolist()]
-    if isinstance(x, (list, tuple)):
-        return [_plain(v) for v in x]
-    if isinstance(x, dict):
-        return {str(k): _plain(v) for k, v in x.items()}
-    return x
 
 
 def _cell(x):
@@ -77,9 +62,36 @@ def render_csv(rows, fieldnames=None):
     return "\n".join(lines) + "\n"
 
 
+def _json(x, pad):
+    """x as JSON text whose line is indented by pad (see render_json)."""
+    if isinstance(x, (float, np.floating)):
+        if not math.isfinite(x):
+            raise ValueError("Out of range float values are not JSON "
+                             "compliant: %r" % float(x))
+        return repr(float(x))
+    if isinstance(x, str):
+        return _ASCII(x)
+    if isinstance(x, (bool, np.bool_)) or x is None:
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return repr(int(x))
+    inner = pad + "  "
+    if isinstance(x, dict):
+        items, ends = [_ASCII(str(k)) + ": " + _json(v, inner)
+                       for k, v in x.items()], "{}"
+    elif isinstance(x, (list, tuple, np.ndarray)):
+        items, ends = [_json(v, inner) for v in x], "[]"
+    else:  # json.dumps raises its TypeError for any other type
+        return json.dumps(x)
+    body = "\n" + inner + (",\n" + inner).join(items) + "\n" + pad
+    return ends[0] + body + ends[1] if items else ends
+
+
 def render_json(obj):
-    """JSON text of obj; a NaN or infinity raises ValueError (not JSON)."""
-    return json.dumps(_plain(obj), indent=2, allow_nan=False) + "\n"
+    """JSON text of obj in one recursive pass: json.dumps(obj, indent=2)
+    once numpy scalars and arrays are plain numbers and lists and keys are
+    str, byte for byte; a NaN or infinity raises ValueError (not JSON)."""
+    return _json(obj, "") + "\n"
 
 
 def emit_report(rows, format="csv", path=None, fieldnames=None):

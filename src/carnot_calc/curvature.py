@@ -144,27 +144,37 @@ def directional_fd(fn, g, vec, h=None):
     return (fn(g + h * vec) - fn(g - h * vec)) / (2.0 * h)
 
 
-def _stencil(S, g, h=None, fields=None):
-    """fields(S, g) at g, and d(q, v): the central difference of q along the
-    vector v frozen at g, where q is a key of the fields or a function of
-    them.  Each stencil point g +- h v is evaluated once.  fields defaults
-    to levelset_fields; routes that read only p, omega and W pass the
-    checked first-order frame, frame_levelset.
+def _stencil(S, g, h=None):
+    """The checked first-order frame (frame_levelset) at g, and d(q, v):
+    the central difference of q along the vector v frozen at g, where q is
+    a function of the frame.  Each stencil point g +- h v is evaluated
+    once, when first read.
     """
-    fields = fields or levelset_fields
     near = {}
 
     def d(q, v):
-        val = q if callable(q) else (lambda fl: fl[q])
-
         def at(gp):
             key = gp.tobytes()
             if key not in near:
-                near[key] = fields(S, gp)
-            return val(near[key])
+                near[key] = frame_levelset(S, gp)
+            return q(near[key])
         return directional_fd(at, g, v, h=h)
 
-    return fields(S, g), d
+    return frame_levelset(S, g), d
+
+
+def _stencil_fields(S, stencils):
+    """levelset_fields at the distinct stencil points g +- h v of the
+    (g, h, v) in stencils, in one batched call; returns the lookup from a
+    stencil point to its fields, each equal to a single-point call."""
+    near = {}
+    for g, h, v in stencils:
+        for gp in (g + h * v, g - h * v):
+            near.setdefault(gp.tobytes(), gp)
+    row = {key: r for r, key in enumerate(near)}
+    fields = (levelset_fields(S, np.array(list(near.values())))
+              if near else None)
+    return lambda gp: _Point(fields, row[gp.tobytes()])
 
 
 def hmc_divergence(S, g, h=None):
@@ -175,7 +185,7 @@ def hmc_divergence(S, g, h=None):
     columns frozen at g.  Independent of the second-derivative route.
     """
     g = np.asarray(g, dtype=float)
-    f, d = _stencil(S, g, h, frame_levelset)
+    f, d = _stencil(S, g, h)
     A = f.frame_matrix()
     H = sum(d(lambda fr: fr.p[i] / fr.W, A[:, i]) for i in range(S.group.m))
     return CurvatureReport(H, "divergence", f.W)
@@ -202,7 +212,7 @@ def hmc_pauls(S, g, eps_list=(1e-2, 1e-3, 1e-4), h=None):
     if not (G.is_heisenberg and G.dim == 3):
         raise ValueError("the approximation scheme is set up on H^1")
     g = np.asarray(g, dtype=float)
-    f, d = _stencil(S, g, h, frame_levelset)
+    f, d = _stencil(S, g, h)
     A = f.frame_matrix()
     eps_list = sorted(float(e) for e in eps_list)
 
@@ -300,7 +310,7 @@ def pseudo_hermitian_check(S, point, h=None):
         raise ValueError("this check is set up on H^1")
     g = np.asarray(point, dtype=float)
     # horizontal fields are coefficient functions of the level-set fields
-    f, d = _stencil(S, g, h)
+    f = levelset_fields(S, g)
     A = f["A"]
 
     def e1(fl):
@@ -308,10 +318,13 @@ def pseudo_hermitian_check(S, point, h=None):
 
     basis = [lambda fl: np.array([1.0, 0.0]), lambda fl: np.array([0.0, 1.0])]
 
+    vec = {U: A[:, 0] * U(f)[0] + A[:, 1] * U(f)[1] for U in (e1, *basis)}
+    step = FD.step1(g) if h is None else h
+    at = _stencil_fields(S, [(g, step, v) for v in vec.values()])
+
     def deriv(U, scalar_fn):
-        # derivative at g of scalar_fn along the field U
-        c = U(f)
-        return d(scalar_fn, A[:, 0] * c[0] + A[:, 1] * c[1])
+        # derivative at g of scalar_fn along the field U, frozen at g
+        return directional_fd(lambda gp: scalar_fn(at(gp)), g, vec[U], h=step)
 
     def bracket_h(U, V):
         # horizontal part of [U, V] at g for horizontal-coefficient fields:
@@ -532,15 +545,8 @@ def identity_battery(S, points, ids=None, h=None):
     F = levelset_fields(S, np.array(pts))
     dirs = [D for D in "ZYTB" if any(D in _IDENTITIES[i][1] for i in ids)]
     steps = [FD.step1(g) if h is None else h for g in pts]
-    stencil = {}  # the distinct stencil points, by their bytes
-    for k, (g, step) in enumerate(zip(pts, steps)):
-        for D in dirs:
-            vec = F[D + "v"][k]
-            for gp in (g + step * vec, g - step * vec):
-                stencil.setdefault(gp.tobytes(), gp)
-    row = {key: r for r, key in enumerate(stencil)}
-    Fs = (levelset_fields(S, np.array(list(stencil.values())))
-          if stencil else None)
+    at = _stencil_fields(S, [(g, s, F[D + "v"][k]) for k, (g, s) in
+                             enumerate(zip(pts, steps)) for D in dirs])
     records = []
     for k, (g, step) in enumerate(zip(pts, steps)):
         f = _Point(F, k)
@@ -554,9 +560,8 @@ def identity_battery(S, points, ids=None, h=None):
                                      "which it does not declare"
                                      % (ident, D))
                 val = q if callable(q) else (lambda fl: fl[q])
-                return directional_fd(
-                    lambda gp: val(_Point(Fs, row[gp.tobytes()])),
-                    g, f[D + "v"], h=step)
+                return directional_fd(lambda gp: val(at(gp)), g,
+                                      f[D + "v"], h=step)
 
             records.append({"identity": ident, "point": g,
                             "residual": float(fn(f, d))})

@@ -71,6 +71,8 @@ class StratifiedGroup:
         # the basis vectors with a nonzero bracket, which alone enter ad_g
         self._ad_terms = [(i, a) for i, a in enumerate(self._ad_basis)
                           if a.any()]
+        nz = self._ad_basis.any(axis=0)  # the entries ad_g can fill
+        self._ad_inner = np.flatnonzero(nz.any(0) & nz.any(1)).tolist()
 
     def _validate(self):
         b = self.b
@@ -201,9 +203,11 @@ def _dot(a, b):
     return out
 
 
-def _matmul(a, b):
-    """a @ b over the last two axes, summed as _dot sums."""
-    return _dot(a[..., :, None, :], np.swapaxes(b, -1, -2)[..., None, :, :])
+def _ad_matmul(G, a, b):
+    """a @ b over the last two axes for ad matrices of G, summed as _dot
+    sums over G._ad_inner only: the other terms are exact zeros."""
+    return sum((a[..., :, k, None] * b[..., None, k, :]
+                for k in G._ad_inner), 0.0)
 
 
 def frame_at(G, g):
@@ -218,7 +222,7 @@ def frame_at(G, g):
     M = G.ad(g)
     A = np.eye(G.dim) + 0.5 * M
     if G.step >= 3:
-        A += _matmul(M, M) / 12.0
+        A += _ad_matmul(G, M, M) / 12.0
     return A
 
 
@@ -230,7 +234,7 @@ def frame_jacobian(G, g):
     J = np.multiply(0.5, B, out=np.empty(g.shape[:-1] + B.shape))
     if G.step >= 3:
         M = G.ad(g)[..., None, :, :]
-        J = J + (_matmul(B, M) + _matmul(M, B)) / 12.0
+        J = J + (_ad_matmul(G, B, M) + _ad_matmul(G, M, B)) / 12.0
     return J
 
 

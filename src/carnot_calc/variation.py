@@ -385,19 +385,20 @@ def product_bump_lattice(domain, n_centers=5, n_radii=5, margin=0.0):
 
 
 def random_product_bumps(domain, count, rng, margin=0.0):
-    """Random product bumps with supports strictly inside the rectangle."""
+    """Random product bumps with supports strictly inside the rectangle.
+    One rng.uniform call draws every bump's (cu, cv) and radius fractions:
+    the bumps, and generator state, of four scalar calls per bump."""
     if int(count) < 0:
         raise ValueError("bump count must be >= 0, got %d" % count)
     u0, u1, v0, v1 = (float(d) for d in domain)
-    out = []
-    for _ in range(int(count)):
-        cu = rng.uniform(u0 + 0.25 * (u1 - u0), u1 - 0.25 * (u1 - u0))
-        cv = rng.uniform(v0 + 0.25 * (v1 - v0), v1 - 0.25 * (v1 - v0))
-        ru = rng.uniform(0.3, 0.98) * (min(cu - u0, u1 - cu) - margin)
-        rv = rng.uniform(0.3, 0.98) * (min(cv - v0, v1 - cv) - margin)
-        out.append((_ProductBump(bump1(cu, ru), bump1(cv, rv)),
-                    {"cu": cu, "cv": cv, "ru": ru, "rv": rv}))
-    return out
+    lo = np.array([u0 + 0.25 * (u1 - u0), v0 + 0.25 * (v1 - v0), 0.3, 0.3])
+    hi = np.array([u1 - 0.25 * (u1 - u0), v1 - 0.25 * (v1 - v0), 0.98, 0.98])
+    d = rng.uniform(lo, hi, (int(count), 4))
+    d[:, 2] *= np.minimum(d[:, 0] - u0, u1 - d[:, 0]) - margin
+    d[:, 3] *= np.minimum(d[:, 1] - v0, v1 - d[:, 1]) - margin
+    return [(_ProductBump(bump1(cu, ru), bump1(cv, rv)),
+             {"cu": cu, "cv": cv, "ru": ru, "rv": rv})
+            for cu, cv, ru, rv in d.tolist()]
 
 
 _BUMP1 = bump1().__code__  # the body of every bump1 factor
@@ -448,15 +449,15 @@ def stability_scan(P, bumps=None, n_centers=5, n_radii=5, nu=None, nv=None,
     + (a a')^T C3 (b b') + (a^2)^T C4 (b^2) (sum factorization).  Each
     distinct factor is evaluated once on first-order jets at the grid's
     u- or v-nodes, all bump1 factors of an axis in one stacked call
-    (_factor_jets), and each bump's four row vectors meet the planes in
-    products of its own, so its Q depends neither on the rest of the
-    family nor on the block size.  It agrees with quadratic_form(P, F,
-    nu=nu, nv=nv), which sums the same density in the pairwise tree, to
-    rounding (a few 1e-16 of the family's max |Q| measured).  Any other
-    bump goes through tangential() on each block and the pairwise tree,
-    and equals quadratic_form bit for bit.  The scan raises if max |H|
-    over the non-characteristic nodes of the whole grid exceeds
-    minimal_tol.
+    (_factor_jets), and each distinct u-factor's four rows meet the planes
+    in products of their own, which its bumps share, so a bump's Q depends
+    neither on the rest of the family nor on the block size.  It agrees
+    with quadratic_form(P, F, nu=nu, nv=nv), which sums the same density in
+    the pairwise tree, to rounding (a few 1e-16 of the family's max |Q|
+    measured).  Any other bump goes through tangential() on each block and
+    the pairwise tree, and equals quadratic_form bit for bit.  The scan
+    raises if max |H| over the non-characteristic nodes of the whole grid
+    exceeds minimal_tol.
     Returns the full table (in lattice order), the argmin, the first bump
     whose Q is within 1e-12 of the family's max |Q| of the smallest, and
     its Q as min_value (both None for an empty family), and the first
@@ -513,20 +514,23 @@ def stability_scan(P, bumps=None, n_centers=5, n_radii=5, nu=None, nv=None,
 
 def _separable_forms(products, grid, planes):
     """Q of each product bump F = a(u) b(v), given by its factors (a, b),
-    against the four node planes of stability_scan.  Each bump's rows
-    (a'^2, a^2, a a', a^2) meet their planes in one (1 x u-nodes) product
-    each, the same BLAS call for every bump, and the results are dotted
-    with its rows (b^2, b'^2, b b', b^2)."""
+    against the four node planes of stability_scan.  Each distinct factor's
+    rows, (a'^2, a^2, a a', a^2) or (b^2, b'^2, b b', b^2), are formed once;
+    a u-factor's meet their planes in one (1 x u-nodes) product each, the
+    same BLAS call for every factor, and a bump dots them with its v-rows."""
     if not products:
         return []
-    u_jets = _factor_jets([a for a, _ in products], grid.u)
-    v_jets = _factor_jets([b for _, b in products], grid.v)
-    a, da = map(np.array, zip(*(u_jets[id(a)] for a, _ in products)))
-    b, db = map(np.array, zip(*(v_jets[id(b)] for _, b in products)))
+    jets = []  # per axis: the distinct factors' stacked jet, each bump's row
+    for k, x in enumerate((grid.u, grid.v)):
+        axis = _factor_jets([F[k] for F in products], x)
+        row = {key: i for i, key in enumerate(axis)}
+        jets += [*map(np.array, zip(*axis.values())),
+                 [row[id(F[k])] for F in products]]
+    a, da, iu, b, db, iv = jets
     left = np.stack([da * da, a * a, a * da, a * a], axis=1)
     right = np.stack([b * b, db * db, b * db, b * b], axis=1)
     rows = np.matmul(left[:, :, None, :], planes)[:, :, 0, :]
-    return np.sum((rows * right).reshape(len(products), -1), axis=1).tolist()
+    return (rows[iu] * right[iv]).reshape(len(iu), -1).sum(axis=1).tolist()
 
 
 def intrinsic_stability_form(Gr, F, nu=None, nv=None, minimal_tol=1e-8):

@@ -330,6 +330,111 @@ def test_nan_in_json_report_is_an_error():
             cli.render_json({"value": np.float64(bad)})
 
 
+def _plain(x):
+    # the former formulation: numpy scalars and arrays to plain numbers and
+    # lists, tuples to lists, keys to str, then json.dumps(indent=2)
+    if isinstance(x, (bool, np.bool_)):
+        return bool(x)
+    if isinstance(x, (int, np.integer)):
+        return int(x)
+    if isinstance(x, (float, np.floating)):
+        return float(x)
+    if isinstance(x, np.ndarray):
+        return [_plain(v) for v in x.tolist()]
+    if isinstance(x, (list, tuple)):
+        return [_plain(v) for v in x]
+    if isinstance(x, dict):
+        return {str(k): _plain(v) for k, v in x.items()}
+    return x
+
+
+def _dumps_json(obj):
+    return json.dumps(_plain(obj), indent=2, allow_nan=False) + "\n"
+
+
+_JSON_REPORTS = [
+    ["catalog"],
+    ["measure", "--quantity", "perimeter", "--grid", "16"],
+    ["measure", "--quantity", "eps-area", "--grid", "16"],
+    ["measure", "--quantity", "scaling", "--grid", "16"],
+    ["variation", "--mode", "v1", "--grid", "16"],
+    ["variation", "--mode", "v2-full", "--grid", "16"],
+    ["variation", "--mode", "numeric:1", "--grid", "16"],
+    ["variation", "--mode", "numeric:2", "--grid", "16"],
+    ["variation", "--surface", "xyt-graph", "--mode", "v2-geometric",
+     "--grid", "32"],
+    ["stability", "--surface", "xyt-graph", "--grid", "16"],
+    ["stability", "--surface", "xyt-graph", "--grid", "16", "--family",
+     "random:6,3"],
+    ["stability", "--surface", "xyt-graph", "--grid", "16", "--family",
+     "random:0,1"],
+    # null cells at the characteristic corner node
+    ["curvature", "--surface",
+     "t-graph:poly:[[-0.25, [1, 0]], [0.25, [0, 1]]]", "--points", "4",
+     "--format", "json"],
+    ["identities", "--points", "2", "--format", "json"],
+    ["flow-check", "--points", "4", "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("argv", _JSON_REPORTS,
+                         ids=[" ".join(a) for a in _JSON_REPORTS])
+def test_json_writer_equals_json_dumps_of_plain_values(capsys, argv):
+    # render_json writes in one recursive pass what json.dumps(indent=2)
+    # printed of the report once made plain, byte for byte
+    cfg = cli._merge_config(cli._build_parser().parse_args(argv))
+    report = cli._VERBS[argv[0]](cfg)[0]
+    text = cli.render_json(report)
+    assert text == _dumps_json(report)
+    rc, out, _ = invoke(capsys, argv + (["--format", "json"]
+                                        if "--format" not in argv else []))
+    assert rc == 0 and out == text
+
+
+def test_json_writer_equals_json_dumps_on_every_value_kind():
+    values = [
+        np.bool_(True), np.bool_(False), True, None, 0, -7, 2 ** 70,
+        np.int8(-3), np.int64(2 ** 40), np.uint8(255), np.intc(4),
+        0.1, -0.0, 1e16, 5e-324, 1.7976931348623157e308, np.float16(0.5),
+        np.float32(0.1), np.float64(-2.5e-300), np.longdouble(1.25),
+        np.arange(3), np.zeros((2, 0)), np.array([[1.5, -0.0], [2.0, 3.0]]),
+        np.array([True, False]), np.array([], dtype=float),
+        np.float32([0.1, 2.0]), [], {}, (), [[]], [{}], {"a": []},
+        (1, (2.0, [np.int32(3)])), "", "plain", "\u03c0 \u2248 3.14 \u00fc",
+        "\U0001f600 \x00\x1f\x7f", "quote \" back \\ tab \t nl \n",
+        {"nested": {"deep": {"er": [1, {"x": None}]}}, "e": {}},
+        {1: "int key", None: 0, 2.5: "float key", True: "bool key",
+         "\u00e9": "non-ASCII key"},
+    ]
+    for value in values:
+        assert cli.render_json(value) == _dumps_json(value), value
+    assert cli.render_json(values) == _dumps_json(values)
+    report = {"table": [dict(cu=np.float64(0.25), Q=-1e-3, flag=np.bool_(1))],
+              "grid": (np.int64(96), 96)}
+    assert cli.render_json(report) == _dumps_json(report)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", [float, np.float64, np.float32])
+def test_json_writer_rejects_nan_and_infinity_as_json_dumps_does(bad, kind):
+    obj = {"ok": [1.0], "value": [kind(bad)]}
+    with pytest.raises(ValueError) as old:
+        _dumps_json(obj)
+    with pytest.raises(ValueError) as new:
+        cli.render_json(obj)
+    assert str(new.value) == str(old.value) == (
+        "Out of range float values are not JSON compliant: %r" % float(bad))
+
+
+def test_nan_report_fails_with_exit_code_2(capsys, monkeypatch):
+    monkeypatch.setitem(cli._VERBS, "catalog", lambda cfg: (
+        {"value": np.float64("nan")}, "json", None, True))
+    rc, out, err = invoke(capsys, ["catalog"])
+    assert (rc, out) == (2, "")
+    assert err == ("error: Out of range float values are not JSON compliant:"
+                   " nan\n")
+
+
 # -- flow check -----------------------------------------------------------------
 
 def test_flow_check_passes(capsys):

@@ -353,27 +353,30 @@ def test_identity_battery_evaluates_each_stencil_point_once(monkeypatch, ids,
     assert seen["calls"] == (1 if points == 1 else 2)
 
 
-@pytest.mark.parametrize("route, fields, frames, jets", [
-    (pseudo_hermitian_check, 7, 0, 7),
-    (hmc_divergence, 0, 5, 5),
-    (lambda S, g: hmc_pauls(S, g), 0, 7, 8),
-    (lambda S, g: hmc_pauls(S, g, eps_list=(1e-1, 1e-2, 1e-3, 1e-4)), 0, 7,
-     8),
-    (hmc_levelset, 0, 0, 1),
+@pytest.mark.parametrize("route, fields, calls, frames, jets", [
+    (pseudo_hermitian_check, 7, 2, 0, 2),
+    (hmc_divergence, 0, 0, 5, 5),
+    (lambda S, g: hmc_pauls(S, g), 0, 0, 7, 8),
+    (lambda S, g: hmc_pauls(S, g, eps_list=(1e-1, 1e-2, 1e-3, 1e-4)), 0, 0,
+     7, 8),
+    (hmc_levelset, 0, 0, 0, 1),
 ], ids=["pseudo-hermitian", "divergence", "pauls-3-eps", "pauls-4-eps",
         "levelset"])
 def test_finite_difference_routes_evaluate_each_point_once(monkeypatch, route,
-                                                           fields, frames,
-                                                           jets):
+                                                           fields, calls,
+                                                           frames, jets):
     # g and the stencil points g +- h v each get one evaluation: the
     # divergence and Pauls routes read only p, omega and W, so they take the
-    # checked first-order frame, never the full levelset_fields
+    # checked first-order frame, never the full levelset_fields; the
+    # pseudo-hermitian check evaluates g, then its 6 stencil points (along
+    # e1, X1 and X2) in one batched levelset_fields call
     cat = build_surface("t-graph:parab")
     seen = _count_evaluations(monkeypatch)
     route(cat.levelset, cat.patch.point(1.0, 1.2))
     for kind, most in (("points", fields), ("frames", frames)):
         assert len(seen[kind]) <= most
         assert len({g.tobytes() for g in seen[kind]}) == len(seen[kind])
+    assert seen["calls"] == calls
     assert seen["jets"] <= jets
 
 

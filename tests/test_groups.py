@@ -142,6 +142,48 @@ def test_batched_frames_equal_single_point_frames(G, rng):
         assert np.array_equal(J[k], frame_jacobian(G, g))
 
 
+STEP3_CUSTOM = build_group({"layer_dims": [2, 1, 2], "brackets": [
+    {"i": 1, "j": 2, "layer": 2, "index": 1, "value": 1.5},
+    {"i": 1, "j": 3, "layer": 3, "index": 1, "value": 0.7},
+    {"i": 2, "j": 3, "layer": 3, "index": 2, "value": -1.3}]})
+
+
+def _full_matmul(a, b):
+    # a @ b over the last two axes, every inner index summed in order
+    out = a[..., :, 0, None] * b[..., None, 0, :]
+    for k in range(1, a.shape[-1]):
+        out = out + a[..., :, k, None] * b[..., None, k, :]
+    return out
+
+
+def _same_bits(a, b):
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@pytest.mark.parametrize("G", [ENGEL, STEP3_CUSTOM], ids=["engel", "custom"])
+def test_step3_frames_skip_only_exact_zero_products(G, rng):
+    # ad_g^2 and the Jacobian's products sum only the inner indices the ad
+    # matrices share; the frames equal the full fixed-order products bit
+    # for bit, signed zeros included, one point or a batch
+    assert len(G._ad_inner) < G.dim
+    pts = rng.normal(size=(64, G.dim)) * 3
+    pts[::5] = 0.0
+    pts[1::5] = -0.0
+    pts[2::5, ::2] = -0.0
+    B = G._ad_basis
+    M = G.ad(pts)
+    A = np.eye(G.dim) + 0.5 * M
+    A += _full_matmul(M, M) / 12.0
+    J = 0.5 * B + (_full_matmul(B, M[:, None]) + _full_matmul(M[:, None], B)
+                   ) / 12.0
+    assert _same_bits(frame_at(G, pts), A)
+    assert _same_bits(frame_jacobian(G, pts), J)
+    for k, g in enumerate(pts):
+        assert _same_bits(frame_at(G, g), A[k])
+        assert _same_bits(frame_jacobian(G, g), J[k])
+
+
 @pytest.mark.parametrize("G", [H1, H2, ENGEL], ids=lambda G: G.name)
 def test_frame_columns_are_divergence_free(G, rng):
     # Euclidean divergence of each frame field: sum_i d(A[i, j])/d(g_i) = 0

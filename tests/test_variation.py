@@ -638,6 +638,92 @@ def test_lattice_bumps_share_their_factors():
         assert bu(meta["cu"]) == bv(meta["cv"]) == np.exp(-1.0)
 
 
+def _scalar_uniform_bumps(domain, count, rng, margin=0.0):
+    # the former draw: four scalar rng.uniform calls per bump
+    u0, u1, v0, v1 = (float(d) for d in domain)
+    out = []
+    for _ in range(int(count)):
+        cu = rng.uniform(u0 + 0.25 * (u1 - u0), u1 - 0.25 * (u1 - u0))
+        cv = rng.uniform(v0 + 0.25 * (v1 - v0), v1 - 0.25 * (v1 - v0))
+        ru = rng.uniform(0.3, 0.98) * (min(cu - u0, u1 - cu) - margin)
+        rv = rng.uniform(0.3, 0.98) * (min(cv - v0, v1 - cv) - margin)
+        out.append({"cu": cu, "cv": cv, "ru": ru, "rv": rv})
+    return out
+
+
+@pytest.mark.parametrize("count", [0, 1, 64])
+@pytest.mark.parametrize("margin", [0.0, 0.05])
+@pytest.mark.parametrize("domain", [(-1.0, 1.0, -1.0, 1.0),
+                                    (0.5, 1.5, -2.0, 1.25)])
+def test_random_bumps_are_the_scalar_uniform_draws(count, margin, domain):
+    # one rng.uniform call of shape (count, 4) gives the metas of the scalar
+    # loop bit for bit (plain floats), and leaves the generator where the
+    # loop left it
+    for seed in range(20):
+        new_rng, old_rng = (np.random.default_rng(seed) for _ in range(2))
+        bumps = random_product_bumps(domain, count, new_rng, margin=margin)
+        metas = [meta for _, meta in bumps]
+        assert metas == _scalar_uniform_bumps(domain, count, old_rng, margin)
+        assert all(type(x) is float for m in metas for x in m.values())
+        assert new_rng.random() == old_rng.random()
+        for F, meta in bumps:
+            bu, bv = F.factors
+            assert (bu.center, bu.radius, bv.center, bv.radius) == (
+                meta["cu"], meta["ru"], meta["cv"], meta["rv"])
+
+
+def test_random_bumps_reject_a_reversed_domain_as_the_scalar_draws_did():
+    for draw in (random_product_bumps, _scalar_uniform_bumps):
+        with pytest.raises(ValueError, match="high - low < 0"):
+            draw((1.0, -1.0, -1.0, 1.0), 3, np.random.default_rng(0))
+
+
+def _per_bump_separable_forms(products, grid, planes):
+    # the former formulation: each bump's own four u-rows meet the planes
+    u_jets = variation._factor_jets([a for a, _ in products], grid.u)
+    v_jets = variation._factor_jets([b for _, b in products], grid.v)
+    a, da = map(np.array, zip(*(u_jets[id(a)] for a, _ in products)))
+    b, db = map(np.array, zip(*(v_jets[id(b)] for _, b in products)))
+    left = np.stack([da * da, a * a, a * da, a * a], axis=1)
+    right = np.stack([b * b, db * db, b * db, b * b], axis=1)
+    rows = np.matmul(left[:, :, None, :], planes)[:, :, 0, :]
+    return np.sum((rows * right).reshape(len(products), -1), axis=1).tolist()
+
+
+@pytest.mark.parametrize("family", ["lattice", "random"])
+def test_separable_rows_are_formed_once_per_distinct_u_factor(monkeypatch,
+                                                              family):
+    # the 125-bump lattice shares 25 u-factors: 25 x 4 row products, each
+    # its own (1 x u-nodes) product, gathered per bump; every Q == the
+    # per-bump formulation on the scan's own planes
+    P = build_surface("xyt-graph").patch
+    if family == "lattice":
+        bumps, distinct = _lattice(P, 96), 25
+    else:
+        bumps = random_product_bumps(P.domain, 64, np.random.default_rng(9))
+        distinct = 64
+    calls, row_shapes = [], []
+    forms, matmul = variation._separable_forms, np.matmul
+
+    def spy(products, grid, planes):
+        calls.append((products, grid, planes))
+        return forms(products, grid, planes)
+
+    def counted(a, b, *args, **kwargs):
+        if calls and b is calls[-1][2]:
+            row_shapes.append(a.shape)
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(variation, "_separable_forms", spy)
+    monkeypatch.setattr(np, "matmul", counted)
+    out = stability_scan(P, bumps=bumps, nu=96, nv=96)
+    [(products, grid, planes)] = calls
+    assert row_shapes == [(distinct, 4, 1, grid.u.size)]
+    monkeypatch.setattr(np, "matmul", matmul)
+    assert [rec["Q"] for rec in out["table"]] == _per_bump_separable_forms(
+        products, grid, planes)
+
+
 def _own_jet(b, x):
     """Value and derivative of the 1-D factor b at the nodes x, from its
     own first-order seed."""
