@@ -342,7 +342,8 @@ def _build_parser():
         formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("verb", choices=sorted(_VERBS.keys()))
     p.add_argument("--surface", help="catalog surface id")
-    p.add_argument("--grid", type=int, help="quadrature cells per axis")
+    p.add_argument("--grid", type=int,
+                   help="quadrature cells per axis (even, >= 8)")
     p.add_argument("--points", type=int, help="sample point count")
     p.add_argument("--quantity", choices=["perimeter", "eps-area", "scaling"],
                    help="measure verb quantity")
@@ -396,9 +397,10 @@ def _merge_config(args):
             cfg[key] = default
     if cfg["points"] < 1:
         raise UsageError("--points must be positive")
-    # only the verbs that integrate build a Simpson grid (>= 8 cells)
-    if args.verb in ("measure", "variation", "stability") and cfg["grid"] < 8:
-        raise UsageError("--grid must be at least 8")
+    # only the verbs that integrate build a Simpson grid (even, >= 8 cells)
+    if (args.verb in ("measure", "variation", "stability")
+            and (cfg["grid"] < 8 or cfg["grid"] % 2)):
+        raise UsageError("--grid must be an even number >= 8")
     return cfg
 
 

@@ -572,7 +572,7 @@ def identity_battery(S, points, ids=None, h=None):
 # grid report
 
 
-def curvature_grid(P, nu=None, nv=None, with_levelset=True):
+def curvature_grid(P, nu=None, nv=None):
     """Frame and curvature data on the patch grid, as flat arrays for reports.
 
     Returns dict of columns: u, v, p, q, omega, W, H_param, A, obar, the
@@ -593,7 +593,7 @@ def curvature_grid(P, nu=None, nv=None, with_levelset=True):
             "H_param": zz["H"].ravel(), "A": (-zz["Zobar"]).ravel(),
             "obar": zz["obar"].ravel(),
             "characteristic": _characteristic_band(W, om)}
-    if with_levelset and P.levelset is not None:
+    if P.levelset is not None:
         Hl = np.empty(UU.size)
         pts = P.point(UU, VV).reshape(3, -1)
         for k in range(UU.size):

@@ -235,8 +235,8 @@ def bump1(center=0.0, radius=1.0):
     bump2 does in 2-D.  Every operation is elementwise, so center and
     radius may be arrays: bump1 of (m x 1) centres and radii, called on a
     (1 x n) jet, evaluates m bumps at once, row i bit for bit the jet of
-    bump1(center[i, 0], radius[i, 0]) (stability_scan stacks its factors
-    so).
+    bump1(center[i, 0], radius[i, 0]) (stability_scan evaluates the
+    distinct factors of its product bumps so, one call per axis).
     """
     def fn(x):
         z = (x - center) * (1.0 / radius)

@@ -1,7 +1,7 @@
 """Surface measure and integral identities for H^1 parametric patches.
 
 The sub-Riemannian area element of a patch is dsigma_H = W du dv.  All
-integrals use deterministic composite rules with a fixed pairwise summation
+integrals use the composite Simpson rule with a fixed pairwise summation
 tree over the row-major grid, and all run through one streaming reducer:
 the grid is cut into blocks of 2^k whole rows, the least power of two of
 rows that holds _BLOCK_NODES nodes (so a grid of no more nodes is one
@@ -83,35 +83,26 @@ def _pairwise_rows(a):
 
 
 class QuadratureGrid:
-    """Composite Simpson (default) or midpoint nodes/weights on a rectangle.
+    """Composite Simpson nodes/weights on a rectangle.
 
-    nu, nv count cells; Simpson needs them even and >= 8 and places nodes at
-    the nu+1 x nv+1 lattice points, midpoint uses cell centers.  The grid
-    keeps only the 1-D nodes u, v and weights wu, wv; _integrate forms
-    each block's nodes and weights from them.  box = (rows, columns), two
-    slices of the node indices, is the node box _integrate evaluates: the
-    whole grid, or the nodes of a support box (see restricted).
+    nu, nv count cells, even and >= 8; the nodes are the nu+1 x nv+1
+    lattice points.  The grid keeps only the 1-D nodes u, v and weights
+    wu, wv; _integrate forms each block's nodes and weights from them.
+    box = (rows, columns), two slices of the node indices, is the node box
+    _integrate evaluates: the whole grid, or the nodes of a support box
+    (see restricted).
     """
 
-    def __init__(self, domain, nu=128, nv=128, rule="simpson"):
+    def __init__(self, domain, nu=128, nv=128):
         self.domain = tuple(float(d) for d in domain)
         self.nu, self.nv = int(nu), int(nv)
-        self.rule = rule
         u0, u1, v0, v1 = self.domain
-        if rule == "simpson":
-            for n in (self.nu, self.nv):
-                if n < 8 or n % 2:
-                    raise ValueError("simpson rule needs even cell counts"
-                                     " >= 8, got %d" % n)
-            self.u, self.wu = self._simpson_1d(u0, u1, self.nu)
-            self.v, self.wv = self._simpson_1d(v0, v1, self.nv)
-        elif rule == "midpoint":
-            if self.nu < 1 or self.nv < 1:
-                raise ValueError("midpoint rule needs positive cell counts")
-            self.u, self.wu = self._midpoint_1d(u0, u1, self.nu)
-            self.v, self.wv = self._midpoint_1d(v0, v1, self.nv)
-        else:
-            raise ValueError("unknown rule %r" % rule)
+        for n in (self.nu, self.nv):
+            if n < 8 or n % 2:
+                raise ValueError("simpson rule needs even cell counts"
+                                 " >= 8, got %d" % n)
+        self.u, self.wu = self._simpson_1d(u0, u1, self.nu)
+        self.v, self.wv = self._simpson_1d(v0, v1, self.nv)
         self.box = (slice(0, self.u.size), slice(0, self.v.size))
 
     @staticmethod
@@ -123,22 +114,11 @@ class QuadratureGrid:
         w[0] = w[-1] = 1.0
         return x, w * (h / 3.0)
 
-    @staticmethod
-    def _midpoint_1d(a, b, n):
-        h = (b - a) / n
-        x = a + h * (np.arange(n) + 0.5)
-        return x, np.full(n, h)
-
     def halved(self):
-        nu, nv = self.nu // 2, self.nv // 2
-        if self.rule == "simpson":
-            nu += nu % 2
-            nv += nv % 2
-            if nu < 8 or nv < 8:
-                return None
-        elif min(nu, nv) < 1:
+        nu, nv = (h + h % 2 for h in (self.nu // 2, self.nv // 2))
+        if min(nu, nv) < 8:
             return None
-        return QuadratureGrid(self.domain, nu, nv, self.rule)
+        return QuadratureGrid(self.domain, nu, nv)
 
     def restricted(self, support):
         """This grid with its node box cut to support, a box (u0, u1, v0,
@@ -166,16 +146,18 @@ class IntegralResult:
 
     error_estimate is |I(n) - I(n/2)| when a half grid exists (else None);
     excluded_mass is the weighted W-mass of nodes inside the characteristic
-    band, which were dropped from the integral.
+    band, which were dropped from the integral; rule names the quadrature
+    rule, always composite Simpson.
     """
 
-    def __init__(self, value, error_estimate, excluded_mass, grid, rule):
+    rule = "simpson"
+
+    def __init__(self, value, error_estimate, excluded_mass, grid):
         self.value = float(value)
         self.error_estimate = (None if error_estimate is None
                                else float(error_estimate))
         self.excluded_mass = float(excluded_mass)
         self.grid = grid
-        self.rule = rule
 
     def __float__(self):
         return self.value
@@ -192,8 +174,8 @@ class IntegralResult:
                 "rule": self.rule}
 
 
-def _grid_for(P, nu, nv, rule):
-    return QuadratureGrid(P.domain, nu or P.grid[0], nv or P.grid[1], rule)
+def _grid_for(P, nu, nv):
+    return QuadratureGrid(P.domain, nu or P.grid[0], nv or P.grid[1])
 
 
 def _fold(run, k):
@@ -328,7 +310,7 @@ def _patch_frames(P, order=2):
     return lambda u, v, rows: [zy_second(P, None, u, v, order=order)]
 
 
-def _family_perimeters(P, members, nu, nv, rule, support=None):
+def _family_perimeters(P, members, nu, nv, support=None):
     """H-perimeters of a family of patches moved from P, in one pass.
 
     members(u, v, x, y, t) receives first-order seeds and P's components on
@@ -345,7 +327,7 @@ def _family_perimeters(P, members, nu, nv, rule, support=None):
     their number.  That is exact: there each component is c + (a signed
     zero), and W and the band test are blind to the sign of a zero.
     """
-    grid = _grid_for(P, nu, nv, rule)
+    grid = _grid_for(P, nu, nv)
     box, cols = grid.restricted(support).box
     count = []  # the number of members, once members has been called
 
@@ -393,7 +375,7 @@ def _density_integral(P, density, grid, order=2):
     return value, excluded
 
 
-def _supported_integral(P, density, support, nu, nv, rule):
+def _supported_integral(P, density, support, nu, nv):
     """integrate_patch(P, density, ...).value for a density that is exactly
     0 off the box support (None: the whole grid): only the nodes of the
     support's node box are evaluated (see QuadratureGrid.restricted).
@@ -403,7 +385,7 @@ def _supported_integral(P, density, support, nu, nv, rule):
     grid knows the sign of the zero: such a value is taken from it.  A box
     that holds no node is not integrated: the whole grid is, directly.
     """
-    grid = _grid_for(P, nu, nv, rule)
+    grid = _grid_for(P, nu, nv)
     box = grid.restricted(support)
     if any(span.start == span.stop for span in box.box):
         box = grid  # the box holds no node
@@ -413,8 +395,8 @@ def _supported_integral(P, density, support, nu, nv, rule):
     return value
 
 
-def integrate_patch(P, density, nu=None, nv=None, rule="simpson",
-                    error_estimate=True, order=2):
+def integrate_patch(P, density, nu=None, nv=None, error_estimate=True,
+                    order=2):
     """Integral of density(u, v) * W du dv with characteristic exclusion.
 
     density(zz) receives the zy_second frame dict (arrays) and returns the
@@ -424,22 +406,22 @@ def integrate_patch(P, density, nu=None, nv=None, rule="simpson",
     eps_area use it.  Densities that read Z/B derivatives (first and
     second variation, quadratic_form) need the default order=2.
     """
-    grid = _grid_for(P, nu, nv, rule)
+    grid = _grid_for(P, nu, nv)
     value, excluded = _density_integral(P, density, grid, order)
     est = None
     if error_estimate:
         half = grid.halved()
         if half is not None:
             est = abs(value - _density_integral(P, density, half, order)[0])
-    return IntegralResult(value, est, excluded, (grid.nu, grid.nv), rule)
+    return IntegralResult(value, est, excluded, (grid.nu, grid.nv))
 
 
-def perimeter(P, nu=None, nv=None, rule="simpson"):
+def perimeter(P, nu=None, nv=None):
     """H-perimeter of the patch: integral of W du dv."""
-    return integrate_patch(P, None, nu=nu, nv=nv, rule=rule, order=1)
+    return integrate_patch(P, None, nu=nu, nv=nv, order=1)
 
 
-def eps_area(P, eps, nu=None, nv=None, rule="simpson"):
+def eps_area(P, eps, nu=None, nv=None):
     """Riemannian epsilon-area: integral of sqrt(W^2 + eps omega^2) du dv.
 
     Decreases to the H-perimeter as eps -> 0, with
@@ -450,10 +432,10 @@ def eps_area(P, eps, nu=None, nv=None, rule="simpson"):
     def density(zz):
         return np.sqrt(zz["W"] ** 2 + eps * zz["omega"] ** 2) / zz["W"]
 
-    return integrate_patch(P, density, nu=nu, nv=nv, rule=rule, order=1)
+    return integrate_patch(P, density, nu=nu, nv=nv, order=1)
 
 
-def scaling_ratio(P, lam, nu=None, nv=None, rule="simpson"):
+def scaling_ratio(P, lam, nu=None, nv=None):
     """Measured perimeter ratio under the group dilation by lam.
 
     Homogeneity gives exactly lam^(Q-1) = lam^3 on H^1.  Both perimeters
@@ -462,16 +444,16 @@ def scaling_ratio(P, lam, nu=None, nv=None, rule="simpson"):
     """
     lam = float(lam)
     base, moved = _family_perimeters(
-        P, lambda u, v, *xyt: (xyt, _dilated(lam, *xyt)), nu, nv, rule)
+        P, lambda u, v, *xyt: (xyt, _dilated(lam, *xyt)), nu, nv)
     return moved / base
 
 
-def translation_ratio(P, g0, nu=None, nv=None, rule="simpson"):
+def translation_ratio(P, g0, nu=None, nv=None):
     """Perimeter ratio under left translation by g0 (exactly 1), from one
     pass as in scaling_ratio."""
     g0 = tuple(float(z) for z in g0)
     base, moved = _family_perimeters(
-        P, lambda u, v, *xyt: (xyt, _translated(g0, *xyt)), nu, nv, rule)
+        P, lambda u, v, *xyt: (xyt, _translated(g0, *xyt)), nu, nv)
     return moved / base
 
 
@@ -524,8 +506,7 @@ def ambient_tangential_laplacian(S, field, g, variant="plain"):
 # integral identities
 
 
-def ibp_residual(P, kind, zeta, f=None, index=1, nu=None, nv=None,
-                 rule="simpson"):
+def ibp_residual(P, kind, zeta, f=None, index=1, nu=None, nv=None):
     """Integration-by-parts residuals on the patch (zero for compactly
     supported test functions).
 
@@ -565,15 +546,15 @@ def ibp_residual(P, kind, zeta, f=None, index=1, nu=None, nv=None,
         return zf["Zf"] * zt["Zf"] + zf["value"] * hat
 
     return _supported_integral(P, density, getattr(zeta, "support", None),
-                               nu, nv, rule)
+                               nu, nv)
 
 
-def green_residual(P, f, zeta, nu=None, nv=None, rule="simpson"):
+def green_residual(P, f, zeta, nu=None, nv=None):
     """Symmetric-form residual: <grad f, grad zeta> vs -f hat-Laplacian zeta."""
-    return ibp_residual(P, "green", zeta, f=f, nu=nu, nv=nv, rule=rule)
+    return ibp_residual(P, "green", zeta, f=f, nu=nu, nv=nv)
 
 
-def stokes_residual(P, f, nu=None, nv=None, rule="simpson"):
+def stokes_residual(P, f, nu=None, nv=None):
     """Integral of the hat tangential Laplacian of f over the patch.
 
     Zero for compactly supported f: the hat Laplacian is Z(Zf) + obar Zf,
@@ -584,8 +565,7 @@ def stokes_residual(P, f, nu=None, nv=None, rule="simpson"):
         zf = tangential_second(zz["flds"], f)
         return zf["Z2f"] + zz["obar"] * zf["Zf"]
 
-    return _supported_integral(P, density, getattr(f, "support", None), nu,
-                               nv, rule)
+    return _supported_integral(P, density, getattr(f, "support", None), nu, nv)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,6 @@ route: build the deformed patch, integrate its perimeter, differentiate in
 lam by finite differences.
 """
 
-import functools
-
 import numpy as np
 
 from .fields import _zero, bump1, jet_partial, seed_jets
@@ -85,8 +83,7 @@ def deform_patch(P, D, lam):
     return _MovedPatch(P, move, "%s~moved(%g)" % (P.name, lam))
 
 
-def numeric_variation(P, D, order=1, nu=None, nv=None, dlam=None,
-                      rule="simpson"):
+def numeric_variation(P, D, order=1, nu=None, nv=None, dlam=None):
     """d/dlam (order 1) or d^2/dlam^2 (order 2) of the deformed perimeter
     at lam = 0, by centered differences of exact quadratures.
 
@@ -116,7 +113,7 @@ def numeric_variation(P, D, order=1, nu=None, nv=None, dlam=None,
         rate = _deformation_rate(D, u, v, x, y)
         return [_deformed(lam, (x, y, t), rate) for lam in lams]
 
-    A = dict(zip(lams, _family_perimeters(P, members, nu, nv, rule,
+    A = dict(zip(lams, _family_perimeters(P, members, nu, nv,
                                           D.support))).__getitem__
     if order == 1:
         return (-A(2 * d) + 8 * A(d) - 8 * A(-d) + A(-2 * d)) / (12.0 * d)
@@ -138,7 +135,7 @@ def _coeff_values(D, zz):
             np.asarray(D.k(U, V), dtype=float) + 0.0 * U)
 
 
-def first_variation_analytic(P, D, nu=None, nv=None, rule="simpson"):
+def first_variation_analytic(P, D, nu=None, nv=None):
     """Closed-form first variation: integral of H (pbar a + qbar b + obar k)
     against dsigma_H, for compactly supported coefficients; only the
     nodes of D.support's box are evaluated."""
@@ -147,10 +144,10 @@ def first_variation_analytic(P, D, nu=None, nv=None, rule="simpson"):
         a, b, k = _coeff_values(D, zz)
         return zz["H"] * (zz["pbar"] * a + zz["qbar"] * b + zz["obar"] * k)
 
-    return _supported_integral(P, density, D.support, nu, nv, rule)
+    return _supported_integral(P, density, D.support, nu, nv)
 
 
-def normal_first_variation(P, zeta, nu=None, nv=None, rule="simpson"):
+def normal_first_variation(P, zeta, nu=None, nv=None):
     """First variation under the Euclidean-normal speed zeta / |N|:
     the rate is the plain double integral of H zeta du dv, evaluated on
     the nodes of zeta.support's box when zeta declares one."""
@@ -162,7 +159,7 @@ def normal_first_variation(P, zeta, nu=None, nv=None, rule="simpson"):
         return zz["H"] * z / zz["W"]
 
     return _supported_integral(P, density, getattr(zeta, "support", None),
-                               nu, nv, rule)
+                               nu, nv)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +213,7 @@ def frame_variation_rates_fd(P, D, u, v, dlam=1e-5):
 # second variation
 
 
-def second_variation_full(P, D, nu=None, nv=None, rule="simpson"):
+def second_variation_full(P, D, nu=None, nv=None):
     """Closed-form second variation of the perimeter for the deformation D.
 
     Valid for compactly supported coefficients; every term involves only the
@@ -243,7 +240,7 @@ def second_variation_full(P, D, nu=None, nv=None, rule="simpson"):
                 + 2 * ob ** 2 * rad * Zk
                 - (rot + wedge * ob) ** 2)
 
-    return _supported_integral(P, density, D.support, nu, nv, rule)
+    return _supported_integral(P, density, D.support, nu, nv)
 
 
 def _max_H(zz):
@@ -262,7 +259,7 @@ def _require_minimal(worst, tol,
     return worst
 
 
-def _minimal_integral(P, density, nu, nv, rule, tol):
+def _minimal_integral(P, density, nu, nv, tol):
     """integrate_patch(P, density).value on an H-minimal patch; raises once
     the whole grid is reduced if max |H| off the band exceeds tol."""
     worst = []
@@ -271,8 +268,7 @@ def _minimal_integral(P, density, nu, nv, rule, tol):
         worst.append(_max_H(zz))
         return density(zz)
 
-    value = integrate_patch(P, gated, nu=nu, nv=nv, rule=rule,
-                            error_estimate=False).value
+    value = integrate_patch(P, gated, nu=nu, nv=nv, error_estimate=False).value
     _require_minimal(worst, tol)
     return value
 
@@ -293,17 +289,15 @@ def _q_of(zz, F, pot):
     return _q_density(pot, zf["value"], zf["Zf"])
 
 
-def quadratic_form(P, F, nu=None, nv=None, rule="simpson",
-                   minimal_tol=1e-6):
+def quadratic_form(P, F, nu=None, nv=None, minimal_tol=1e-6):
     """Stability form Q(F) = integral of (ZF)^2 + (2 A - obar^2) F^2 over
     dsigma_H, for a scalar normal speed F on an H-minimal patch."""
 
     return _minimal_integral(P, lambda zz: _q_of(zz, F, _potential(zz)), nu,
-                             nv, rule, minimal_tol)
+                             nv, minimal_tol)
 
 
-def second_variation_geometric(P, D, nu=None, nv=None, rule="simpson",
-                               minimal_tol=1e-6):
+def second_variation_geometric(P, D, nu=None, nv=None, minimal_tol=1e-6):
     """Second variation on an H-minimal patch through the normal speed
     F = pbar a + qbar b + obar k alone:
 
@@ -323,17 +317,16 @@ def second_variation_geometric(P, D, nu=None, nv=None, rule="simpson",
               + zz["Zobar"] * k + ob * zk["Zf"])
         return _q_density(_potential(zz), F, ZF)
 
-    return _minimal_integral(P, density, nu, nv, rule, minimal_tol)
+    return _minimal_integral(P, density, nu, nv, minimal_tol)
 
 
-def second_variation(P, D, mode="full", nu=None, nv=None, rule="simpson",
-                     minimal_tol=1e-6):
+def second_variation(P, D, mode="full", nu=None, nv=None, minimal_tol=1e-6):
     """Second variation of the H-perimeter; mode "full" works on any patch,
     mode "geometric" requires an H-minimal one."""
     if mode == "full":
-        return second_variation_full(P, D, nu=nu, nv=nv, rule=rule)
+        return second_variation_full(P, D, nu=nu, nv=nv)
     if mode == "geometric":
-        return second_variation_geometric(P, D, nu=nu, nv=nv, rule=rule,
+        return second_variation_geometric(P, D, nu=nu, nv=nv,
                                           minimal_tol=minimal_tol)
     raise ValueError("mode must be 'full' or 'geometric'")
 
@@ -343,11 +336,13 @@ def second_variation(P, D, mode="full", nu=None, nv=None, rule="simpson",
 
 
 class _ProductBump:
-    """F(u, v) = bu(u) * bv(v); factors = (bu, bv) lets stability_scan
-    differentiate F from 1-D jets of each factor."""
+    """F(u, v) = bump1(cu, ru)(u) * bump1(cv, rv)(v); pairs = ((cu, ru),
+    (cv, rv)) lets stability_scan differentiate F from 1-D jets of each
+    factor (_factor_jets)."""
 
-    def __init__(self, bu, bv):
-        self.factors = (bu, bv)
+    def __init__(self, cu, ru, cv, rv):
+        self.pairs = ((cu, ru), (cv, rv))
+        self.factors = (bump1(cu, ru), bump1(cv, rv))
 
     def __call__(self, u, v):
         bu, bv = self.factors
@@ -359,7 +354,6 @@ def product_bump_lattice(domain, n_centers=5, n_radii=5, margin=0.0):
 
     Yields (F, meta) with F(u, v) a separable bump and meta its parameters;
     supports are clipped to keep a `margin` distance from the boundary.
-    Bumps with the same centre and radius along an axis share that factor.
     """
     if n_centers < 0 or n_radii < 0:
         raise ValueError("bump counts must be >= 0, got n_centers=%d, "
@@ -368,7 +362,6 @@ def product_bump_lattice(domain, n_centers=5, n_radii=5, margin=0.0):
     cus = u0 + (u1 - u0) * (np.arange(n_centers) + 1.0) / (n_centers + 1.0)
     cvs = v0 + (v1 - v0) * (np.arange(n_centers) + 1.0) / (n_centers + 1.0)
     fracs = np.linspace(0.35, 0.95, n_radii)
-    factor = functools.lru_cache(maxsize=None)(bump1)  # one per (c, r)
     out = []
     for cu in cus:
         for cv in cvs:
@@ -378,9 +371,9 @@ def product_bump_lattice(domain, n_centers=5, n_radii=5, margin=0.0):
                 continue
             for f in fracs:
                 ru, rv = f * ru_max, f * rv_max
-                F = _ProductBump(factor(cu, ru), factor(cv, rv))
-                out.append((F, {"cu": float(cu), "cv": float(cv),
-                                "ru": float(ru), "rv": float(rv)}))
+                out.append((_ProductBump(cu, ru, cv, rv),
+                            {"cu": float(cu), "cv": float(cv),
+                             "ru": float(ru), "rv": float(rv)}))
     return out
 
 
@@ -396,38 +389,23 @@ def random_product_bumps(domain, count, rng, margin=0.0):
     d = rng.uniform(lo, hi, (int(count), 4))
     d[:, 2] *= np.minimum(d[:, 0] - u0, u1 - d[:, 0]) - margin
     d[:, 3] *= np.minimum(d[:, 1] - v0, v1 - d[:, 1]) - margin
-    return [(_ProductBump(bump1(cu, ru), bump1(cv, rv)),
+    return [(_ProductBump(cu, ru, cv, rv),
              {"cu": cu, "cv": cv, "ru": ru, "rv": rv})
             for cu, cv, ru, rv in d.tolist()]
 
 
-_BUMP1 = bump1().__code__  # the body of every bump1 factor
-
-
-def _factor_jets(factors, x):
-    """Value and derivative arrays of each distinct 1-D factor (by
-    identity) at the nodes x, keyed by id.  The bump1 factors whose centre
-    and radius are floats are evaluated by one call of bump1 on (m x 1)
-    arrays of their centres and radii, at one first-order seed of
-    x[None, :]: row i is factor i's own jet bit for bit (see bump1).  Any
-    other factor is evaluated on its own seed of x."""
-    distinct = {id(b): b for b in factors}
-    stacked = [b for b in distinct.values()
-               if getattr(b, "__code__", None) is _BUMP1
-               and isinstance(b.center, float) and isinstance(b.radius, float)]
-    out = {}
-    if stacked:
-        (xj,) = seed_jets((x[None, :],), order=1)
-        bj = bump1(*(np.array([[getattr(b, nm)] for b in stacked])
-                     for nm in ("center", "radius")))(xj)
-        out.update((id(b), (bj.v[i], bj.g[0, i]))
-                   for i, b in enumerate(stacked))
-    for key, b in distinct.items():
-        if key not in out:
-            (xj,) = seed_jets((x,), order=1)
-            bj = b(xj)
-            out[key] = bj.v, bj.g[0]
-    return out
+def _factor_jets(pairs, x):
+    """Value and derivative rows of bump1(c, r) at the nodes x for the
+    distinct (c, r) of pairs (by value), and the row of each pair.  The
+    rows come from one call of bump1 on (m x 1) arrays of the distinct
+    centres and radii, as floats, at one first-order seed of x[None, :]:
+    row i is the jet of bump1(c_i, r_i) on its own seed bit for bit (see
+    bump1)."""
+    distinct = list(dict.fromkeys(pairs))
+    (xj,) = seed_jets((x[None, :],), order=1)
+    bj = bump1(*np.array(distinct, dtype=float).T[:, :, None])(xj)
+    row = {pair: i for i, pair in enumerate(distinct)}
+    return bj.v, bj.g[0], [row[pair] for pair in pairs]
 
 
 def stability_scan(P, bumps=None, n_centers=5, n_radii=5, nu=None, nv=None,
@@ -442,22 +420,22 @@ def stability_scan(P, bumps=None, n_centers=5, n_radii=5, nu=None, nv=None,
         C3 = -2 w gamma_u gamma_v / det^2,  C4 = w (2 A - obar^2),
 
     each zeroed on the characteristic band once formed (the frame is NaN
-    there).  A product bump F = a(u) b(v) (one with .factors, as
-    product_bump_lattice and random_product_bumps build) has
-    ZF = (a' b gamma_v - a b' gamma_u) / det, so its Q is the sum of the
-    four separable terms (a'^2)^T C1 (b^2) + (a^2)^T C2 (b'^2)
-    + (a a')^T C3 (b b') + (a^2)^T C4 (b^2) (sum factorization).  Each
-    distinct factor is evaluated once on first-order jets at the grid's
-    u- or v-nodes, all bump1 factors of an axis in one stacked call
+    there).  A product bump F = a(u) b(v) of two bump1 factors (a
+    _ProductBump, as product_bump_lattice and random_product_bumps build)
+    has ZF = (a' b gamma_v - a b' gamma_u) / det, so its Q is the sum of
+    the four separable terms (a'^2)^T C1 (b^2) + (a^2)^T C2 (b'^2)
+    + (a a')^T C3 (b b') + (a^2)^T C4 (b^2) (sum factorization).  The
+    distinct (centre, radius) pairs of an axis are evaluated in one call
+    of bump1 on first-order jets at the grid's u- or v-nodes
     (_factor_jets), and each distinct u-factor's four rows meet the planes
     in products of their own, which its bumps share, so a bump's Q depends
     neither on the rest of the family nor on the block size.  It agrees
     with quadratic_form(P, F, nu=nu, nv=nv), which sums the same density in
     the pairwise tree, to rounding (a few 1e-16 of the family's max |Q|
-    measured).  Any other bump goes through tangential() on each block and
-    the pairwise tree, and equals quadratic_form bit for bit.  The scan
-    raises if max |H| over the non-characteristic nodes of the whole grid
-    exceeds minimal_tol.
+    measured).  Any other bump, a hand-made product too, goes through
+    tangential() on each block and the pairwise tree, and equals
+    quadratic_form bit for bit.  The scan raises if max |H| over the
+    non-characteristic nodes of the whole grid exceeds minimal_tol.
     Returns the full table (in lattice order), the argmin, the first bump
     whose Q is within 1e-12 of the family's max |Q| of the smallest, and
     its Q as min_value (both None for an empty family), and the first
@@ -470,9 +448,9 @@ def stability_scan(P, bumps=None, n_centers=5, n_radii=5, nu=None, nv=None,
         bumps = product_bump_lattice(P.domain, n_centers, n_radii,
                                      margin=cell)
     bumps = list(bumps)
-    grid = _grid_for(P, nu, nv, "simpson")
-    products = [F.factors for F, _ in bumps if hasattr(F, "factors")]
-    others = [F for F, _ in bumps if not hasattr(F, "factors")]
+    grid = _grid_for(P, nu, nv)
+    products = [F for F, _ in bumps if isinstance(F, _ProductBump)]
+    others = [F for F, _ in bumps if not isinstance(F, _ProductBump)]
     planes = np.empty((4, grid.u.size, grid.v.size))
     worst = []
 
@@ -493,7 +471,7 @@ def stability_scan(P, bumps=None, n_centers=5, n_radii=5, nu=None, nv=None,
         _require_minimal(worst, minimal_tol)
         products_q = iter(_separable_forms(products, grid, planes))
         others_q = iter(others_q)
-        Qs = [next(products_q if hasattr(F, "factors") else others_q)
+        Qs = [next(products_q if isinstance(F, _ProductBump) else others_q)
               for F, _ in bumps]
     table = [dict(meta, Q=Q) for (_, meta), Q in zip(bumps, Qs)]
     witness = next((rec for rec in table if rec["Q"] < witness_threshold),
@@ -513,20 +491,17 @@ def stability_scan(P, bumps=None, n_centers=5, n_radii=5, nu=None, nv=None,
 
 
 def _separable_forms(products, grid, planes):
-    """Q of each product bump F = a(u) b(v), given by its factors (a, b),
-    against the four node planes of stability_scan.  Each distinct factor's
-    rows, (a'^2, a^2, a a', a^2) or (b^2, b'^2, b b', b^2), are formed once;
-    a u-factor's meet their planes in one (1 x u-nodes) product each, the
-    same BLAS call for every factor, and a bump dots them with its v-rows."""
+    """Q of each _ProductBump F = a(u) b(v) of products against the four
+    node planes of stability_scan.  Each distinct factor's rows, (a'^2,
+    a^2, a a', a^2) or (b^2, b'^2, b b', b^2), are formed once; a
+    u-factor's meet their planes in one (1 x u-nodes) product each, the
+    same BLAS call for every factor, and a bump dots them with its
+    v-rows."""
     if not products:
         return []
-    jets = []  # per axis: the distinct factors' stacked jet, each bump's row
-    for k, x in enumerate((grid.u, grid.v)):
-        axis = _factor_jets([F[k] for F in products], x)
-        row = {key: i for i, key in enumerate(axis)}
-        jets += [*map(np.array, zip(*axis.values())),
-                 [row[id(F[k])] for F in products]]
-    a, da, iu, b, db, iv = jets
+    (a, da, iu), (b, db, iv) = (
+        _factor_jets([F.pairs[k] for F in products], x)
+        for k, x in enumerate((grid.u, grid.v)))
     left = np.stack([da * da, a * a, a * da, a * a], axis=1)
     right = np.stack([b * b, db * db, b * db, b * b], axis=1)
     rows = np.matmul(left[:, :, None, :], planes)[:, :, 0, :]
@@ -564,7 +539,7 @@ def intrinsic_stability_form(Gr, F, nu=None, nv=None, minimal_tol=1e-8):
                  "lhs": (phi_v.v ** 2 + 2.0 * Bphi_v) * Fj.v ** 2 / W,
                  "rhs": BF ** 2 / W}]
 
-    [(lhs, rhs)], _ = _integrate(_grid_for(Gr, nu, nv, "simpson"), frames,
+    [(lhs, rhs)], _ = _integrate(_grid_for(Gr, nu, nv), frames,
                                  lambda zz, rows: (zz["lhs"], zz["rhs"]))
     worst = _require_minimal(worst, minimal_tol,
                              "graph is not H-minimal (max |B(B phi)| = %g)")

@@ -550,14 +550,20 @@ def test_tiny_grid_rejected(capsys):
 
 
 def test_grid_is_checked_only_by_the_verbs_that_integrate(capsys):
-    # curvature reads no --grid: a tiny one prints the default's bytes
-    rc, out, _ = invoke(capsys, ["curvature", "--grid", "6"])
-    assert (rc, out) == invoke(capsys, ["curvature"])[:2]
-    assert rc == 0
+    # curvature reads no --grid: a tiny or odd one prints the default's
+    # bytes
+    default = invoke(capsys, ["curvature"])[:2]
+    assert default[0] == 0
+    for grid in ("6", "9"):
+        assert invoke(capsys, ["curvature", "--grid", grid])[:2] == default
     for verb in ("identities", "flow-check", "catalog"):
         assert invoke(capsys, [verb, "--grid", "6"])[0] == 0
+    # a Simpson grid needs an even cell count >= 8: one usage error
     for verb in ("measure", "variation", "stability"):
-        assert invoke(capsys, [verb, "--grid", "6"])[0] == 2
+        for grid in ("6", "9"):
+            rc, _, err = invoke(capsys, [verb, "--grid", grid])
+            assert rc == 2
+            assert err == "error: --grid must be an even number >= 8\n"
 
 
 def test_csv_format_rejected_for_json_verbs(capsys):

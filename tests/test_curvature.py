@@ -507,7 +507,13 @@ def test_curvature_grid_marks_characteristic_nodes():
 
 
 def test_curvature_grid_without_levelset():
-    P = build_surface("t-graph:parab").patch
-    out = curvature_grid(P, nu=4, nv=4, with_levelset=False)
-    assert "H_levelset" not in out
+    # a dict patch (here t = x^2 + y^2) has no level-set companion: every
+    # column but H_levelset
+    P = build_surface({"x": [[1.0, [1, 0]]], "y": [[1.0, [0, 1]]],
+                       "t": [[1.0, [2, 0]], [1.0, [0, 2]]],
+                       "domain": [0.5, 1.5, 0.5, 1.5]}).patch
+    assert P.levelset is None
+    out = curvature_grid(P, nu=4, nv=4)
+    ref = curvature_grid(build_surface("t-graph:parab").patch, nu=4, nv=4)
+    assert set(out) == set(ref) - {"H_levelset"}
     assert np.all(np.isfinite(np.asarray(out["H_param"])))

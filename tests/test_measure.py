@@ -1,4 +1,5 @@
 import math
+import types
 import warnings
 
 import numpy as np
@@ -95,19 +96,6 @@ def test_simpson_converges_at_least_cubically():
     assert e16 / e32 > 3.0
 
 
-def test_midpoint_rule_supported_and_close():
-    P = build_surface("t-graph:zero", domain=(1, 2, 0, 1)).patch
-    r = perimeter(P, nu=128, nv=128, rule="midpoint")
-    assert r.rule == "midpoint"
-    assert r.value == pytest.approx(T0_AREA, abs=1e-5)
-
-
-def test_unknown_rule_rejected():
-    P = build_surface("t-graph:zero").patch
-    with pytest.raises(ValueError):
-        perimeter(P, nu=16, nv=16, rule="gauss")
-
-
 def test_integrate_patch_with_density():
     # densities see the assembled frame dict; pull the y coordinate out of
     # the field jets (y = u on this patch, W = 1)
@@ -122,6 +110,7 @@ def test_integral_result_dict_roundtrip():
     assert set(d) == {"value", "error_estimate", "excluded_mass", "grid",
                       "rule"}
     assert d["grid"] == [16, 16]
+    assert d["rule"] == "simpson"
 
 
 def test_characteristic_node_is_masked_silently():
@@ -166,7 +155,7 @@ def test_folded_row_blocks_reduce_to_the_whole_pairwise_sum(data, k, groups,
     assert pairwise_sum(np.concatenate(parts)) == pairwise_sum(x)
 
 
-def _block_shapes(monkeypatch, P, nu, nv, rule="simpson", route=None):
+def _block_shapes(monkeypatch, P, nu, nv, route=None):
     """The node shapes of the frames a quadrature evaluates: those of
     integrate_patch(P, None), or of route(P, nu=nu, nv=nv)."""
     shapes = []
@@ -178,8 +167,7 @@ def _block_shapes(monkeypatch, P, nu, nv, rule="simpson", route=None):
 
     monkeypatch.setattr(measure, "zy_second", counted)
     if route is None:
-        integrate_patch(P, None, nu=nu, nv=nv, rule=rule,
-                        error_estimate=False)
+        integrate_patch(P, None, nu=nu, nv=nv, error_estimate=False)
     else:
         route(P, nu=nu, nv=nv)
     monkeypatch.setattr(measure, "zy_second", inner)
@@ -191,16 +179,17 @@ def test_row_blocks_hold_the_power_of_two_of_rows_nearest_the_block_size(
     # 2^k whole rows, k the least integer >= log2(_BLOCK_NODES / columns)
     # and at least 0, so a block holds at least _BLOCK_NODES nodes or the
     # whole grid; only the last block is shorter.  97 columns: one block
-    # at 8192 (128 rows hold all 97), 16 rows at 1000
+    # at 8192 (128 rows hold all 97), 16 rows at 1000; 39 columns at 1000:
+    # blocks of 32 rows, so the 29 rows of 28 x 38 cells are one partial
+    # block
     P = build_surface("t-graph:parab").patch
-    for block_nodes, nu, nv, rule, rows in (
-            (8192, 128, 128, "simpson", 64), (8192, 512, 512, "simpson", 16),
-            (8192, 96, 96, "simpson", 128), (1000, 96, 96, "simpson", 16),
-            (1000, 30, 40, "midpoint", 32), (1000, 48, 16, "simpson", 64),
-            (10, 16, 16, "simpson", 1), (10 ** 9, 64, 16, "simpson", 2 ** 26)):
+    for block_nodes, nu, nv, rows in (
+            (8192, 128, 128, 64), (8192, 512, 512, 16), (8192, 96, 96, 128),
+            (1000, 96, 96, 16), (1000, 28, 38, 32), (1000, 48, 16, 64),
+            (10, 16, 16, 1), (10 ** 9, 64, 16, 2 ** 26)):
         monkeypatch.setattr(measure, "_BLOCK_NODES", block_nodes)
-        shapes = _block_shapes(monkeypatch, P, nu, nv, rule)
-        n_rows, n_cols = (nu, nv) if rule == "midpoint" else (nu + 1, nv + 1)
+        shapes = _block_shapes(monkeypatch, P, nu, nv)
+        n_rows, n_cols = nu + 1, nv + 1
         full, tail = divmod(n_rows, rows)
         assert shapes == ([(rows, n_cols)] * full
                           + ([(tail, n_cols)] if tail else []))
@@ -261,14 +250,14 @@ def test_a_support_holding_no_node_evaluates_no_frame_before_the_whole_grid(
 
 @st.composite
 def _reducer_cases(draw):
-    """(cells, box, block nodes, seed) for a midpoint grid of cells and a
+    """(nodes, box, block nodes, seed) for a grid of nodes per axis and a
     node box holding at least one node."""
-    cells = (draw(st.integers(1, 24)), draw(st.integers(1, 24)))
+    nodes = (draw(st.integers(1, 24)), draw(st.integers(1, 24)))
     box = []
-    for n in cells:
+    for n in nodes:
         start = draw(st.integers(0, n - 1))
         box.append((start, draw(st.integers(start + 1, n))))
-    return (cells, tuple(box), draw(st.sampled_from([10 ** 9, 64, 20])),
+    return (nodes, tuple(box), draw(st.sampled_from([10 ** 9, 64, 20])),
             draw(st.integers(0, 2 ** 32 - 1)))
 
 
@@ -284,9 +273,14 @@ def test_integrate_is_the_pairwise_sum_of_the_whole_grid_plane(case):
     # rows with a ragged tail of 3 nodes; one box starts inside the second
     # block, one ends in the last
     (nu, nv), ((r0, r1), (c0, c1)), block_nodes, seed = case
-    grid = measure.QuadratureGrid((0.0, 1.0, -1.0, 2.0), nu, nv, "midpoint")
+    # a plain grid object of nu x nv nodes, even and odd counts alike
+    # (a Simpson grid has an odd count >= 9): cell centres and widths
     box = (slice(r0, r1), slice(c0, c1))
-    grid.box = box
+    hu, hv = 1.0 / nu, 3.0 / nv
+    grid = types.SimpleNamespace(u=hu * (np.arange(nu) + 0.5),
+                                 v=-1.0 + hv * (np.arange(nv) + 0.5),
+                                 wu=np.full(nu, hu), wv=np.full(nv, hv),
+                                 box=box)
     rng = np.random.default_rng(seed)
     shape = (nu, nv)
     W0 = rng.normal(size=shape) + 1.0
@@ -400,7 +394,7 @@ def test_user_patch_with_constant_and_one_variable_components_matches_twin():
 
     def integrals(P):
         return (repr(perimeter(P, nu=64, nv=64)),
-                repr(eps_area(P, 0.1, nu=64, nv=66, rule="midpoint")),
+                repr(eps_area(P, 0.1, nu=64, nv=66)),
                 second_variation_full(P, D, nu=64, nv=64),
                 quadratic_form(P, F, nu=64, nv=64),
                 stability_scan(P, nu=64, nv=64, n_centers=2, n_radii=2))

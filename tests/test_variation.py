@@ -247,7 +247,7 @@ def test_a_support_holding_no_node_returns_the_whole_grid_value():
     P = build_surface("t-graph:parab").patch
     D = parse_field_spec("{}", P.domain)
     assert D.support == (np.inf, -np.inf, np.inf, -np.inf)
-    grid = measure._grid_for(P, 32, 32, "simpson").restricted(D.support)
+    grid = measure._grid_for(P, 32, 32).restricted(D.support)
     assert grid.box == (slice(0, 0), slice(0, 0))
     hidden = DeformationField(*(_hidden(c) for c in (D.a, D.b, D.k)))
     values = [repr(route(P, D, nu=32, nv=32)) for route in _SUPPORTED_ROUTES]
@@ -463,7 +463,7 @@ def _assert_matches(out, bumps, expected):
     for (F, _), got, want in zip(bumps, out["table"], expected["table"],
                                  strict=True):
         assert dict(got, Q=None) == dict(want, Q=None)
-        if hasattr(F, "factors"):
+        if isinstance(F, variation._ProductBump):
             assert abs(got["Q"] - want["Q"]) <= 1e-12 * scale
         else:
             assert got["Q"] == want["Q"]
@@ -559,19 +559,16 @@ def test_stability_scan_differentiates_only_bumps_without_factors(
 
 
 def _nothing(x):
-    """A 1-D factor that is 0 everywhere; its support holds no point."""
+    """A 1-D factor that is 0 everywhere."""
     return 0.0 * x
-
-
-_nothing.support = (np.inf, -np.inf)
 
 
 @pytest.mark.parametrize("sid, domain, family", [
     # the characteristic point (0, 0) is a node at 64^2 and lies inside
     # the boxes of several lattice bumps: the band path
     pytest.param("t-graph:zero", (-1, 1, -1, 1), "lattice", id="band"),
-    # a product bump whose box holds no node (it is 0 everywhere), among
-    # others
+    # a product bump whose support holds no node (it is 0 on the grid),
+    # among others
     pytest.param("xyt-graph", None, "empty-box", id="empty-box"),
 ])
 def test_stability_scan_over_support_boxes_matches_quadratic_form(
@@ -585,8 +582,9 @@ def test_stability_scan_over_support_boxes_matches_quadratic_form(
                    for (bu, bv) in (F.factors for F, _ in bumps)) > 1
     else:
         bumps = random_product_bumps(P.domain, 4, np.random.default_rng(8))
-        empty = variation._ProductBump(_nothing, bump1(0.0, 1.0))
-        bumps.insert(2, (empty, {"cu": 0.0, "cv": 0.0, "ru": 0.0,
+        # u-support (7, 9), beyond the domain's u1 = 6
+        empty = variation._ProductBump(8.0, 1.0, 0.0, 1.0)
+        bumps.insert(2, (empty, {"cu": 8.0, "cv": 0.0, "ru": 1.0,
                                  "rv": 1.0}))
         out = stability_scan(P, bumps=bumps, nu=64, nv=64)
         assert out["table"][2]["Q"] == 0.0
@@ -627,13 +625,14 @@ def test_negative_family_counts_are_rejected():
 
 
 def test_lattice_bumps_share_their_factors():
-    # 5 centres x 5 radii per axis: 25 distinct u- and 25 v-factors serve
-    # the 125 bumps
+    # 5 centres x 5 radii per axis: 25 distinct (centre, radius) pairs per
+    # axis serve the 125 bumps
     bumps = product_bump_lattice((-6.0, 6.0, -3.0, 3.0))
     assert len(bumps) == 125
-    assert len({id(F.factors[0]) for F, _ in bumps}) == 25
-    assert len({id(F.factors[1]) for F, _ in bumps}) == 25
+    assert len({F.pairs[0] for F, _ in bumps}) == 25
+    assert len({F.pairs[1] for F, _ in bumps}) == 25
     for F, meta in bumps:
+        assert F.pairs == ((meta["cu"], meta["ru"]), (meta["cv"], meta["rv"]))
         bu, bv = F.factors
         assert bu(meta["cu"]) == bv(meta["cv"]) == np.exp(-1.0)
 
@@ -680,10 +679,10 @@ def test_random_bumps_reject_a_reversed_domain_as_the_scalar_draws_did():
 
 def _per_bump_separable_forms(products, grid, planes):
     # the former formulation: each bump's own four u-rows meet the planes
-    u_jets = variation._factor_jets([a for a, _ in products], grid.u)
-    v_jets = variation._factor_jets([b for _, b in products], grid.v)
-    a, da = map(np.array, zip(*(u_jets[id(a)] for a, _ in products)))
-    b, db = map(np.array, zip(*(v_jets[id(b)] for _, b in products)))
+    (a, da, iu), (b, db, iv) = (
+        variation._factor_jets([F.pairs[k] for F in products], x)
+        for k, x in enumerate((grid.u, grid.v)))
+    a, da, b, db = a[iu], da[iu], b[iv], db[iv]
     left = np.stack([da * da, a * a, a * da, a * a], axis=1)
     right = np.stack([b * b, db * db, b * db, b * b], axis=1)
     rows = np.matmul(left[:, :, None, :], planes)[:, :, 0, :]
@@ -742,46 +741,69 @@ def _plain(x):
     return 1.0 + 0.0 * x
 
 
-@pytest.mark.parametrize("family", ["lattice", "random", "reversed",
-                                    "mixed"])
+@pytest.mark.parametrize("family", ["lattice", "random", "reversed", "int"])
 def test_stacked_factor_jets_equal_the_per_factor_jets(monkeypatch, family):
-    # the bump1 factors of an axis are evaluated in one stacked call of
-    # bump1; every value and derivative, signed zeros included, is that of
-    # the factor's own jet.  Other factors (and a bump1 of int centre and
-    # radius) fall back to their own seed
+    # the distinct (centre, radius) pairs of an axis are evaluated in one
+    # stacked call of bump1 on one seed; every value and derivative,
+    # signed zeros included, is that of the pair's own bump1 jet
     P = build_surface("xyt-graph").patch
     grid = measure.QuadratureGrid(P.domain, 96, 96)
     if family == "lattice":
-        pairs = [F.factors for F, _ in _lattice(P, 96)]
+        pairs, distinct = [F.pairs for F, _ in _lattice(P, 96)], 25
     elif family == "random":
-        pairs = [F.factors for F, _ in random_product_bumps(
+        pairs = [F.pairs for F, _ in random_product_bumps(
             P.domain, 64, np.random.default_rng(4))]
+        distinct = 64
     elif family == "reversed":  # a negative radius, edges on nodes
         grid = measure.QuadratureGrid((-2.0, 0.0, -2.0, 0.0), 96, 96)
-        pairs = [(bump1(-1.0, -0.5), bump1(-1.0, -0.5))]
-    else:
-        b = bump1(0.5, 0.25)
-        pairs = [(b, _plain), (_nothing, b), (b, bump1(0.5, 0.25)),
-                 (bump1(1, 2), bump1(1, 2))]
+        pairs, distinct = [((-1.0, -0.5), (-1.0, -0.5))], 1
+    else:  # an int centre and radius, cast to float: one row with its twin
+        pairs, distinct = [((1, 2), (1, 2)), ((1.0, 2.0), (1.0, 2.0))], 1
     seeds = []
     inner = variation.seed_jets
     monkeypatch.setattr(variation, "seed_jets",
                         lambda *a, **k: seeds.append(1) or inner(*a, **k))
     for axis, x in enumerate((grid.u, grid.v)):
-        factors = [pair[axis] for pair in pairs]
         seeds.clear()
-        jets = variation._factor_jets(factors, x)
-        assert set(jets) == {id(b) for b in factors}
-        for b in factors:
-            own = _own_jet(b, x)
-            assert all(_same_bits(*z) for z in zip(jets[id(b)], own))
-        # one seed for the stacked bump1 factors, one per other factor
-        fallback = {id(b) for b in factors
-                    if not isinstance(getattr(b, "center", None), float)}
-        assert len(seeds) == (len(fallback) < len(jets)) + len(fallback)
-        assert len(fallback) == (2 if family == "mixed" else 0)
-    if family == "random":
-        assert len({id(b) for b, _ in pairs}) == 64
+        values, derivs, rows = variation._factor_jets(
+            [pair[axis] for pair in pairs], x)
+        assert len(seeds) == 1 and len(values) == len(derivs) == distinct
+        for pair, i in zip(pairs, rows, strict=True):
+            own = _own_jet(bump1(*pair[axis]), x)
+            assert _same_bits(values[i], own[0])
+            assert _same_bits(derivs[i], own[1])
+
+
+class _HandMade:
+    """F(u, v) = bu(u) * bv(v) for any 1-D callables: it carries .factors
+    but is no _ProductBump."""
+
+    def __init__(self, bu, bv):
+        self.factors = (bu, bv)
+
+    def __call__(self, u, v):
+        bu, bv = self.factors
+        return bu(u) * bv(v)
+
+
+def test_stability_scan_takes_hand_made_products_through_tangential(
+        monkeypatch):
+    # products of callables that are no bump1 factors, or are, go through
+    # tangential() on each block and equal quadratic_form bit for bit
+    P = build_surface("xyt-graph").patch
+    b = bump1(0.5, 1.5)
+    hand = [_HandMade(b, _plain), _HandMade(_nothing, b),
+            _HandMade(_plain, _nothing), _HandMade(b, bump1(0.0, 1.0))]
+    bumps = random_product_bumps(P.domain, 2, np.random.default_rng(6))
+    bumps[1:1] = [(F, {"hand": i}) for i, F in enumerate(hand)]
+    calls = []
+    inner = variation.tangential
+    monkeypatch.setattr(variation, "tangential",
+                        lambda flds, f: calls.append(f) or inner(flds, f))
+    out = stability_scan(P, bumps=bumps, nu=64, nv=64)
+    assert calls == hand
+    monkeypatch.setattr(variation, "tangential", inner)
+    _assert_matches(out, bumps, _expected_scan(P, bumps, 64))
 
 
 def test_stability_scan_evaluates_each_factor_and_potential_once(
