@@ -212,23 +212,23 @@ def cmd_identities(cfg):
     S = build_surface(cfg["surface"])
     if S.levelset is None:
         raise ValueError("surface %r has no level-set form" % cfg["surface"])
-    pts = [S.patch.point(u, v)
-           for (u, v) in _sample_lattice(S.patch.domain, int(cfg["points"]))]
-    records = identity_battery(S.levelset, pts)
+    U, V = np.array(_sample_lattice(S.patch.domain, int(cfg["points"]))).T
+    records = identity_battery(S.levelset, S.patch.point(U, V).T)
     worst = {}
     for rec in records:
-        ident = rec["identity"]
-        worst[ident] = max(worst.get(ident, 0.0), abs(rec["residual"]))
+        worst.setdefault(rec["identity"], []).append(abs(rec["residual"]))
     rows = []
     ok = True
     for ident in IDENTITY_IDS:
         if ident not in worst:
             continue
-        res = worst[ident]
+        # a NaN at any point fails the row; its residual cell stays empty
+        res = float(np.max(worst[ident]))
         p = res <= IDENTITY_TOL
         ok = ok and p
         rows.append({"identity_id": ident, "surface_id": cfg["surface"],
-                     "grid": int(cfg["grid"]), "residual": res,
+                     "grid": int(cfg["grid"]),
+                     "residual": None if math.isnan(res) else res,
                      "tolerance": IDENTITY_TOL, "pass": p})
     return rows, "csv", ["identity_id", "surface_id", "grid", "residual",
                          "tolerance", "pass"], ok
@@ -386,13 +386,14 @@ def _merge_config(args):
             raise UsageError("cannot read config %s: %s" % (args.config, exc))
         if not isinstance(config, dict):
             raise UsageError("config must be a flat JSON object")
+    kinds = {a.dest: a.type or str for a in _build_parser()._actions}
     cfg = {}
     for key, default in _DEFAULTS.items():
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
         elif key in config:
-            cfg[key] = config[key]
+            cfg[key] = _config_value(key, config[key], kinds[key])
         else:
             cfg[key] = default
     if cfg["points"] < 1:
@@ -402,6 +403,18 @@ def _merge_config(args):
             and (cfg["grid"] < 8 or cfg["grid"] % 2)):
         raise UsageError("--grid must be an even number >= 8")
     return cfg
+
+
+def _config_value(key, value, kind):
+    """A config value, if it has the type of the key's flag: any number for
+    a float, an object too for "field", null for a flag unset by default."""
+    kinds = {float: (int, float), str: (str, dict) if key == "field"
+             else str}.get(kind, kind)
+    if (value is None and _DEFAULTS[key] is None
+            or isinstance(value, kinds) and not isinstance(value, bool)):
+        return value
+    raise UsageError("config value of %s must be of type %s, not %s"
+                     % (key, kind.__name__, json.dumps(value)))
 
 
 class UsageError(ValueError):

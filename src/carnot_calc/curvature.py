@@ -16,8 +16,7 @@ import numpy as np
 from .fields import ANALYTIC, FD, horizontal_jet
 from .groups import _dot, frame_at, frame_jacobian
 from .surfaces import (CharacteristicPointError, _characteristic_band,
-                       _checked_frame, _require_frames, burgers,
-                       frame_levelset, zy_second)
+                       _checked_frame, _require_frames, burgers, zy_second)
 
 __all__ = [
     "CurvatureReport", "hmc_levelset", "hmc_divergence", "hmc_param",
@@ -57,7 +56,7 @@ def hmc_levelset(S, g, engine=ANALYTIC):
                             "infH": float(jet["infH"]), "gradH_norm": W})
 
 
-def levelset_fields(S, g):
+def levelset_fields(S, g, order=2):
     """Exact frame/curvature data of a level set at g, from two jets of phi.
 
     Returns values and ambient coordinate gradients of p_i, omega_s, W and
@@ -73,28 +72,33 @@ def levelset_fields(S, g):
     (n, dim, m), ...).  One point is the batch of one, and each point's
     values do not depend on the batch it is evaluated in.  A batch raises
     what the first point failing the degenerate-normal or characteristic
-    check raises alone.
+    check raises alone.  order=1 stops at the frame (g, A, p, om, W, normN,
+    pbar, obar), from first derivatives of phi only.
     """
     G = S.group
     g = np.asarray(g, dtype=float)
     pts = np.atleast_2d(g)
     n, dim, m = len(pts), G.dim, G.m
-    ph = S.phi.jet(pts, order=2)
+    ph = S.phi.jet(pts, order=order)
     grad = np.broadcast_to(ph.g, (dim, n)).T
-    hess = np.moveaxis(np.broadcast_to(ph.h, (dim, dim, n)), -1, 0)
     A = frame_at(G, pts)
-    J = frame_jacobian(G, pts)
     At = np.swapaxes(A, -1, -2)
     comps = _dot(At, grad[:, None, :])
     p, om = comps[:, :m], comps[:, m:]
     W = np.sqrt(_dot(p, p))
     normN = np.sqrt(W ** 2 + _dot(om, om))
     _require_frames(pts, W, normN)
+    Wc = W[:, None]
+    pbar, obar = p / Wc, om / Wc
+    out = {"g": g, "A": A, "p": p, "om": om, "W": W, "normN": normN,
+           "pbar": pbar, "obar": obar}
+    if order < 2:
+        return _first_point(out, g)
+    hess = np.moveaxis(np.broadcast_to(ph.h, (dim, dim, n)), -1, 0)
+    J = frame_jacobian(G, pts)
     # dcomps[k, l, i] = d/dg_l of <N, frame_i> at the k-th point
     dcomps = (_dot(np.swapaxes(J, -1, -2), grad[:, None, None, :])
               + _dot(hess[:, :, None, :], At[:, None, :, :]))
-    Wc = W[:, None]
-    pbar, obar = p / Wc, om / Wc
     dp, dom = dcomps[..., :m], dcomps[..., m:]
     dW = _dot(dp, p[:, None, :]) / Wc
     W2 = (W ** 2)[:, None, None]
@@ -102,38 +106,34 @@ def levelset_fields(S, g):
     dobar = dom / Wc[..., None] - dW[..., None] * om[:, None, :] / W2
     # canonical curvature sum_i X_i(pbar_i), exact
     H = sum(_dot(A[..., i], dpbar[..., i]) for i in range(m))
-    out = {"g": g, "A": A, "p": p, "om": om, "dp": dp, "dom": dom, "W": W,
-           "normN": normN, "dW": dW, "pbar": pbar, "obar": obar,
-           "dpbar": dpbar, "dobar": dobar, "H": H}
+    out.update({"dp": dp, "dom": dom, "dW": dW, "dpbar": dpbar,
+                "dobar": dobar, "H": H})
     if G.is_heisenberg and G.dim == 3:
         X1, X2, T = A[..., 0], A[..., 1], A[..., 2]
         pb, qb = pbar[:, 0], pbar[:, 1]
         Zv = qb[:, None] * X1 - pb[:, None] * X2
         Yv = pb[:, None] * X1 + qb[:, None] * X2
-        der = {}
-        for nm, vec in (("X1", X1), ("X2", X2), ("T", T), ("Z", Zv), ("Y", Yv)):
-            der[nm + "pbar"] = _dot(vec, dpbar[..., 0])
-            der[nm + "qbar"] = _dot(vec, dpbar[..., 1])
-            der[nm + "obar"] = _dot(vec, dobar[..., 0])
-            der[nm + "om"] = _dot(vec, dom[..., 0])
-            der[nm + "W"] = _dot(vec, dW)
-            der[nm + "p"] = _dot(vec, dp[..., 0])
-            der[nm + "q"] = _dot(vec, dp[..., 1])
+        # der[D + q] = D(q): every direction against every gradient at once
+        grads = np.stack([dpbar[..., 0], dpbar[..., 1], dobar[..., 0],
+                          dom[..., 0], dW, dp[..., 0], dp[..., 1]])
+        dots = _dot(np.stack([X1, X2, T, Zv, Yv])[:, None], grads)
+        der = {D + q: dots[i, j] for i, D in enumerate("X1 X2 T Z Y".split())
+               for j, q in enumerate("pbar qbar obar om W p q".split())}
         out.update(der)
         out.update({"X1v": X1, "X2v": X2, "Tv": T, "Zv": Zv, "Yv": Yv,
                     "Bv": T - obar * Yv,
                     "Acurv": -der["Zobar"],
                     "kappaY": qb * der["Ypbar"] - pb * der["Yqbar"],
                     "kappaT": qb * der["Tpbar"] - pb * der["Tqbar"]})
-    if g.ndim == 1:
-        out = {k: v if k == "g" else _first(v) for k, v in out.items()}
-    return out
+    return _first_point(out, g)
 
 
-def _first(v):
-    """The first point's entry of a batched field: a float for a scalar."""
-    v = v[0]
-    return float(v) if v.ndim == 0 else v
+def _first_point(out, g):
+    """out for a batch g (n, dim); for one point g (dim,), each field's
+    entry at that point, a float for a scalar."""
+    return out if g.ndim > 1 else {
+        k: v if k == "g" else float(v[0]) if v.ndim == 1 else v[0]
+        for k, v in out.items()}
 
 
 def directional_fd(fn, g, vec, h=None):
@@ -144,51 +144,58 @@ def directional_fd(fn, g, vec, h=None):
     return (fn(g + h * vec) - fn(g - h * vec)) / (2.0 * h)
 
 
-def _stencil(S, g, h=None):
-    """The checked first-order frame (frame_levelset) at g, and d(q, v):
-    the central difference of q along the vector v frozen at g, where q is
-    a function of the frame.  Each stencil point g +- h v is evaluated
-    once, when first read.
-    """
-    near = {}
-
-    def d(q, v):
-        def at(gp):
-            key = gp.tobytes()
-            if key not in near:
-                near[key] = frame_levelset(S, gp)
-            return q(near[key])
-        return directional_fd(at, g, v, h=h)
-
-    return frame_levelset(S, g), d
+def _points_last(fields):
+    """Batched levelset_fields output, point axis last: f["pbar"][1] is
+    qbar at every point, f["Zv"][c] the c-th component of Z."""
+    return {key: v.transpose(*range(1, v.ndim), 0)
+            for key, v in fields.items()}
 
 
-def _stencil_fields(S, stencils):
-    """levelset_fields at the distinct stencil points g +- h v of the
-    (g, h, v) in stencils, in one batched call; returns the lookup from a
-    stencil point to its fields, each equal to a single-point call."""
-    near = {}
-    for g, h, v in stencils:
-        for gp in (g + h * v, g - h * v):
-            near.setdefault(gp.tobytes(), gp)
-    row = {key: r for r, key in enumerate(near)}
-    fields = (levelset_fields(S, np.array(list(near.values())))
-              if near else None)
-    return lambda gp: _Point(fields, row[gp.tobytes()])
+def _stencil_fields(S, g, h, vecs, center=False, order=2):
+    """Fields at the stencil points of g (n, dim) and d(q, j), the central
+    differences at every g of q (a field name, or a function of the fields)
+    along the j-th of the directions vecs (n, k, dim) frozen at g, with step
+    h (FD.step1 at each g if None).  levelset_fields (of the given order)
+    runs once, on the distinct points g +- h v (after g itself if center),
+    and returns them point axis last."""
+    steps = np.array([FD.step1(gk) if h is None else h for gk in g])
+    hv = steps[:, None, None] * vecs
+    near = np.stack([g[:, None] + hv, g[:, None] - hv], axis=2)
+    near = near.reshape(-1, g.shape[-1])
+    if center:
+        near = np.concatenate([g, near])
+    row = {}
+    idx = np.array([row.setdefault(gp.tobytes(), len(row)) for gp in near])
+    F = _points_last(levelset_fields(
+        S, near[np.unique(idx, return_index=True)[1]], order=order))
+    plus, minus = idx[len(g) * center:].reshape(len(g), -1, 2).T
+
+    def d(q, j):
+        val = q(F) if callable(q) else F[q]
+        return (val[..., plus[j]] - val[..., minus[j]]) / (2.0 * steps)
+
+    return F, d
+
+
+def _frame_stencil(S, g, h, k):
+    """_stencil_fields of the first-order frame at one point g, with g,
+    along its first k frame columns."""
+    g = np.asarray(g, dtype=float)
+    return _stencil_fields(S, g[None], h, frame_at(S.group, g).T[None, :k],
+                           center=True, order=1)
 
 
 def hmc_divergence(S, g, h=None):
     """Curvature as the horizontal divergence sum_i X_i(pbar_i).
 
-    Reads only p and W = |p| from the checked frame (first derivatives of
-    phi); the outer X_i derivatives are central differences along the frame
-    columns frozen at g.  Independent of the second-derivative route.
+    Reads only p and W = |p| (first derivatives of phi); the outer X_i
+    derivatives are central differences along the frame columns frozen at
+    g.  Independent of the second-derivative route.
     """
-    g = np.asarray(g, dtype=float)
-    f, d = _stencil(S, g, h)
-    A = f.frame_matrix()
-    H = sum(d(lambda fr: fr.p[i] / fr.W, A[:, i]) for i in range(S.group.m))
-    return CurvatureReport(H, "divergence", f.W)
+    F, d = _frame_stencil(S, g, h, S.group.m)
+    H = sum(d(lambda fl: fl["p"][i] / fl["W"], i)
+            for i in range(S.group.m))
+    return CurvatureReport(H[0], "divergence", F["W"][0])
 
 
 def hmc_param(P, uv):
@@ -211,30 +218,25 @@ def hmc_pauls(S, g, eps_list=(1e-2, 1e-3, 1e-4), h=None):
     G = S.group
     if not (G.is_heisenberg and G.dim == 3):
         raise ValueError("the approximation scheme is set up on H^1")
-    g = np.asarray(g, dtype=float)
-    f, d = _stencil(S, g, h)
-    A = f.frame_matrix()
+    F, d = _frame_stencil(S, g, h, 3)
     eps_list = sorted(float(e) for e in eps_list)
 
-    def scaled(fr, eps):
+    def scaled(fl, eps):
         # (p, om) / sqrt(W^2 + eps om^2), the components of a (pbar, obar)
-        p, om = fr.p, fr.omega
-        return np.append(p, om) / np.sqrt(np.sum(p ** 2) + eps * om[0] ** 2)
+        p, om = fl["p"], fl["om"]
+        return (np.concatenate([p, om])
+                / np.sqrt(p[0] ** 2 + p[1] ** 2 + eps * om[0] ** 2))
 
     values = []
     for eps in eps_list:
-        X1a, X2a, Ta = (d(lambda fr: scaled(fr, eps)[i], A[:, i])
+        X1a, X2a, Ta = (d(lambda fl: scaled(fl, eps)[i], i)
                         for i in range(3))
-        values.append(float(X1a + X2a + eps * Ta))
+        values.append(float(X1a[0] + X2a[0] + eps * Ta[0]))
     exact = float(hmc_levelset(S, g))
     small = sorted(zip(eps_list, values))[:3]
-    extrapolated = 0.0
-    for i, (ei, hi) in enumerate(small):
-        li = 1.0
-        for j, (ej, _) in enumerate(small):
-            if j != i:
-                li *= ej / (ej - ei)
-        extrapolated += hi * li
+    extrapolated = sum(hi * np.prod([ej / (ej - ei) for j, (ej, _)
+                                     in enumerate(small) if j != i])
+                       for i, (ei, hi) in enumerate(small))
     return {"eps": list(eps_list), "H_eps": values, "H": exact,
             "extrapolated": float(extrapolated)}
 
@@ -310,21 +312,20 @@ def pseudo_hermitian_check(S, point, h=None):
         raise ValueError("this check is set up on H^1")
     g = np.asarray(point, dtype=float)
     # horizontal fields are coefficient functions of the level-set fields
-    f = levelset_fields(S, g)
-    A = f["A"]
+    f = _points_last(levelset_fields(S, g[None]))
 
     def e1(fl):
         return np.array([fl["pbar"][1], -fl["pbar"][0]])
 
-    basis = [lambda fl: np.array([1.0, 0.0]), lambda fl: np.array([0.0, 1.0])]
-
-    vec = {U: A[:, 0] * U(f)[0] + A[:, 1] * U(f)[1] for U in (e1, *basis)}
-    step = FD.step1(g) if h is None else h
-    at = _stencil_fields(S, [(g, step, v) for v in vec.values()])
+    fields = (e1, *(lambda fl, k=k: np.eye(2)[:, [k] * len(fl["W"])]
+                    for k in range(2)))
+    A = f["A"]
+    vecs = [(A[:, 0] * U(f)[0] + A[:, 1] * U(f)[1]).T for U in fields]
+    d = _stencil_fields(S, g[None], h, np.stack(vecs, axis=1))[1]
 
     def deriv(U, scalar_fn):
         # derivative at g of scalar_fn along the field U, frozen at g
-        return directional_fd(lambda gp: scalar_fn(at(gp)), g, vec[U], h=step)
+        return d(scalar_fn, fields.index(U))
 
     def bracket_h(U, V):
         # horizontal part of [U, V] at g for horizontal-coefficient fields:
@@ -333,16 +334,16 @@ def pseudo_hermitian_check(S, point, h=None):
                          - deriv(V, lambda fl: U(fl)[k]) for k in range(2)])
 
     def inner(U, V):
-        return lambda fl: float(U(fl) @ V(fl))
+        return lambda fl: sum(U(fl) * V(fl))
 
     lhs = np.array([0.5 * (deriv(e1, inner(e1, Ek))
                            + deriv(e1, inner(e1, Ek))
                            - deriv(Ek, inner(e1, e1))
-                           - float(e1(f) @ bracket_h(e1, Ek))
-                           - float(e1(f) @ bracket_h(e1, Ek))
-                           + float(Ek(f) @ bracket_h(e1, e1)))
-                    for Ek in basis])
-    rhs = -f["H"] * np.array([f["pbar"][0], f["pbar"][1]])
+                           - sum(e1(f) * bracket_h(e1, Ek))
+                           - sum(e1(f) * bracket_h(e1, Ek))
+                           + sum(Ek(f) * bracket_h(e1, e1)))[0]
+                    for Ek in fields[1:]])
+    rhs = -f["H"][0] * f["pbar"][:, 0]
     return {"lhs": lhs, "rhs": rhs,
             "residual": float(np.max(np.abs(lhs - rhs)))}
 
@@ -353,18 +354,21 @@ def pseudo_hermitian_check(S, point, h=None):
 # Inner quantities (frame, curvature, first tangential derivatives) are exact
 # from jets of phi; each outermost derivative is one central finite
 # difference along a frozen direction.  Each identity is an expression over
-# (f, d): f is levelset_fields at the point, d(q, D) the difference of q
-# along the direction D.
+# (f, d), evaluated at all the points at once: f is levelset_fields at the
+# points, point axis last, and d(q, D) the differences of the field q along
+# the direction D.  The worst of several sub-checks is their elementwise
+# maximum, which keeps a NaN at any point.
 
 
 def _id_unit_gradient(f, d):
-    return max(abs(f["pbar"][0] * f[D + "pbar"] + f["pbar"][1] * f[D + "qbar"])
-               for D in ("Z", "Y", "T"))
+    return np.maximum.reduce([abs(f["pbar"][0] * f[D + "pbar"]
+                                  + f["pbar"][1] * f[D + "qbar"])
+                              for D in ("Z", "Y", "T")])
 
 
 def _id_z_of_normal(f, d):
-    return max(abs(f["Zpbar"] - f["pbar"][1] * f["H"]),
-               abs(f["Zqbar"] + f["pbar"][0] * f["H"]))
+    return np.maximum(abs(f["Zpbar"] - f["pbar"][1] * f["H"]),
+                      abs(f["Zqbar"] + f["pbar"][0] * f["H"]))
 
 
 def _id_curvature_squared(f, d):
@@ -400,8 +404,9 @@ def _id_vertical_rate(f, d):
 
 def _id_perp_forms(f, d):
     pairs = (("Y", "T"), ("Y", "Z"), ("T", "Z"))
-    return max(abs(f[a + "qbar"] * f[b + "pbar"] - f[a + "pbar"] * f[b + "qbar"])
-               for a, b in pairs)
+    return np.maximum.reduce([abs(f[a + "qbar"] * f[b + "pbar"]
+                                  - f[a + "pbar"] * f[b + "qbar"])
+                              for a, b in pairs])
 
 
 def _id_wedge_curvature(f, d):
@@ -412,31 +417,29 @@ def _id_wedge_curvature(f, d):
 
 
 def _commutator_residual(f, d, first, second, rhs):
-    """max over coordinates x_c of |[first, second] x_c - rhs(c)|.
+    """max over coordinates x_c of |[first, second] x_c - rhs[c]|.
 
     The inner derivative of a coordinate is the matching component of the
     (exact) direction field; the outer one is a finite difference along the
     other frozen direction.
     """
-    return max(abs(d(lambda fl: fl[second + "v"][c], first)
-                   - d(lambda fl: fl[first + "v"][c], second) - rhs(c))
-               for c in range(3))
+    return np.max(abs(d(second + "v", first) - d(first + "v", second) - rhs),
+                  axis=0)
 
 
 def _id_zy_commutator(f, d):
-    return _commutator_residual(f, d, "Z", "Y", lambda c: (
-        f["Tv"][c] + f["H"] * f["Zv"][c] + f["kappaY"] * f["Yv"][c]))
+    return _commutator_residual(f, d, "Z", "Y", (
+        f["Tv"] + f["H"] * f["Zv"] + f["kappaY"] * f["Yv"]))
 
 
 def _id_zt_commutator(f, d):
-    return _commutator_residual(f, d, "Z", "T",
-                                lambda c: f["kappaT"] * f["Yv"][c])
+    return _commutator_residual(f, d, "Z", "T", f["kappaT"] * f["Yv"])
 
 
 def _id_mixed_commutator(f, d):
     # [T - obar Y, Z] f = obar { (T - obar Y) f + H Z f } on coordinates
-    return _commutator_residual(f, d, "B", "Z", lambda c: (
-        f["obar"][0] * (f["Bv"][c] + f["H"] * f["Zv"][c])))
+    return _commutator_residual(f, d, "B", "Z", (
+        f["obar"][0] * (f["Bv"] + f["H"] * f["Zv"])))
 
 
 def _id_z_vertical_rate(f, d):
@@ -472,8 +475,8 @@ def _id_z_frame_split(f, d):
     Zp, Zq, H = f["Zpbar"], f["Zqbar"], f["H"]
     lhs1 = Zp * f["X1v"] + Zq * f["X2v"]
     lhs2 = Zq * f["X1v"] - Zp * f["X2v"]
-    return max(np.max(np.abs(lhs1 - H * f["Zv"])),
-               np.max(np.abs(lhs2 + H * f["Yv"])))
+    return np.maximum(np.max(abs(lhs1 - H * f["Zv"]), axis=0),
+                      np.max(abs(lhs2 + H * f["Yv"]), axis=0))
 
 
 def _id_second_z(f, d):
@@ -510,62 +513,46 @@ _IDENTITIES = {
 IDENTITY_IDS = sorted(_IDENTITIES)
 
 
-class _Point:
-    """The fields of one point, read from batched levelset_fields output."""
-
-    __slots__ = ("fields", "k")
-
-    def __init__(self, fields, k):
-        self.fields, self.k = fields, k
-
-    def __getitem__(self, key):
-        return self.fields[key][self.k]
-
-
 def identity_battery(S, points, ids=None, h=None):
     """Residuals of the pointwise identities on an H^1 level set.
 
-    points: iterable of ambient points on the surface.  Returns a list of
-    {identity, point, residual} records; residuals are worst-case over the
-    sub-checks of each identity.  levelset_fields runs twice, each time on
-    a batch: once at all the points, then once at all the distinct stencil
-    points g +- h v, for the directions v in {Z, Y, T, B} (frozen at each
-    g) that the requested identities declare.  Each point's values equal a
-    single-point call, so every residual is the one per-point evaluation
-    gives; an identity that differentiates along a direction it does not
-    declare raises ValueError.
+    points: ambient points on the surface, (n, dim) or an iterable of them.
+    Returns a list of {identity, point, residual} records; residuals are
+    worst-case over the sub-checks of each identity.  levelset_fields runs
+    twice, each time on a batch: once at all the points, then once at all
+    the distinct stencil points g +- h v, for the directions v in
+    {Z, Y, T, B} (frozen at each g) that the requested identities declare.
+    Each identity is then evaluated once over all the points; every
+    residual is the one per-point evaluation gives, and an identity that
+    differentiates along a direction it does not declare raises ValueError.
     """
     ids = list(ids) if ids else IDENTITY_IDS
     unknown = [i for i in ids if i not in _IDENTITIES]
     if unknown:
         raise ValueError("unknown identities: %s" % ", ".join(unknown))
-    pts = [np.asarray(g, dtype=float) for g in points]
-    if not pts:
+    pts = np.array(list(points), dtype=float)
+    if not len(pts):
         return []
-    F = levelset_fields(S, np.array(pts))
+    F = levelset_fields(S, pts)
     dirs = [D for D in "ZYTB" if any(D in _IDENTITIES[i][1] for i in ids)]
-    steps = [FD.step1(g) if h is None else h for g in pts]
-    at = _stencil_fields(S, [(g, s, F[D + "v"][k]) for k, (g, s) in
-                             enumerate(zip(pts, steps)) for D in dirs])
-    records = []
-    for k, (g, step) in enumerate(zip(pts, steps)):
-        f = _Point(F, k)
-        for ident in ids:
-            fn, declared = _IDENTITIES[ident]
+    if dirs:
+        vecs = np.stack([F[D + "v"] for D in dirs], axis=1)
+        diff = _stencil_fields(S, pts, h, vecs)[1]
+    f = _points_last(F)
+    residuals = {}
+    for ident in ids:
+        fn, declared = _IDENTITIES[ident]
 
-            def d(q, D):
-                # along the direction D frozen at g
-                if D not in declared:
-                    raise ValueError("identity %r differentiates along %s, "
-                                     "which it does not declare"
-                                     % (ident, D))
-                val = q if callable(q) else (lambda fl: fl[q])
-                return directional_fd(lambda gp: val(at(gp)), g,
-                                      f[D + "v"], h=step)
+        def d(q, D):
+            # along the direction D frozen at each point
+            if D not in declared:
+                raise ValueError("identity %r differentiates along %s, "
+                                 "which it does not declare" % (ident, D))
+            return diff(q, dirs.index(D))
 
-            records.append({"identity": ident, "point": g,
-                            "residual": float(fn(f, d))})
-    return records
+        residuals[ident] = fn(f, d).tolist()
+    return [{"identity": ident, "point": g, "residual": residuals[ident][k]}
+            for k, g in enumerate(pts) for ident in ids]
 
 
 # ---------------------------------------------------------------------------

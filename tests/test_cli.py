@@ -109,6 +109,29 @@ def test_identities_fail_exit_code_with_tight_tolerance(capsys, monkeypatch):
     assert any(r["pass"] == "false" for r in rows)
 
 
+def test_identities_nan_residual_fails_its_row(capsys, monkeypatch):
+    # a NaN at a point after the first fails the row and the run; the
+    # residual prints as an empty CSV cell and a JSON null
+    from carnot_calc import curvature
+
+    def nan_at_second_point(f, d):
+        return np.where(np.arange(f["H"].size) == 1, np.nan, 0.0)
+
+    monkeypatch.setitem(curvature._IDENTITIES, "y-omega",
+                        (nan_at_second_point, ""))
+    argv = ["identities", "--surface", "t-graph:parab", "--points", "4"]
+    rc, out, _ = invoke(capsys, argv)
+    assert rc == 1
+    assert "y-omega,t-graph:parab,128,,0.0001,false" in out.splitlines()
+    rc, out, _ = invoke(capsys, argv + ["--format", "json"])
+    assert rc == 1
+    rows = {r["identity_id"]: r for r in json.loads(out)}
+    assert rows["y-omega"]["residual"] is None
+    assert rows["y-omega"]["pass"] is False
+    assert rows["y-omega"]["tolerance"] == 1e-4
+    assert rows["z-omega"]["pass"] is True
+
+
 # -- variation -----------------------------------------------------------------
 
 @pytest.mark.parametrize("mode", ["v1", "v2-full", "numeric:1", "numeric:2"])
@@ -498,6 +521,35 @@ def test_config_supplies_defaults_and_flags_override(capsys, tmp_path):
                                  "--surface", "t-graph:parab"])
     assert rc == 0
     assert json.loads(out)["surface"] == "t-graph:parab"
+
+
+@pytest.mark.parametrize("config", [{"grid": "64"}, {"points": "9"},
+                                    {"grid": 64.0}, {"points": True},
+                                    {"grid": None}, {"eps": "0.1"},
+                                    {"surface": 3}],
+                         ids=json.dumps)
+def test_config_value_of_the_wrong_type_is_usage_error(capsys, tmp_path,
+                                                       config):
+    # the type of its flag, checked when the config is read
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    key, = config
+    for verb in ("measure", "identities"):
+        rc, out, err = invoke(capsys, [verb, "--config", str(path)])
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: config value of %s must be" % key)
+
+
+def test_config_accepts_a_number_for_a_float_and_an_object_field(capsys,
+                                                                 tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"eps": 1, "grid": 16, "out": None,
+                                "field": {"a": "auto"}}))
+    rc, out, _ = invoke(capsys, ["measure", "--config", str(path),
+                                 "--quantity", "eps-area"])
+    assert rc == 0 and json.loads(out)["eps"] == 1.0
+    rc, out, _ = invoke(capsys, ["variation", "--config", str(path)])
+    assert rc == 0 and json.loads(out)["field"] == {"a": "auto"}
 
 
 def test_report_is_byte_stable(capsys):

@@ -3,7 +3,8 @@ import pytest
 
 from carnot_calc import curvature
 from carnot_calc.curvature import directional_fd, levelset_fields
-from carnot_calc.fields import CBRT_EPS
+from carnot_calc.fields import CBRT_EPS, gauge_power_field
+from carnot_calc.groups import _dot
 from carnot_calc import (
     CharacteristicPointError,
     DegenerateSurfaceError,
@@ -314,26 +315,22 @@ def test_identity_battery_subset_selection():
 
 
 def _count_evaluations(monkeypatch):
-    # points: every point levelset_fields evaluates, one per row of a batch
-    seen = {"points": [], "calls": 0, "frames": [], "jets": 0}
-    fields, frame, jet = (curvature.levelset_fields, curvature.frame_levelset,
-                          ScalarField.jet)
+    # points: every point levelset_fields evaluates, one per row of a batch;
+    # orders: the order of each call
+    seen = {"points": [], "calls": 0, "orders": [], "jets": 0}
+    fields, jet = curvature.levelset_fields, ScalarField.jet
 
-    def counted_fields(S, g):
+    def counted_fields(S, g, order=2):
         seen["points"].extend(np.array(np.atleast_2d(g)))
         seen["calls"] += 1
-        return fields(S, g)
-
-    def counted_frame(S, g, *args, **kwargs):
-        seen["frames"].append(np.array(g))
-        return frame(S, g, *args, **kwargs)
+        seen["orders"].append(order)
+        return fields(S, g, order=order)
 
     def counted_jet(self, g, order=2):
         seen["jets"] += 1
         return jet(self, g, order=order)
 
     monkeypatch.setattr(curvature, "levelset_fields", counted_fields)
-    monkeypatch.setattr(curvature, "frame_levelset", counted_frame)
     monkeypatch.setattr(ScalarField, "jet", counted_jet)
     return seen
 
@@ -353,30 +350,29 @@ def test_identity_battery_evaluates_each_stencil_point_once(monkeypatch, ids,
     assert seen["calls"] == (1 if points == 1 else 2)
 
 
-@pytest.mark.parametrize("route, fields, calls, frames, jets", [
-    (pseudo_hermitian_check, 7, 2, 0, 2),
-    (hmc_divergence, 0, 0, 5, 5),
-    (lambda S, g: hmc_pauls(S, g), 0, 0, 7, 8),
-    (lambda S, g: hmc_pauls(S, g, eps_list=(1e-1, 1e-2, 1e-3, 1e-4)), 0, 0,
-     7, 8),
-    (hmc_levelset, 0, 0, 0, 1),
+@pytest.mark.parametrize("route, points, orders, jets", [
+    (pseudo_hermitian_check, 7, [2, 2], 2),
+    (hmc_divergence, 5, [1], 1),
+    (lambda S, g: hmc_pauls(S, g), 7, [1], 2),
+    (lambda S, g: hmc_pauls(S, g, eps_list=(1e-1, 1e-2, 1e-3, 1e-4)), 7, [1],
+     2),
+    (hmc_levelset, 0, [], 1),
 ], ids=["pseudo-hermitian", "divergence", "pauls-3-eps", "pauls-4-eps",
         "levelset"])
 def test_finite_difference_routes_evaluate_each_point_once(monkeypatch, route,
-                                                           fields, calls,
-                                                           frames, jets):
+                                                           points, orders,
+                                                           jets):
     # g and the stencil points g +- h v each get one evaluation: the
-    # divergence and Pauls routes read only p, omega and W, so they take the
-    # checked first-order frame, never the full levelset_fields; the
-    # pseudo-hermitian check evaluates g, then its 6 stencil points (along
-    # e1, X1 and X2) in one batched levelset_fields call
+    # divergence and Pauls routes read only p, omega and W, so they take g
+    # and its stencil points (along X1, X2 and, for Pauls, T) in one
+    # first-order levelset_fields call; the pseudo-hermitian check evaluates
+    # g, then its 6 stencil points (along e1, X1 and X2) in one batched call
     cat = build_surface("t-graph:parab")
     seen = _count_evaluations(monkeypatch)
     route(cat.levelset, cat.patch.point(1.0, 1.2))
-    for kind, most in (("points", fields), ("frames", frames)):
-        assert len(seen[kind]) <= most
-        assert len({g.tobytes() for g in seen[kind]}) == len(seen[kind])
-    assert seen["calls"] == calls
+    assert len(seen["points"]) == points
+    assert len({g.tobytes() for g in seen["points"]}) == points
+    assert seen["orders"] == orders
     assert seen["jets"] <= jets
 
 
@@ -466,6 +462,74 @@ def test_batched_levelset_fields_raise_for_the_first_failing_point(bad,
         levelset_fields(S, [[1.0, 0.5, 0.2], bad, [0.5, 0.5, 0.1], later])
     assert str(batched.value) == str(alone.value)
     assert str(np.array(bad)) in str(batched.value)
+
+
+def _battery_surface(name):
+    """A level set and 5 points on it whose FD steps all differ."""
+    if name == "koranyi":  # the gauge spheres of radius R
+        return (LevelSetSurface(H1, gauge_power_field(H1, 4)),
+                [[0.6 * R, -0.5 * R, 0.1 * R * R]
+                 for R in (0.8, 1.9, 2.7, 3.6, 5.0)])
+    cat = build_surface(name)
+    return cat.levelset, [cat.patch.point(u, v) for u, v in
+                          [(0.5, 0.3), (1.3, -0.7), (2.2, 1.1), (3.4, -1.9),
+                           (5.1, 2.6)]]
+
+
+@pytest.mark.parametrize("name", ["xyt-graph", "koranyi"])
+def test_battery_residuals_equal_single_point_batteries(name):
+    # each identity is evaluated once over all the points: every residual
+    # is == to the battery run at its point alone
+    S, pts = _battery_surface(name)
+    assert len({FD.step1(np.asarray(g)) for g in pts}) == len(pts)
+    rows = identity_battery(S, pts)
+    alone = [r for g in pts for r in identity_battery(S, [g])]
+    assert [r["identity"] for r in rows] == [r["identity"] for r in alone]
+    assert [r["residual"] for r in rows] == [r["residual"] for r in alone]
+    assert all(np.isfinite(r["residual"]) for r in rows)
+
+
+@pytest.mark.parametrize("name", ["xyt-graph", "koranyi"])
+def test_stacked_tangential_derivatives_equal_per_vector_dots(name):
+    # levelset_fields forms D(q) for every direction D and gradient q in one
+    # stacked contraction; each entry is the _dot of D against grad q
+    S, pts = _battery_surface(name)
+    F = levelset_fields(S, np.array(pts))
+    grads = {"pbar": F["dpbar"][..., 0], "qbar": F["dpbar"][..., 1],
+             "obar": F["dobar"][..., 0], "om": F["dom"][..., 0],
+             "W": F["dW"], "p": F["dp"][..., 0], "q": F["dp"][..., 1]}
+    for D in ("X1", "X2", "T", "Z", "Y"):
+        for q, grad in grads.items():
+            assert np.array_equal(F[D + q], _dot(F[D + "v"], grad)), D + q
+
+
+@pytest.mark.parametrize("ident, key, index", [
+    ("unit-gradient", "Tpbar", ()),  # the last of three sub-checks
+    ("z-of-normal", "Zqbar", ()),
+    ("perp-forms", "Zqbar", ()),
+    ("z-frame-split", "Yv", (2,)),   # the last component of the second
+    ("zy-commutator", "Tv", (2,)),   # the last coordinate
+])
+def test_worst_of_sub_checks_keeps_a_nan(monkeypatch, ident, key, index):
+    # a NaN in a later sub-check, at the second of three points, is that
+    # point's residual, and the other points keep theirs
+    cat = build_surface("t-graph:parab")
+    pts = [cat.patch.point(u, 1.2) for u in (0.9, 1.0, 1.1)]
+    clean = identity_battery(cat.levelset, pts, ids=[ident])
+    fields = curvature.levelset_fields
+
+    def poisoned(S, g, order=2):
+        out = fields(S, g, order=order)
+        if len(g) == len(pts):  # the points, not their stencil
+            out[key] = out[key].copy()
+            out[key][(1,) + index] = np.nan
+        return out
+
+    monkeypatch.setattr(curvature, "levelset_fields", poisoned)
+    rows = identity_battery(cat.levelset, pts, ids=[ident])
+    assert np.isnan(rows[1]["residual"])
+    assert [rows[k]["residual"] for k in (0, 2)] == \
+        [clean[k]["residual"] for k in (0, 2)]
 
 
 def test_undeclared_stencil_direction_raises(monkeypatch):
