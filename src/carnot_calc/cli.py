@@ -33,7 +33,7 @@ _CSV_HELP = """\
 CSV columns by verb:
   curvature:  u, v, p, q, omega, W, H_param[, H_levelset], A, obar
               (H_param, H_levelset, A, obar empty at characteristic nodes)
-  identities: identity_id, surface_id, grid, residual, tolerance, pass
+  identities: identity_id, surface_id, residual, tolerance, pass
   flow-check: u, v, residual, tolerance, pass
 Other verbs emit JSON; a JSON report that would hold a NaN or infinity
 fails with exit code 2."""
@@ -227,10 +227,9 @@ def cmd_identities(cfg):
         p = res <= IDENTITY_TOL
         ok = ok and p
         rows.append({"identity_id": ident, "surface_id": cfg["surface"],
-                     "grid": int(cfg["grid"]),
                      "residual": None if math.isnan(res) else res,
                      "tolerance": IDENTITY_TOL, "pass": p})
-    return rows, "csv", ["identity_id", "surface_id", "grid", "residual",
+    return rows, "csv", ["identity_id", "surface_id", "residual",
                          "tolerance", "pass"], ok
 
 

@@ -20,15 +20,15 @@ pairwise sum of the level-k nodes of all blocks (the ragged tail of the
 last block summed on its own) is the whole-array sum bit for bit.
 Densities are elementwise, so results are bit-stable for a given grid
 regardless of the block size.  An integrand that is exactly 0 off a box
-(one built from a compactly supported deformation or test function, see
-QuadratureGrid.restricted) is evaluated on that box's nodes only: only
-the aligned groups of 2^k nodes that meet the box's rows are folded into
-the integral's one zero buffer of the whole grid's level-k nodes, whose
-other nodes keep the +0.0 that zeros fold to.  A box holding no node runs
-on the whole grid.  The buffers of all integrals are summed in one pass
-of the tree (_pairwise_rows, which pairwise_sum runs too).  The stability
-scan also uses the block walk to fill its four whole-grid node planes
-(see variation.stability_scan), which it sums by matrix products instead.
+(one built from a compactly supported deformation or test function) is
+integrated on the sub-grid of that box's nodes (QuadratureGrid.restricted):
+the parent's nodes and Simpson weights there, summed in the sub-grid's own
+pairwise tree, so the value differs from the whole grid's by rounding
+only; a box holding no node integrates to 0.0.  The level-k nodes of all
+integrals are summed in one pass of the tree (_pairwise_rows, which
+pairwise_sum runs too).  The stability scan also uses the block walk to
+fill its four whole-grid node planes (see variation.stability_scan), which
+it sums by matrix products instead.
 """
 
 import copy
@@ -40,7 +40,7 @@ from .surfaces import (_as_jet, _characteristic_band, _dilated,
                        _second_derivatives, _translated, _value_fields,
                        tangential, tangential_second, zy_second)
 from .curvature import geometry_aux
-from .fields import Jet, horizontal_jet, seed_jets
+from .fields import horizontal_jet, seed_jets
 
 __all__ = [
     "QuadratureGrid", "IntegralResult", "pairwise_sum",
@@ -87,10 +87,9 @@ class QuadratureGrid:
 
     nu, nv count cells, even and >= 8; the nodes are the nu+1 x nv+1
     lattice points.  The grid keeps only the 1-D nodes u, v and weights
-    wu, wv; _integrate forms each block's nodes and weights from them.
-    box = (rows, columns), two slices of the node indices, is the node box
-    _integrate evaluates: the whole grid, or the nodes of a support box
-    (see restricted).
+    wu, wv; _integrate forms each block's nodes and weights from them.  A
+    sub-grid (see restricted) keeps the parent's nu, nv and domain but
+    only the nodes and weights of a box.
     """
 
     def __init__(self, domain, nu=128, nv=128):
@@ -103,7 +102,6 @@ class QuadratureGrid:
                                  " >= 8, got %d" % n)
         self.u, self.wu = self._simpson_1d(u0, u1, self.nu)
         self.v, self.wv = self._simpson_1d(v0, v1, self.nv)
-        self.box = (slice(0, self.u.size), slice(0, self.v.size))
 
     @staticmethod
     def _simpson_1d(a, b, n):
@@ -121,23 +119,26 @@ class QuadratureGrid:
         return QuadratureGrid(self.domain, nu, nv)
 
     def restricted(self, support):
-        """This grid with its node box cut to support, a box (u0, u1, v0,
+        """The sub-grid of this grid's nodes in support, a box (u0, u1, v0,
         v1) outside which the integrand is exactly 0 (None: the grid
-        itself).  Along each axis the box runs from one node below the
-        lower edge to one node above the upper edge, clipped to the grid,
-        so a node of the box outside the support computes the same 0 it
-        would on the whole grid; an empty support (u1 < u0 or v1 < v0)
-        holds no node, nor does a NaN edge."""
+        itself): a copy whose u, wu, v, wv are slices of this grid's, the
+        weights staying this grid's Simpson weights.  Along each axis the
+        box runs from one node below the lower edge to one node above the
+        upper edge, clipped to the grid, so every node where the integrand
+        may be nonzero is kept; an edge beyond the grid keeps the nearest
+        node.  None when the box holds no node: an empty support (u1 < u0
+        or v1 < v0) or a NaN edge."""
         if support is None:
             return self
-        u0, u1, v0, v1 = support
-        spans = []
-        for x, lo, hi in ((self.u, u0, u1), (self.v, v0, v1)):
-            start = max(int(np.searchsorted(x, lo)) - 1, 0)
-            stop = min(int(np.searchsorted(x, hi, "right")) + 1, x.size)
-            spans.append(slice(start, stop) if lo <= hi else slice(0, 0))
         grid = copy.copy(self)
-        grid.box = tuple(spans)
+        for axis, lo, hi in (("u", *support[:2]), ("v", *support[2:])):
+            if not lo <= hi:
+                return None
+            x = getattr(self, axis)
+            span = slice(max(int(np.searchsorted(x, lo)) - 1, 0),
+                         min(int(np.searchsorted(x, hi, "right")) + 1, x.size))
+            setattr(grid, axis, x[span])
+            setattr(grid, "w" + axis, getattr(self, "w" + axis)[span])
         return grid
 
 
@@ -190,16 +191,15 @@ def _fold(run, k):
 
 
 def _integrate(grid, frames, densities):
-    """Integrals against du dv over the grid's node box, streamed in blocks
+    """Integrals against du dv over the grid's nodes, streamed in blocks
     of rows, for one or more patches at once.
 
     Each block holds 2^k whole rows, k the least integer >=
     log2(_BLOCK_NODES / columns) and at least 0, so that a block holds at
     least _BLOCK_NODES nodes (one row, if rows are longer) or the whole
-    grid.  The integrand is
-    taken to be exactly 0 off grid.box (the whole grid unless the grid was
-    restricted to a support), which must hold a node.  Only the blocks that
-    meet the box are visited, each on its rows and columns inside the box.
+    grid.  The grid may be a sub-grid (QuadratureGrid.restricted), whose
+    rows and columns are those of its box; k is then its parent's (nv + 1
+    columns), so a box's block holds no more nodes than a whole grid's.
     frames(u, v, rows) receives the nodes as zero-copy (rows x columns)
     views of the u- and v-nodes, so seeds taken from them are (rows x 1)
     and (1 x columns) and frame arrays may keep either shape, plus the
@@ -218,55 +218,39 @@ def _integrate(grid, frames, densities):
     numpy's divide and invalid warnings off, since the values they would
     flag are the dropped ones.
 
-    Each integral, and each frame's excluded mass, has one zero buffer of
-    the whole grid's ceil(nodes / 2^k) level-k parts, so the pairwise tree
-    stays the whole grid's: a block's weighted values on the box are
-    placed into the zero run of the aligned groups of 2^k nodes that meet
-    the box's rows (_placed), and the run is folded (_fold) and written in
-    place; every other part keeps the +0.0 that the whole grid's zeros
-    fold to.  The buffers of all integrals are summed in one pass of the
-    tree (_pairwise_rows).  Returns (integrals, excluded), the list of each
-    frame's integrals and the list of each frame's excluded mass, in the
-    order of frames.
+    Each integral, and each frame's excluded mass, has one buffer of the
+    grid's ceil(nodes / 2^k) level-k parts: a block's weighted values are
+    folded (_fold) and written at its first node's part.  The buffers of
+    all integrals are summed in one pass of the tree (_pairwise_rows).
+    Returns (integrals, excluded), the list of each frame's integrals and
+    the list of each frame's excluded mass, in the order of frames.
     """
     u, v = grid.u, grid.v
-    box, cols = grid.box
-    k = max(0, math.ceil(math.log2(_BLOCK_NODES / v.size)))
+    k = max(0, math.ceil(math.log2(_BLOCK_NODES / (grid.nv + 1))))
     size = -(-u.size * v.size >> k)
     # per frame: the level-k parts of each integral; those of the excluded
     # mass, a list that stays empty while no node is dropped
     integrals, excluded = [], []
 
     def write(buffers, i, values, drop):
-        """The integrand values on the block's nodes inside the box, times
-        the weights, with the nodes where drop holds (None: none) set to
-        0, folded into buffers[i] (made when first written)."""
+        """The integrand values on the block's nodes times the weights,
+        with the nodes where drop holds (None: none) set to 0, folded into
+        buffers[i] (made when first written)."""
         if i == len(buffers):
             buffers.append(np.zeros(size))
         values = values * ws
         if drop is not None:
             values = np.where(drop, 0.0, values)
-        # the aligned groups of 2^k block nodes that meet the box's rows,
-        # in the whole rows first to last that hold them
-        lo = (rows.start - start) * v.size >> k << k
-        hi = min(-(-(rows.stop - start) * v.size >> k) << k, nodes)
-        first, last = lo // v.size, -(-hi // v.size)
-        plane = _placed(values, 0.0, (last - first, v.size),
-                        (slice(rows.start - start - first,
-                               rows.stop - start - first), cols))
-        parts = _fold(np.ravel(plane)[lo - first * v.size:
-                                      hi - first * v.size], k)
-        at = (start * v.size + lo) >> k
+        parts = _fold(np.ravel(values), k)
+        at = rows.start * v.size >> k
         buffers[i][at:at + parts.size] = parts
 
-    for start in range(box.start >> k << k, box.stop, 1 << k):
-        stop = min(start + (1 << k), u.size)
-        nodes = (stop - start) * v.size
-        rows = _clip(box, start, stop)
-        ws = np.outer(grid.wu[rows], grid.wv[cols])
-        for f, zz in enumerate(frames(*np.broadcast_arrays(u[rows, None],
-                                                           v[cols]), rows)):
-            if f == len(integrals):  # the first block visited
+    for start in range(0, u.size, 1 << k):
+        rows = slice(start, min(start + (1 << k), u.size))
+        ws = np.outer(grid.wu[rows], grid.wv)
+        for f, zz in enumerate(frames(*np.broadcast_arrays(u[rows, None], v),
+                                      rows)):
+            if f == len(integrals):  # the first block
                 integrals.append([])
                 excluded.append([])
             W = zz["W"]
@@ -285,86 +269,34 @@ def _integrate(grid, frames, densities):
             [next(sums) if parts else 0.0 for parts in excluded])
 
 
-def _clip(span, start, stop):
-    """The part of the index slice span in [start, stop), as a slice that
-    starts at or after start even when empty."""
-    first = max(start, span.start)
-    return slice(first, max(first, min(stop, span.stop)))
-
-
-def _placed(values, background, shape, sub):
-    """values placed at sub, a pair of slices, into background broadcast
-    to shape: values itself when it has that shape (so sub covers it),
-    else a new array."""
-    if np.shape(values) == shape:
-        return values
-    plane = np.empty(shape)
-    plane[...] = background
-    plane[sub] = values
-    return plane
-
-
 def _patch_frames(P, order=2):
     """The frames callable of _integrate for the one patch P: a
     one-element list holding zy_second's frame dict at the given order."""
     return lambda u, v, rows: [zy_second(P, None, u, v, order=order)]
 
 
-def _family_perimeters(P, members, nu, nv, support=None):
-    """H-perimeters of a family of patches moved from P, in one pass.
+def _family_perimeters(P, members, grid):
+    """H-perimeters over grid (a QuadratureGrid or a sub-grid of one) of a
+    family of patches moved from P, in one pass.
 
     members(u, v, x, y, t) receives first-order seeds and P's components on
     them, evaluated once per block, and returns the components (x, y, t) of
     every member; each member's frame is that of its own patch at order 1,
-    so each value equals the member's perimeter(...).value.  support
-    (None: the whole grid) is a box off which every member's components
-    equal P's: a block that does not lie inside the support's node box
-    (see QuadratureGrid.restricted) evaluates P's frame on all its nodes,
-    calls members once on the seeds of its nodes inside the box and views
-    of P's components there, and places each member's W and omega there
-    into P's (_placed).  A block that misses the box hands P's frame to
-    every member without calling members, once an earlier block has told
-    their number.  That is exact: there each component is c + (a signed
-    zero), and W and the band test are blind to the sign of a zero.
+    so on a whole grid each value equals the member's perimeter(...).value.
     """
-    grid = _grid_for(P, nu, nv)
-    box, cols = grid.restricted(support).box
-    count = []  # the number of members, once members has been called
-
     def frames(u, v, rows):
         uj, vj = seed_jets((u, v), order=1)
-        xyt = P.components(uj, vj)
-        inside = _clip(box, rows.start, rows.stop)
-        sub = (slice(inside.start - rows.start, inside.stop - rows.start),
-               cols)
-        if u[sub].shape == u.shape:  # the box covers the block
-            return [_value_fields(*(_as_jet(c, uj) for c in comps))
-                    for comps in members(uj, vj, *xyt)]
-        xyt = [_as_jet(c, uj) for c in xyt]
-        base = _value_fields(*xyt)
-        if not u[sub].size and count:  # the block misses the box
-            return [base] * count[0]
-        us, vs = seed_jets((u[sub], v[sub]), order=1)
-
-        def cut(a):  # the box's part of a block array (a view)
-            return np.broadcast_to(a, np.shape(a)[:-2] + u.shape)[
-                (Ellipsis,) + sub]
-
-        moved = members(us, vs, *(Jet(cut(c.v), cut(c.g)) for c in xyt))
-        count[:] = [len(moved)]
-        out = []
-        for comps in moved:
-            inner = _value_fields(*(_as_jet(c, us) for c in comps))
-            out.append({nm: _placed(inner[nm], base[nm], u.shape, sub)
-                         for nm in ("W", "omega")})
-        return out
+        # only what _integrate reads, so no member's p, q outlive its W
+        return [{nm: zz[nm] for nm in ("W", "omega")} for zz in (
+            _value_fields(*(_as_jet(c, uj) for c in comps))
+            for comps in members(uj, vj, *P.components(uj, vj)))]
 
     integrals, _ = _integrate(grid, frames, lambda zz, rows: (zz["W"],))
     return [value for (value,) in integrals]
 
 
 def _density_integral(P, density, grid, order=2):
-    """(value, excluded mass) of density * W over grid's node box (see
+    """(value, excluded mass) of density * W over grid's nodes (see
     integrate_patch)."""
     def densities(zz, rows):
         W = zz["W"]
@@ -377,22 +309,12 @@ def _density_integral(P, density, grid, order=2):
 
 def _supported_integral(P, density, support, nu, nv):
     """integrate_patch(P, density, ...).value for a density that is exactly
-    0 off the box support (None: the whole grid): only the nodes of the
-    support's node box are evaluated (see QuadratureGrid.restricted).
-
-    Off the box the whole grid sums signed zeros, so the two reductions
-    agree bit for bit unless the value is exactly 0, where only the whole
-    grid knows the sign of the zero: such a value is taken from it.  A box
-    that holds no node is not integrated: the whole grid is, directly.
-    """
-    grid = _grid_for(P, nu, nv)
-    box = grid.restricted(support)
-    if any(span.start == span.stop for span in box.box):
-        box = grid  # the box holds no node
-    value = _density_integral(P, density, box)[0]
-    if value == 0.0 and box is not grid:
-        value = _density_integral(P, density, grid)[0]
-    return value
+    0 off the box support (None: the whole grid), taken on the sub-grid of
+    the support's nodes (QuadratureGrid.restricted): it differs from the
+    whole grid's value by rounding only, and a box that holds no node
+    gives 0.0 without evaluating a frame."""
+    grid = _grid_for(P, nu, nv).restricted(support)
+    return 0.0 if grid is None else _density_integral(P, density, grid)[0]
 
 
 def integrate_patch(P, density, nu=None, nv=None, error_estimate=True,
@@ -444,7 +366,8 @@ def scaling_ratio(P, lam, nu=None, nv=None):
     """
     lam = float(lam)
     base, moved = _family_perimeters(
-        P, lambda u, v, *xyt: (xyt, _dilated(lam, *xyt)), nu, nv)
+        P, lambda u, v, *xyt: (xyt, _dilated(lam, *xyt)),
+        _grid_for(P, nu, nv))
     return moved / base
 
 
@@ -453,7 +376,8 @@ def translation_ratio(P, g0, nu=None, nv=None):
     pass as in scaling_ratio."""
     g0 = tuple(float(z) for z in g0)
     base, moved = _family_perimeters(
-        P, lambda u, v, *xyt: (xyt, _translated(g0, *xyt)), nu, nv)
+        P, lambda u, v, *xyt: (xyt, _translated(g0, *xyt)),
+        _grid_for(P, nu, nv))
     return moved / base
 
 

@@ -48,8 +48,10 @@ class DeformationField:
         """Bounding box (u0, u1, v0, v1) of the coefficients' supports, or
         None (the whole grid) when any coefficient declares no .support.
         first_variation_analytic, second_variation_full and
-        numeric_variation evaluate the deformation only on the grid nodes
-        of this box (see QuadratureGrid.restricted)."""
+        numeric_variation integrate on the sub-grid of this box's nodes
+        (see QuadratureGrid.restricted), which moves their values from the
+        whole grid's by rounding only, and give 0.0 for a box that holds
+        no node."""
         boxes = [getattr(c, "support", None) for c in (self.a, self.b, self.k)]
         if None in boxes:
             return None
@@ -89,13 +91,16 @@ def numeric_variation(P, D, order=1, nu=None, nv=None, dlam=None):
 
     Order 1 uses the fourth-order five-point first-difference; order 2 the
     five-point second-difference at steps d and d/2 with one Richardson
-    step, since the second derivative is the harder target.  The
-    perimeters of the distinct lam (4 for order 1, 7 for order 2) come
-    from one pass over the grid that evaluates P's components once per
-    block, and the rates (a, b, s) and the deformed frames once per block
-    that meets D.support's box, on its nodes there (outside the box every
-    deformed patch is P); each equals the perimeter of
-    deform_patch(P, D, lam).
+    step, since the second derivative is the harder target.  Each stencil
+    pairs its differences before scaling them, so a deformation that moves
+    nothing reads exactly 0.0.  The perimeters of the distinct lam (4 for
+    order 1, 7 for order 2) come from one pass over the sub-grid of
+    D.support's nodes (the whole grid without a support) that evaluates
+    P's components, the rates (a, b, s) and the deformed frames once per
+    block.  Only terms that cancel are dropped: each stencil's weights sum
+    to 0, and off the box every deformed patch is P, so the value moves
+    from the whole grid's by rounding only.  On the whole grid each
+    perimeter equals that of deform_patch(P, D, lam).
     """
     if order == 1:
         d = 1e-3 if dlam is None else float(dlam)
@@ -113,14 +118,16 @@ def numeric_variation(P, D, order=1, nu=None, nv=None, dlam=None):
         rate = _deformation_rate(D, u, v, x, y)
         return [_deformed(lam, (x, y, t), rate) for lam in lams]
 
-    A = dict(zip(lams, _family_perimeters(P, members, nu, nv,
-                                          D.support))).__getitem__
+    grid = _grid_for(P, nu, nv).restricted(D.support)
+    if grid is None:
+        return 0.0
+    A = dict(zip(lams, _family_perimeters(P, members, grid))).__getitem__
     if order == 1:
-        return (-A(2 * d) + 8 * A(d) - 8 * A(-d) + A(-2 * d)) / (12.0 * d)
+        return ((A(-2 * d) - A(2 * d)) + 8 * (A(d) - A(-d))) / (12.0 * d)
     A0 = A(0.0)
 
     def five_point(s):
-        return (-A(2 * s) + 16 * A(s) - 30 * A0 + 16 * A(-s) - A(-2 * s)) \
+        return (16 * (A(s) + A(-s)) - (A(2 * s) + A(-2 * s)) - 30 * A0) \
             / (12.0 * s * s)
 
     c, f = five_point(d), five_point(d / 2)
@@ -137,8 +144,8 @@ def _coeff_values(D, zz):
 
 def first_variation_analytic(P, D, nu=None, nv=None):
     """Closed-form first variation: integral of H (pbar a + qbar b + obar k)
-    against dsigma_H, for compactly supported coefficients; only the
-    nodes of D.support's box are evaluated."""
+    against dsigma_H, for compactly supported coefficients, on the
+    sub-grid of D.support's nodes (see DeformationField.support)."""
 
     def density(zz):
         a, b, k = _coeff_values(D, zz)
@@ -149,8 +156,8 @@ def first_variation_analytic(P, D, nu=None, nv=None):
 
 def normal_first_variation(P, zeta, nu=None, nv=None):
     """First variation under the Euclidean-normal speed zeta / |N|:
-    the rate is the plain double integral of H zeta du dv, evaluated on
-    the nodes of zeta.support's box when zeta declares one."""
+    the rate is the plain double integral of H zeta du dv, on the sub-grid
+    of zeta.support's nodes when zeta declares one."""
 
     def density(zz):
         uj, vj = zz["flds"]["seeds"]
@@ -217,8 +224,8 @@ def second_variation_full(P, D, nu=None, nv=None):
     """Closed-form second variation of the perimeter for the deformation D.
 
     Valid for compactly supported coefficients; every term involves only the
-    tangential derivatives Z and B = T - obar Y of a, b, k, so only the
-    nodes of D.support's box are evaluated.
+    tangential derivatives Z and B = T - obar Y of a, b, k, so it is
+    integrated on the sub-grid of D.support's nodes.
     """
 
     def density(zz):

@@ -95,7 +95,7 @@ def test_identities_all_pass_on_minimal_graph(capsys):
     assert rc == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     assert out.splitlines()[0] == \
-        "identity_id,surface_id,grid,residual,tolerance,pass"
+        "identity_id,surface_id,residual,tolerance,pass"
     assert len(rows) == 21
     assert all(r["pass"] == "true" for r in rows)
 
@@ -122,7 +122,7 @@ def test_identities_nan_residual_fails_its_row(capsys, monkeypatch):
     argv = ["identities", "--surface", "t-graph:parab", "--points", "4"]
     rc, out, _ = invoke(capsys, argv)
     assert rc == 1
-    assert "y-omega,t-graph:parab,128,,0.0001,false" in out.splitlines()
+    assert "y-omega,t-graph:parab,,0.0001,false" in out.splitlines()
     rc, out, _ = invoke(capsys, argv + ["--format", "json"])
     assert rc == 1
     rows = {r["identity_id"]: r for r in json.loads(out)}
