@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Verbs: curvature, measure, identities, variation, stability, flow-check,
-catalog.  A flat JSON config file can hold any flag value (keys named like
-the long flags, dashes as underscores); explicit flags override the config.
-Reports are byte-stable: floats are printed with their shortest round-trip
-representation and row order is deterministic.
+catalog.  A verb reads the flags named by its parameters, --out and
+--format, and no other.  A flat JSON config file can hold any flag's
+value; explicit flags override it, and a key the verb does not read is
+skipped.  Reports are byte-stable: floats are printed with their shortest
+round-trip representation and row order is deterministic.
 
 Exit codes: 0 all checks passed (or nothing to check), 1 at least one
 check failed, 2 usage/config error.
@@ -12,6 +13,7 @@ check failed, 2 usage/config error.
 
 import argparse
 import functools
+import inspect
 import json
 import math
 import sys
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import measure as msr
 from . import variation as var
-from .curvature import IDENTITY_IDS, curvature_grid, identity_battery
+from .curvature import curvature_grid, identity_battery
 from .fields import _zero, bump2
 from .groups import build_group
 from .surfaces import _poly2, build_surface, catalog_ids
@@ -116,12 +118,13 @@ def emit_report(rows, format="csv", path=None, fieldnames=None):
 # shared helpers
 
 
-def _sample_lattice(domain, count, inset=0.12):
-    """Deterministic k x k lattice strictly inside the rectangle."""
+def _sample_lattice(domain, count):
+    """Deterministic k x k lattice strictly inside the rectangle, inset from
+    each edge by 12% of the side."""
     u0, u1, v0, v1 = domain
     k = max(1, int(np.ceil(np.sqrt(count))))
-    us = np.linspace(u0 + inset * (u1 - u0), u1 - inset * (u1 - u0), k)
-    vs = np.linspace(v0 + inset * (v1 - v0), v1 - inset * (v1 - v0), k)
+    us = np.linspace(u0 + 0.12 * (u1 - u0), u1 - 0.12 * (u1 - u0), k)
+    vs = np.linspace(v0 + 0.12 * (v1 - v0), v1 - 0.12 * (v1 - v0), k)
     return [(float(u), float(v)) for u in us for v in vs][:count]
 
 
@@ -135,6 +138,8 @@ def _domain_bump(domain, shift=0.0, scale=0.4):
 def _parse_component(spec, domain):
     """One deformation coefficient: null/0, a number, bump:cu,cv,ru,rv,
     poly:<json terms in u, v>, or the string "auto"."""
+    if isinstance(spec, bool):
+        raise ValueError("cannot parse deformation component %r" % (spec,))
     if spec in (None, 0, "0", "", "zero"):
         return _zero
     if spec == "auto":
@@ -152,14 +157,17 @@ def _parse_component(spec, domain):
 
 
 def parse_field_spec(spec, domain):
-    """Deformation field from a JSON document {"a":..., "b":..., "k":...}
+    """Deformation field from a JSON object {"a":..., "b":..., "k":...}
     or the shorthand "auto" (centered bumps scaled to the domain)."""
     if spec in (None, "auto"):
         return var.DeformationField(_domain_bump(domain, 0.0),
                                     _domain_bump(domain, 0.04, 0.36),
                                     _domain_bump(domain, -0.04, 0.36),
                                     name="auto")
-    doc = json.loads(spec) if isinstance(spec, str) else dict(spec)
+    doc = json.loads(spec) if isinstance(spec, str) else spec
+    if not isinstance(doc, dict):
+        raise ValueError("deformation field must be a JSON object or "
+                         "'auto', not %s" % json.dumps(doc))
     return var.DeformationField(_parse_component(doc.get("a"), domain),
                                 _parse_component(doc.get("b"), domain),
                                 _parse_component(doc.get("k"), domain),
@@ -167,12 +175,12 @@ def parse_field_spec(spec, domain):
 
 
 # ---------------------------------------------------------------------------
-# verbs
+# verbs: flags as keywords -> (report, default format, all checks passed)
 
 
-def cmd_curvature(cfg):
-    S = build_surface(cfg["surface"], grid=None)
-    k = max(2, int(np.ceil(np.sqrt(cfg["points"]))))
+def cmd_curvature(surface, points):
+    S = build_surface(surface, grid=None)
+    k = max(2, int(np.ceil(np.sqrt(points))))
     cols = curvature_grid(S.patch, nu=k, nv=k)
     order = ["u", "v", "p", "q", "omega", "W", "H_param", "H_levelset",
              "A", "obar"]
@@ -182,77 +190,61 @@ def cmd_curvature(cfg):
               for x, ok in zip(cols[nm].tolist(),
                                np.isfinite(cols[nm]).tolist())]
              for nm in names]
-    rows = [dict(zip(names, row)) for row in zip(*cells)]
-    return rows, "csv", names, True
+    return [dict(zip(names, row)) for row in zip(*cells)], "csv", True
 
 
-def cmd_measure(cfg):
-    S = build_surface(cfg["surface"])
-    n = int(cfg["grid"])
-    q = cfg["quantity"]
-    if q == "perimeter":
-        res = msr.perimeter(S.patch, nu=n, nv=n)
-        out = res.to_dict()
-    elif q == "eps-area":
-        res = msr.eps_area(S.patch, float(cfg["eps"]), nu=n, nv=n)
-        out = res.to_dict()
-        out["eps"] = float(cfg["eps"])
-    elif q == "scaling":
-        lam = float(cfg["lam"])
-        ratio = msr.scaling_ratio(S.patch, lam, nu=n, nv=n)
+def cmd_measure(surface, grid, quantity, eps, lam):
+    P = build_surface(surface).patch
+    if quantity == "perimeter":
+        out = msr.perimeter(P, nu=grid, nv=grid).to_dict()
+    elif quantity == "eps-area":
+        out = dict(msr.eps_area(P, eps, nu=grid, nv=grid).to_dict(), eps=eps)
+    elif quantity == "scaling":
+        ratio = msr.scaling_ratio(P, lam, nu=grid, nv=grid)
         out = {"value": ratio, "lambda": lam, "expected": lam ** 3,
-               "grid": [n, n]}
+               "grid": [grid, grid]}
     else:
-        raise ValueError("unknown measure quantity %r" % q)
-    out.update({"surface": cfg["surface"], "quantity": q})
-    return out, "json", None, True
+        raise ValueError("unknown measure quantity %r" % quantity)
+    out.update({"surface": surface, "quantity": quantity})
+    return out, "json", True
 
 
-def cmd_identities(cfg):
-    S = build_surface(cfg["surface"])
+def cmd_identities(surface, points):
+    S = build_surface(surface)
     if S.levelset is None:
-        raise ValueError("surface %r has no level-set form" % cfg["surface"])
-    U, V = np.array(_sample_lattice(S.patch.domain, int(cfg["points"]))).T
+        raise ValueError("surface %r has no level-set form" % surface)
+    U, V = np.array(_sample_lattice(S.patch.domain, points)).T
     records = identity_battery(S.levelset, S.patch.point(U, V).T)
-    worst = {}
+    worst = {}  # in IDENTITY_IDS order, as the records come
     for rec in records:
         worst.setdefault(rec["identity"], []).append(abs(rec["residual"]))
     rows = []
-    ok = True
-    for ident in IDENTITY_IDS:
-        if ident not in worst:
-            continue
+    for ident, residuals in worst.items():
         # a NaN at any point fails the row; its residual cell stays empty
-        res = float(np.max(worst[ident]))
-        p = res <= IDENTITY_TOL
-        ok = ok and p
-        rows.append({"identity_id": ident, "surface_id": cfg["surface"],
+        res = float(np.max(residuals))
+        rows.append({"identity_id": ident, "surface_id": surface,
                      "residual": None if math.isnan(res) else res,
-                     "tolerance": IDENTITY_TOL, "pass": p})
-    return rows, "csv", ["identity_id", "surface_id", "residual",
-                         "tolerance", "pass"], ok
+                     "tolerance": IDENTITY_TOL, "pass": res <= IDENTITY_TOL})
+    return rows, "csv", all(row["pass"] for row in rows)
 
 
-def cmd_variation(cfg):
-    S = build_surface(cfg["surface"])
-    P = S.patch
-    D = parse_field_spec(cfg["field"], P.domain)
-    n = int(cfg["grid"])
-    mode = cfg["mode"]
+def cmd_variation(surface, grid, field, mode):
+    P = build_surface(surface).patch
+    D = parse_field_spec(field, P.domain)
     if mode == "v1":
-        value = var.first_variation_analytic(P, D, nu=n, nv=n)
+        value = var.first_variation_analytic(P, D, nu=grid, nv=grid)
     elif mode == "v2-full":
-        value = var.second_variation(P, D, mode="full", nu=n, nv=n)
+        value = var.second_variation(P, D, mode="full", nu=grid, nv=grid)
     elif mode in ("v2-geometric", "v2-geom"):
-        value = var.second_variation(P, D, mode="geometric", nu=n, nv=n)
+        value = var.second_variation(P, D, mode="geometric", nu=grid,
+                                     nv=grid)
     elif mode.startswith("numeric:"):
         order = int(mode.split(":", 1)[1])
-        value = var.numeric_variation(P, D, order=order, nu=n, nv=n)
+        value = var.numeric_variation(P, D, order=order, nu=grid, nv=grid)
     else:
         raise ValueError("unknown variation mode %r" % mode)
-    out = {"surface": cfg["surface"], "mode": mode, "grid": [n, n],
-           "field": cfg["field"] or "auto", "value": value}
-    return out, "json", None, True
+    return {"surface": surface, "mode": mode, "grid": [grid, grid],
+            "field": field or "auto", "value": value}, "json", True
 
 
 _FAMILY_FORMS = "bump-lattice[:<nc>,<nr>] or random:<count>,<seed>"
@@ -282,39 +274,33 @@ def _parse_family(spec, P, nquad):
                                     np.random.default_rng(second))
 
 
-def cmd_stability(cfg):
-    S = build_surface(cfg["surface"])
-    n = int(cfg["grid"])
-    bumps = _parse_family(cfg["family"], S.patch, n)
-    scan = var.stability_scan(S.patch, bumps=bumps, nu=n, nv=n)
-    out = {"surface": cfg["surface"], "family": cfg["family"] or
-           "bump-lattice", "grid": [n, n], "count": scan["count"],
-           "min_value": scan["min_value"], "argmin": scan["argmin"],
-           "witness": scan["witness"], "table": scan["table"]}
-    return out, "json", None, True
+def cmd_stability(surface, grid, family):
+    P = build_surface(surface).patch
+    scan = var.stability_scan(P, bumps=_parse_family(family, P, grid),
+                              nu=grid, nv=grid)
+    return {"surface": surface, "family": family or "bump-lattice",
+            "grid": [grid, grid], "count": scan["count"],
+            "min_value": scan["min_value"], "argmin": scan["argmin"],
+            "witness": scan["witness"], "table": scan["table"]}, "json", True
 
 
-def cmd_flow_check(cfg):
-    S = build_surface(cfg["surface"])
-    pts = _sample_lattice(S.patch.domain, int(cfg["points"]))
+def cmd_flow_check(surface, points):
+    S = build_surface(surface)
+    pts = _sample_lattice(S.patch.domain, points)
     U, V = np.array(pts).T
-    rows = []
-    ok = True
-    for (u, v), res in zip(pts, msr.mcf_residual(S.patch, U, V).tolist()):
-        p = res <= FLOW_TOL
-        ok = ok and p
-        rows.append({"u": u, "v": v, "residual": res,
-                     "tolerance": FLOW_TOL, "pass": p})
-    return rows, "csv", ["u", "v", "residual", "tolerance", "pass"], ok
+    rows = [{"u": u, "v": v, "residual": res, "tolerance": FLOW_TOL,
+             "pass": res <= FLOW_TOL}
+            for (u, v), res in zip(pts, msr.mcf_residual(S.patch, U, V)
+                                   .tolist())]
+    return rows, "csv", all(row["pass"] for row in rows)
 
 
-def cmd_catalog(cfg):
-    out = {"surfaces": catalog_ids(),
-           "groups": ["h1", "hn:<n>", "engel",
-                      "{layer_dims: [...], brackets: [...]} (JSON)"],
-           "fields": ["x1", "x2", "t", "s<k>", "gauge", "gauge^<k>",
-                      "poly:<json terms>"]}
-    return out, "json", None, True
+def cmd_catalog():
+    return {"surfaces": catalog_ids(),
+            "groups": ["h1", "hn:<n>", "engel",
+                       "{layer_dims: [...], brackets: [...]} (JSON)"],
+            "fields": ["x1", "x2", "t", "s<k>", "gauge", "gauge^<k>",
+                       "poly:<json terms>"]}, "json", True
 
 
 _VERBS = {
@@ -331,51 +317,44 @@ _VERBS = {
 # ---------------------------------------------------------------------------
 # argument handling
 
+# name: (type, default, help) of every flag but --config
+_FLAGS = {
+    "surface": (str, "t-graph:parab", "catalog surface id"),
+    "grid": (int, 128, "quadrature cells per axis (even, >= 8)"),
+    "points": (int, 9, "sample point count (>= 1)"),
+    "quantity": (str, "perimeter", "perimeter|eps-area|scaling"),
+    "eps": (float, 1e-3, "eps-area parameter (>= 0)"),
+    "lam": (float, 2.0, "scaling dilation factor (> 0)"),
+    "field": (str, None, "deformation field: a JSON object or 'auto'"),
+    "mode": (str, "v1", "variation mode: v1|v2-full|v2-geometric (or "
+                        "v2-geom)|numeric:1|numeric:2"),
+    "family": (str, None, "stability family: " + _FAMILY_FORMS),
+    "out": (str, None, "report path (default stdout)"),
+    "format": (str, None, "report format: csv|json (default per verb)"),
+}
+_READS = {verb: [*inspect.signature(fn).parameters, "out", "format"]
+          for verb, fn in _VERBS.items()}  # the flags each verb reads
+
 
 @functools.lru_cache(maxsize=None)  # built once, on the first run
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="carnot-calc",
         description="Sub-Riemannian surface calculus on Carnot groups.",
-        epilog=_CSV_HELP,
+        epilog="Flags each verb reads (and --config):\n" + "".join(
+            "  %-12s%s\n" % (verb + ":", " ".join("--" + k for k in reads))
+            for verb, reads in sorted(_READS.items())) + "\n" + _CSV_HELP,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("verb", choices=sorted(_VERBS.keys()))
-    p.add_argument("--surface", help="catalog surface id")
-    p.add_argument("--grid", type=int,
-                   help="quadrature cells per axis (even, >= 8)")
-    p.add_argument("--points", type=int, help="sample point count")
-    p.add_argument("--quantity", choices=["perimeter", "eps-area", "scaling"],
-                   help="measure verb quantity")
-    p.add_argument("--eps", type=float, help="eps-area parameter")
-    p.add_argument("--lam", type=float, help="scaling dilation factor")
-    p.add_argument("--field", help="deformation field JSON or 'auto'")
-    p.add_argument("--mode", help="variation mode: "
-                                  "v1|v2-full|v2-geometric (or v2-geom)|"
-                                  "numeric:1|numeric:2")
-    p.add_argument("--family", help="stability family: " + _FAMILY_FORMS)
+    for name, (kind, _, text) in _FLAGS.items():
+        p.add_argument("--" + name, type=kind, help=text)
     p.add_argument("--config", help="flat JSON config file; flags override")
-    p.add_argument("--out", help="report path (default stdout)")
-    p.add_argument("--format", choices=["csv", "json"],
-                   help="report format (default per verb)")
     return p
 
 
-_DEFAULTS = {
-    "surface": "t-graph:parab",
-    "grid": 128,
-    "points": 9,
-    "quantity": "perimeter",
-    "eps": 1e-3,
-    "lam": 2.0,
-    "field": None,
-    "mode": "v1",
-    "family": None,
-    "out": None,
-    "format": None,
-}
-
-
 def _merge_config(args):
+    """The value of each flag that args.verb reads: the explicit flag, else
+    the config's key, else the default in _FLAGS."""
     config = {}
     if args.config:
         try:
@@ -385,33 +364,33 @@ def _merge_config(args):
             raise UsageError("cannot read config %s: %s" % (args.config, exc))
         if not isinstance(config, dict):
             raise UsageError("config must be a flat JSON object")
-    kinds = {a.dest: a.type or str for a in _build_parser()._actions}
-    cfg = {}
-    for key, default in _DEFAULTS.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = flag
-        elif key in config:
-            cfg[key] = _config_value(key, config[key], kinds[key])
-        else:
-            cfg[key] = default
-    if cfg["points"] < 1:
+    config = {key: _config_value(key, value) for key, value in config.items()}
+    reads = _READS[args.verb]
+    for key in _FLAGS:
+        if key not in reads and getattr(args, key) is not None:
+            raise UsageError("%s reads no --%s" % (args.verb, key))
+    cfg = {key: config.get(key, _FLAGS[key][1]) if getattr(args, key) is None
+           else getattr(args, key) for key in reads}
+    if cfg.get("points", 1) < 1:
         raise UsageError("--points must be positive")
-    # only the verbs that integrate build a Simpson grid (even, >= 8 cells)
-    if (args.verb in ("measure", "variation", "stability")
-            and (cfg["grid"] < 8 or cfg["grid"] % 2)):
+    grid = cfg.get("grid", 8)  # a Simpson grid: an even cell count >= 8
+    if grid < 8 or grid % 2:
         raise UsageError("--grid must be an even number >= 8")
     return cfg
 
 
-def _config_value(key, value, kind):
-    """A config value, if it has the type of the key's flag: any number for
-    a float, an object too for "field", null for a flag unset by default."""
+def _config_value(key, value):
+    """A config value as its flag's type, if it has it: any number for a
+    float, an object too for "field", null for a flag unset by default."""
+    if key not in _FLAGS:
+        raise UsageError("config key %s names no flag" % json.dumps(key))
+    kind, default, _ = _FLAGS[key]
     kinds = {float: (int, float), str: (str, dict) if key == "field"
              else str}.get(kind, kind)
-    if (value is None and _DEFAULTS[key] is None
-            or isinstance(value, kinds) and not isinstance(value, bool)):
+    if value is None and default is None:
         return value
+    if isinstance(value, kinds) and not isinstance(value, bool):
+        return float(value) if kind is float else value
     raise UsageError("config value of %s must be of type %s, not %s"
                      % (key, kind.__name__, json.dumps(value)))
 
@@ -427,13 +406,13 @@ def run(argv=None):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        cfg = _merge_config(args)
-        result, default_fmt, fieldnames, ok = _VERBS[args.verb](cfg)
-        fmt = cfg["format"] or default_fmt
+        kwargs = _merge_config(args)
+        path, fmt = kwargs.pop("out"), kwargs.pop("format")
+        result, default_fmt, ok = _VERBS[args.verb](**kwargs)
+        fmt = fmt or default_fmt
         if fmt == "csv" and not isinstance(result, list):
             raise UsageError("verb %s emits JSON only" % args.verb)
-        emit_report(result, format=fmt, path=cfg["out"],
-                    fieldnames=fieldnames)
+        emit_report(result, format=fmt, path=path)
     except (UsageError, ValueError, RuntimeError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2

@@ -136,11 +136,11 @@ def _first_point(out, g):
         for k, v in out.items()}
 
 
-def directional_fd(fn, g, vec, h=None):
+def directional_fd(fn, g, vec):
     """Central difference of a scalar field along a frozen ambient vector."""
     g = np.asarray(g, dtype=float)
     vec = np.asarray(vec, dtype=float)
-    h = FD.step1(g) if h is None else h
+    h = FD.step1(g)
     return (fn(g + h * vec) - fn(g - h * vec)) / (2.0 * h)
 
 
@@ -177,22 +177,22 @@ def _stencil_fields(S, g, h, vecs, center=False, order=2):
     return F, d
 
 
-def _frame_stencil(S, g, h, k):
+def _frame_stencil(S, g, k):
     """_stencil_fields of the first-order frame at one point g, with g,
-    along its first k frame columns."""
+    along its first k frame columns (step FD.step1(g))."""
     g = np.asarray(g, dtype=float)
-    return _stencil_fields(S, g[None], h, frame_at(S.group, g).T[None, :k],
+    return _stencil_fields(S, g[None], None, frame_at(S.group, g).T[None, :k],
                            center=True, order=1)
 
 
-def hmc_divergence(S, g, h=None):
+def hmc_divergence(S, g):
     """Curvature as the horizontal divergence sum_i X_i(pbar_i).
 
     Reads only p and W = |p| (first derivatives of phi); the outer X_i
     derivatives are central differences along the frame columns frozen at
     g.  Independent of the second-derivative route.
     """
-    F, d = _frame_stencil(S, g, h, S.group.m)
+    F, d = _frame_stencil(S, g, S.group.m)
     H = sum(d(lambda fl: fl["p"][i] / fl["W"], i)
             for i in range(S.group.m))
     return CurvatureReport(H[0], "divergence", F["W"][0])
@@ -207,7 +207,7 @@ def hmc_param(P, uv):
                             "Zqbar": float(zz["Zqbar"])})
 
 
-def hmc_pauls(S, g, eps_list=(1e-2, 1e-3, 1e-4), h=None):
+def hmc_pauls(S, g, eps_list=(1e-2, 1e-3, 1e-4)):
     """Riemannian approximating curvatures H_eps and their extrapolation.
 
     H_eps = X1(a pbar) + X2(a qbar) + eps T(a obar) with
@@ -218,7 +218,7 @@ def hmc_pauls(S, g, eps_list=(1e-2, 1e-3, 1e-4), h=None):
     G = S.group
     if not (G.is_heisenberg and G.dim == 3):
         raise ValueError("the approximation scheme is set up on H^1")
-    F, d = _frame_stencil(S, g, h, 3)
+    F, d = _frame_stencil(S, g, 3)
     eps_list = sorted(float(e) for e in eps_list)
 
     def scaled(fl, eps):
@@ -291,7 +291,7 @@ def geometry_aux(S, point):
             "A": float(-zz["Zobar"])}
 
 
-def pseudo_hermitian_check(S, point, h=None):
+def pseudo_hermitian_check(S, point):
     """Residual of nabla^H_{e1} e1 = -H e2 for e1 = (nu_H)-perp, e2 = nu_H.
 
     The covariant derivative is computed from the Koszul formula for the
@@ -306,7 +306,7 @@ def pseudo_hermitian_check(S, point, h=None):
             raise ValueError("patch has no level-set companion to extend "
                              "the frame off the surface")
         g = P.point(float(point[0]), float(point[1]))
-        return pseudo_hermitian_check(P.levelset, g, h=h)
+        return pseudo_hermitian_check(P.levelset, g)
     G = S.group
     if not (G.is_heisenberg and G.dim == 3):
         raise ValueError("this check is set up on H^1")
@@ -321,7 +321,7 @@ def pseudo_hermitian_check(S, point, h=None):
                     for k in range(2)))
     A = f["A"]
     vecs = [(A[:, 0] * U(f)[0] + A[:, 1] * U(f)[1]).T for U in fields]
-    d = _stencil_fields(S, g[None], h, np.stack(vecs, axis=1))[1]
+    d = _stencil_fields(S, g[None], None, np.stack(vecs, axis=1))[1]
 
     def deriv(U, scalar_fn):
         # derivative at g of scalar_fn along the field U, frozen at g

@@ -10,6 +10,7 @@ exists as an independent cross-check of the analytic path.
 
 import json
 import math
+import numbers
 
 import numpy as np
 
@@ -364,20 +365,18 @@ class ScalarField:
 class DerivativeEngine:
     """How coordinate derivatives are obtained: 'analytic' or 'finite_difference'."""
 
-    def __init__(self, mode="analytic", h1=None, h2=None):
+    def __init__(self, mode="analytic", h1=None):
         if mode not in ("analytic", "finite_difference"):
             raise FieldError("unknown engine mode %r" % mode)
         self.mode = mode
         self.h1 = h1
-        self.h2 = h2
 
     def step1(self, g):
         scale = max(1.0, float(np.max(np.abs(g))))
         return self.h1 if self.h1 is not None else CBRT_EPS * scale
 
     def step2(self, g):
-        scale = max(1.0, float(np.max(np.abs(g))))
-        return self.h2 if self.h2 is not None else QUART_EPS * scale
+        return QUART_EPS * max(1.0, float(np.max(np.abs(g))))
 
 
 ANALYTIC = DerivativeEngine("analytic")
@@ -477,14 +476,24 @@ def coordinate_field(G, idx, name=None):
                        name=name or ("coord%d" % idx), check=False)
 
 
+def _poly_terms(terms, arity):
+    """[(c, (e_1, ..., e_arity)), ...] of a polynomial term list
+    [[c, [e_1, ..., e_arity]], ...]; FieldError unless every c is a number
+    and every e an integer >= 0 (a bool is neither)."""
+    seq, real, integral = (list, tuple), numbers.Real, numbers.Integral
+    if not (isinstance(terms, seq) and all(
+            isinstance(t, seq) and len(t) == 2 and isinstance(t[0], real)
+            and isinstance(t[1], seq) and len(t[1]) == arity
+            and all(isinstance(e, integral) and e >= 0 for e in t[1])
+            and bool not in map(type, [t[0], *t[1]]) for t in terms)):
+        raise FieldError("polynomial terms %r are not a list of [number, "
+                         "[%d integers >= 0]]" % (terms, arity))
+    return [(float(c), tuple(int(e) for e in exps)) for c, exps in terms]
+
+
 def poly_field(G, terms, name="poly"):
     """Polynomial from a coefficient list [[c, [e_1, ..., e_N]], ...]."""
-    parsed = []
-    for term in terms:
-        c, exps = float(term[0]), [int(e) for e in term[1]]
-        if len(exps) != G.dim:
-            raise FieldError("polynomial exponent tuple has wrong length")
-        parsed.append((c, exps))
+    parsed = _poly_terms(terms, G.dim)
 
     def fn(*coords):
         total = 0.0

@@ -253,23 +253,29 @@ def group_inverse(G, g):
     return -np.asarray(g, dtype=float)
 
 
+def _dilation_factor(lam):
+    """lam as a float; GroupError unless lam > 0 (so not NaN)."""
+    lam = float(lam)
+    if not lam > 0:
+        raise GroupError("dilation factor must be positive, not %r" % lam)
+    return lam
+
+
 def dilate(G, lam, g):
     """Anisotropic dilation: layer j scales by lam**j."""
-    if lam <= 0:
-        raise GroupError("dilation factor must be positive")
+    lam = _dilation_factor(lam)
     g = np.asarray(g, dtype=float)
     return g * lam ** G.weights
 
 
-def gauge_norm(G, g, renormalized=True):
+def gauge_norm(G, g):
     """Homogeneous gauge.
 
-    For Heisenberg groups with renormalized=True this is
-    ((|x|^2+|y|^2)^2 + 16 t^2)^(1/4); otherwise the generic
-    (sum_j |xi_j|^(2 r!/j))^(1/(2 r!)).
+    For Heisenberg groups this is ((|x|^2+|y|^2)^2 + 16 t^2)^(1/4);
+    otherwise the generic (sum_j |xi_j|^(2 r!/j))^(1/(2 r!)).
     """
     g = np.asarray(g, dtype=float)
-    if renormalized and G.is_heisenberg:
+    if G.is_heisenberg:
         z2 = np.sum(g[..., : G.m] ** 2, axis=-1)
         t = g[..., G.m]
         return (z2 ** 2 + 16.0 * t ** 2) ** 0.25

@@ -41,6 +41,7 @@ from .surfaces import (_as_jet, _characteristic_band, _dilated,
                        tangential, tangential_second, zy_second)
 from .curvature import geometry_aux
 from .fields import horizontal_jet, seed_jets
+from .groups import _dilation_factor
 
 __all__ = [
     "QuadratureGrid", "IntegralResult", "pairwise_sum",
@@ -347,9 +348,11 @@ def eps_area(P, eps, nu=None, nv=None):
     """Riemannian epsilon-area: integral of sqrt(W^2 + eps omega^2) du dv.
 
     Decreases to the H-perimeter as eps -> 0, with
-    0 <= eps_area - perimeter <= (eps/2) * integral of obar^2 W.
+    0 <= eps_area - perimeter <= (eps/2) * integral of obar^2 W, eps >= 0.
     """
     eps = float(eps)
+    if not eps >= 0:
+        raise ValueError("eps must be >= 0, not %r" % eps)
 
     def density(zz):
         return np.sqrt(zz["W"] ** 2 + eps * zz["omega"] ** 2) / zz["W"]
@@ -364,7 +367,7 @@ def scaling_ratio(P, lam, nu=None, nv=None):
     come from one pass that evaluates P's components once per block; each
     equals that of perimeter() on P or on dilate_patch(P, lam).
     """
-    lam = float(lam)
+    lam = _dilation_factor(lam)
     base, moved = _family_perimeters(
         P, lambda u, v, *xyt: (xyt, _dilated(lam, *xyt)),
         _grid_for(P, nu, nv))

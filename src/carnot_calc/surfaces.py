@@ -11,9 +11,10 @@ import json
 
 import numpy as np
 
-from .groups import build_group, frame_at
-from .fields import (ANALYTIC, Jet, ScalarField, _coordinate_jet, build_field,
-                     jet_partial, jet_sqrt, poly_field, seed_jets)
+from .groups import _dilation_factor, build_group, frame_at
+from .fields import (ANALYTIC, Jet, ScalarField, _coordinate_jet, _poly_terms,
+                     build_field, jet_partial, jet_sqrt, poly_field,
+                     seed_jets)
 
 __all__ = [
     "CharacteristicPointError", "DegenerateSurfaceError", "SurfaceFrame",
@@ -509,7 +510,7 @@ def _zero_like(v):
     return 0.0 if isinstance(v, Jet) else 0.0 * np.asarray(v, dtype=float)
 
 
-def intrinsic_to_patch(Gr, grid=None):
+def intrinsic_to_patch(Gr):
     """Parametric patch plus orientation-matched level set of a graph.
 
     The companion level set is {x - phi(y, t + xy/2) = 0}; on the surface its
@@ -534,7 +535,7 @@ def intrinsic_to_patch(Gr, grid=None):
         name=Gr.name + "-levelset")
 
     return ParamPatch(
-        H1, x, y, t, Gr.domain, grid or Gr.grid, name=Gr.name,
+        H1, x, y, t, Gr.domain, Gr.grid, name=Gr.name,
         uv_of_point=lambda xc, yc, tc: (yc, tc + 0.5 * xc * yc),
         levelset=level)
 
@@ -556,7 +557,7 @@ def _translated(g0, x, y, t):
 
 def dilate_patch(P, lam):
     """Image of the patch under the dilation (x, y, t) -> (lam x, lam y, lam^2 t)."""
-    lam = float(lam)
+    lam = _dilation_factor(lam)
     return _MovedPatch(P, lambda u, v, *xyt: _dilated(lam, *xyt),
                        P.name + "~dilated")
 
@@ -570,7 +571,7 @@ def left_translate_patch(P, g0):
 
 def dilate_levelset(S, lam):
     """Level set of phi(delta_{1/lam} g), the dilated surface (any group)."""
-    lam = float(lam)
+    lam = _dilation_factor(lam)
     G = S.group
     w = G.weights
     fn0 = S.phi.fn
@@ -647,11 +648,11 @@ class CatalogSurface:
 
 def _poly2(terms):
     """Two-variable polynomial (u, v) -> sum c u^i v^j, jet-safe."""
-    parsed = [(float(c), int(e[0]), int(e[1])) for c, e in terms]
+    parsed = _poly_terms(terms, 2)
 
     def fn(u, v):
         total = _zero_like(u) + _zero_like(v)
-        for c, i, j in parsed:
+        for c, (i, j) in parsed:
             term = c
             if i:
                 term = term * u ** i

@@ -29,6 +29,10 @@ __all__ = [
     "intrinsic_stability_form",
 ]
 
+# the H-minimality gate on max |H| off the band, and the witness bar on Q
+MINIMAL_TOL = 1e-6
+WITNESS_THRESHOLD = -1e-6
+
 
 class DeformationField:
     """Coefficients (a, b, k) of a X1 + b X2 + k T as functions of (u, v).
@@ -59,8 +63,8 @@ class DeformationField:
         return min(u0), max(u1), min(v0), max(v1)
 
     @classmethod
-    def vertical(cls, k, name="vertical"):
-        return cls(_zero, _zero, k, name=name)
+    def vertical(cls, k):
+        return cls(_zero, _zero, k, name="vertical")
 
 
 def _deformation_rate(D, u, v, x, y):
@@ -85,31 +89,27 @@ def deform_patch(P, D, lam):
     return _MovedPatch(P, move, "%s~moved(%g)" % (P.name, lam))
 
 
-def numeric_variation(P, D, order=1, nu=None, nv=None, dlam=None):
+def numeric_variation(P, D, order=1, nu=None, nv=None):
     """d/dlam (order 1) or d^2/dlam^2 (order 2) of the deformed perimeter
     at lam = 0, by centered differences of exact quadratures.
 
     Order 1 uses the fourth-order five-point first-difference; order 2 the
     five-point second-difference at steps d and d/2 with one Richardson
-    step, since the second derivative is the harder target.  Each stencil
-    pairs its differences before scaling them, so a deformation that moves
-    nothing reads exactly 0.0.  The perimeters of the distinct lam (4 for
-    order 1, 7 for order 2) come from one pass over the sub-grid of
-    D.support's nodes (the whole grid without a support) that evaluates
-    P's components, the rates (a, b, s) and the deformed frames once per
-    block.  Only terms that cancel are dropped: each stencil's weights sum
-    to 0, and off the box every deformed patch is P, so the value moves
-    from the whole grid's by rounding only.  On the whole grid each
-    perimeter equals that of deform_patch(P, D, lam).
+    step, since the second derivative is the harder target (d = 1e-3 for
+    order 1, 1e-2 for order 2).  Each stencil pairs its differences before
+    scaling them, so a deformation that moves nothing reads exactly 0.0.
+    The perimeters of the distinct lam (4 for order 1, 7 for order 2) come
+    from one pass over the sub-grid of D.support's nodes (the whole grid
+    without a support) that evaluates P's components, the rates (a, b, s)
+    and the deformed frames once per block.  Only terms that cancel are
+    dropped: each stencil's weights sum to 0, and off the box every deformed
+    patch is P, so the value moves from the whole grid's by rounding only.
+    On the whole grid each perimeter equals that of deform_patch(P, D, lam).
     """
-    if order == 1:
-        d = 1e-3 if dlam is None else float(dlam)
-        steps = (d,)
-    elif order == 2:
-        d = 1e-2 if dlam is None else float(dlam)
-        steps = (d, d / 2)
-    else:
+    if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
+    d = 1e-3 if order == 1 else 1e-2
+    steps = (d,) if order == 1 else (d, d / 2)
     # the distinct lam the stencils below read (2 (d/2) == d exactly)
     stencil = [m * s for s in steps for m in (2, 1, -1, -2)]
     lams = list(dict.fromkeys(([0.0] if order == 2 else []) + stencil))
@@ -198,8 +198,9 @@ def frame_variation_rates(P, D, u, v):
             "Wdot": ppqq / W}
 
 
-def frame_variation_rates_fd(P, D, u, v, dlam=1e-5):
+def frame_variation_rates_fd(P, D, u, v):
     """The same rates by centered lam-differences of the deformed frame."""
+    dlam = 1e-5
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
 
@@ -256,7 +257,7 @@ def _max_H(zz):
                         initial=0.0))
 
 
-def _require_minimal(worst, tol,
+def _require_minimal(worst, tol=MINIMAL_TOL,
                      message="surface is not H-minimal (max |H| = %g)"):
     """The largest block maximum in worst; raise with message unless it is
     <= tol, so NaN fails."""
@@ -266,9 +267,9 @@ def _require_minimal(worst, tol,
     return worst
 
 
-def _minimal_integral(P, density, nu, nv, tol):
+def _minimal_integral(P, density, nu, nv):
     """integrate_patch(P, density).value on an H-minimal patch; raises once
-    the whole grid is reduced if max |H| off the band exceeds tol."""
+    the whole grid is reduced if max |H| off the band exceeds MINIMAL_TOL."""
     worst = []
 
     def gated(zz):
@@ -276,7 +277,7 @@ def _minimal_integral(P, density, nu, nv, tol):
         return density(zz)
 
     value = integrate_patch(P, gated, nu=nu, nv=nv, error_estimate=False).value
-    _require_minimal(worst, tol)
+    _require_minimal(worst)
     return value
 
 
@@ -296,15 +297,15 @@ def _q_of(zz, F, pot):
     return _q_density(pot, zf["value"], zf["Zf"])
 
 
-def quadratic_form(P, F, nu=None, nv=None, minimal_tol=1e-6):
+def quadratic_form(P, F, nu=None, nv=None):
     """Stability form Q(F) = integral of (ZF)^2 + (2 A - obar^2) F^2 over
     dsigma_H, for a scalar normal speed F on an H-minimal patch."""
 
     return _minimal_integral(P, lambda zz: _q_of(zz, F, _potential(zz)), nu,
-                             nv, minimal_tol)
+                             nv)
 
 
-def second_variation_geometric(P, D, nu=None, nv=None, minimal_tol=1e-6):
+def second_variation_geometric(P, D, nu=None, nv=None):
     """Second variation on an H-minimal patch through the normal speed
     F = pbar a + qbar b + obar k alone:
 
@@ -324,17 +325,16 @@ def second_variation_geometric(P, D, nu=None, nv=None, minimal_tol=1e-6):
               + zz["Zobar"] * k + ob * zk["Zf"])
         return _q_density(_potential(zz), F, ZF)
 
-    return _minimal_integral(P, density, nu, nv, minimal_tol)
+    return _minimal_integral(P, density, nu, nv)
 
 
-def second_variation(P, D, mode="full", nu=None, nv=None, minimal_tol=1e-6):
+def second_variation(P, D, mode="full", nu=None, nv=None):
     """Second variation of the H-perimeter; mode "full" works on any patch,
     mode "geometric" requires an H-minimal one."""
     if mode == "full":
         return second_variation_full(P, D, nu=nu, nv=nv)
     if mode == "geometric":
-        return second_variation_geometric(P, D, nu=nu, nv=nv,
-                                          minimal_tol=minimal_tol)
+        return second_variation_geometric(P, D, nu=nu, nv=nv)
     raise ValueError("mode must be 'full' or 'geometric'")
 
 
@@ -415,8 +415,7 @@ def _factor_jets(pairs, x):
     return bj.v, bj.g[0], [row[pair] for pair in pairs]
 
 
-def stability_scan(P, bumps=None, n_centers=5, n_radii=5, nu=None, nv=None,
-                   witness_threshold=-1e-6, minimal_tol=1e-6):
+def stability_scan(P, bumps=None, n_centers=5, n_radii=5, nu=None, nv=None):
     """Evaluate the stability form over a family of normal-speed bumps.
 
     The frame is evaluated once per row block of the quadrature grid, and
@@ -442,11 +441,11 @@ def stability_scan(P, bumps=None, n_centers=5, n_radii=5, nu=None, nv=None,
     measured).  Any other bump, a hand-made product too, goes through
     tangential() on each block and the pairwise tree, and equals
     quadratic_form bit for bit.  The scan raises if max |H| over the
-    non-characteristic nodes of the whole grid exceeds minimal_tol.
+    non-characteristic nodes of the whole grid exceeds MINIMAL_TOL.
     Returns the full table (in lattice order), the argmin, the first bump
     whose Q is within 1e-12 of the family's max |Q| of the smallest, and
     its Q as min_value (both None for an empty family), and the first
-    witness with Q < witness_threshold (None if the scan stays
+    witness with Q < WITNESS_THRESHOLD (None if the scan stays
     nonnegative).
     """
     if bumps is None:
@@ -475,13 +474,13 @@ def stability_scan(P, bumps=None, n_centers=5, n_radii=5, nu=None, nv=None,
     Qs = []
     if bumps:  # an empty family evaluates no frame
         [others_q], _ = _integrate(grid, _patch_frames(P), densities)
-        _require_minimal(worst, minimal_tol)
+        _require_minimal(worst)
         products_q = iter(_separable_forms(products, grid, planes))
         others_q = iter(others_q)
         Qs = [next(products_q if isinstance(F, _ProductBump) else others_q)
               for F, _ in bumps]
     table = [dict(meta, Q=Q) for (_, meta), Q in zip(bumps, Qs)]
-    witness = next((rec for rec in table if rec["Q"] < witness_threshold),
+    witness = next((rec for rec in table if rec["Q"] < WITNESS_THRESHOLD),
                    None)
     if table:
         # Q values that tie in exact arithmetic (mirror-image bumps on a
@@ -515,7 +514,7 @@ def _separable_forms(products, grid, planes):
     return (rows[iu] * right[iv]).reshape(len(iu), -1).sum(axis=1).tolist()
 
 
-def intrinsic_stability_form(Gr, F, nu=None, nv=None, minimal_tol=1e-8):
+def intrinsic_stability_form(Gr, F, nu=None, nv=None):
     """Both sides of the graph stability inequality for an H-minimal
     intrinsic graph: stable means lhs <= rhs for every compactly
     supported F, with
@@ -527,7 +526,7 @@ def intrinsic_stability_form(Gr, F, nu=None, nv=None, minimal_tol=1e-8):
     rhs - lhs equals the geometric form Q(F) of the associated patch.
     Both sides stream through _integrate (W >= 1: no node is in the band).
     Raises after the reduction if the graph is not H-minimal
-    (B_phi(B_phi phi) must vanish, and NaN fails).
+    (max |B_phi(B_phi phi)| must be <= 1e-8, so NaN fails).
     """
     worst = []
 
@@ -548,6 +547,6 @@ def intrinsic_stability_form(Gr, F, nu=None, nv=None, minimal_tol=1e-8):
 
     [(lhs, rhs)], _ = _integrate(_grid_for(Gr, nu, nv), frames,
                                  lambda zz, rows: (zz["lhs"], zz["rhs"]))
-    worst = _require_minimal(worst, minimal_tol,
+    worst = _require_minimal(worst, 1e-8,
                              "graph is not H-minimal (max |B(B phi)| = %g)")
     return {"lhs": lhs, "rhs": rhs, "Q": rhs - lhs, "max_BBphi": worst}

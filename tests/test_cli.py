@@ -90,8 +90,7 @@ def test_measure_eps_area_keys(capsys):
 # -- identities ----------------------------------------------------------------
 
 def test_identities_all_pass_on_minimal_graph(capsys):
-    rc, out, _ = invoke(capsys, ["identities", "--surface", "xyt-graph",
-                                 "--grid", "64"])
+    rc, out, _ = invoke(capsys, ["identities", "--surface", "xyt-graph"])
     assert rc == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     assert out.splitlines()[0] == \
@@ -102,8 +101,7 @@ def test_identities_all_pass_on_minimal_graph(capsys):
 
 def test_identities_fail_exit_code_with_tight_tolerance(capsys, monkeypatch):
     monkeypatch.setattr(cli, "IDENTITY_TOL", 1e-18)
-    rc, out, _ = invoke(capsys, ["identities", "--surface", "t-graph:parab",
-                                 "--grid", "32"])
+    rc, out, _ = invoke(capsys, ["identities", "--surface", "t-graph:parab"])
     assert rc == 1
     rows = list(csv.DictReader(io.StringIO(out)))
     assert any(r["pass"] == "false" for r in rows)
@@ -405,8 +403,9 @@ _JSON_REPORTS = [
 def test_json_writer_equals_json_dumps_of_plain_values(capsys, argv):
     # render_json writes in one recursive pass what json.dumps(indent=2)
     # printed of the report once made plain, byte for byte
-    cfg = cli._merge_config(cli._build_parser().parse_args(argv))
-    report = cli._VERBS[argv[0]](cfg)[0]
+    kwargs = cli._merge_config(cli._build_parser().parse_args(argv))
+    del kwargs["out"], kwargs["format"]
+    report = cli._VERBS[argv[0]](**kwargs)[0]
     text = cli.render_json(report)
     assert text == _dumps_json(report)
     rc, out, _ = invoke(capsys, argv + (["--format", "json"]
@@ -450,8 +449,8 @@ def test_json_writer_rejects_nan_and_infinity_as_json_dumps_does(bad, kind):
 
 
 def test_nan_report_fails_with_exit_code_2(capsys, monkeypatch):
-    monkeypatch.setitem(cli._VERBS, "catalog", lambda cfg: (
-        {"value": np.float64("nan")}, "json", None, True))
+    monkeypatch.setitem(cli._VERBS, "catalog", lambda: (
+        {"value": np.float64("nan")}, "json", True))
     rc, out, err = invoke(capsys, ["catalog"])
     assert (rc, out) == (2, "")
     assert err == ("error: Out of range float values are not JSON compliant:"
@@ -560,7 +559,7 @@ def test_report_is_byte_stable(capsys):
 
 
 def test_out_flag_writes_file_and_silences_stdout(capsys, tmp_path):
-    argv = ["identities", "--surface", "xyt-graph", "--grid", "32"]
+    argv = ["identities", "--surface", "xyt-graph"]
     _, stdout_report, _ = invoke(capsys, argv)
     path = tmp_path / "report.csv"
     rc, out, _ = invoke(capsys, argv + ["--out", str(path)])
@@ -602,20 +601,61 @@ def test_tiny_grid_rejected(capsys):
 
 
 def test_grid_is_checked_only_by_the_verbs_that_integrate(capsys):
-    # curvature reads no --grid: a tiny or odd one prints the default's
-    # bytes
-    default = invoke(capsys, ["curvature"])[:2]
-    assert default[0] == 0
-    for grid in ("6", "9"):
-        assert invoke(capsys, ["curvature", "--grid", grid])[:2] == default
-    for verb in ("identities", "flow-check", "catalog"):
-        assert invoke(capsys, [verb, "--grid", "6"])[0] == 0
+    # the other verbs read no --grid: any value is a usage error
+    for verb in ("curvature", "identities", "flow-check", "catalog"):
+        for grid in ("6", "9", "128"):
+            assert invoke(capsys, [verb, "--grid", grid]) == (
+                2, "", "error: %s reads no --grid\n" % verb)
     # a Simpson grid needs an even cell count >= 8: one usage error
     for verb in ("measure", "variation", "stability"):
         for grid in ("6", "9"):
             rc, _, err = invoke(capsys, [verb, "--grid", grid])
             assert rc == 2
             assert err == "error: --grid must be an even number >= 8\n"
+
+
+# a flag each verb does not read
+_UNREAD = {"curvature": "--grid", "measure": "--points", "identities":
+           "--eps", "variation": "--family", "stability": "--field",
+           "flow-check": "--lam", "catalog": "--surface"}
+
+
+@pytest.mark.parametrize("verb", sorted(_UNREAD))
+def test_each_verb_accepts_only_the_flags_it_reads(capsys, tmp_path, verb):
+    assert invoke(capsys, [verb, _UNREAD[verb], "1"]) == (
+        2, "", "error: %s reads no %s\n" % (verb, _UNREAD[verb]))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"grid": 16, "gird": 64}))
+    assert invoke(capsys, [verb, "--config", str(path)]) == (
+        2, "", "error: config key \"gird\" names no flag\n")
+    # one config serves every verb: each reads the keys it has a flag for
+    config = {"surface": "xyt-graph", "grid": 16, "points": 4}
+    path.write_text(json.dumps(config))
+    flags = [a for k, v in config.items() if k in cli._READS[verb]
+             for a in ("--" + k, str(v))]
+    assert bool(flags) == (verb != "catalog")
+    expected = invoke(capsys, [verb] + flags)
+    assert expected[0] in (0, 1)
+    assert invoke(capsys, [verb, "--config", str(path)]) == expected
+
+
+_MALFORMED = [["variation", "--field", spec] for spec in (
+    "null", "5", '"x"', '{"a": "poly:[[1,[1]]]"}', '{"a": true}',
+    '{"a": false}')] + [["curvature", "--surface", spec] for spec in (
+        "t-graph:poly:[[1,[1]]]", "t-graph:poly:[1]", "intrinsic:poly:null",
+        "t-graph:poly:[[1,[0.5,2]]]", "t-graph:poly:{}",
+        "t-graph:poly:[[1,[1,2,3]]]")] + [
+    ["measure", "--quantity", "eps-area", "--eps", "-1", "--grid", "16"],
+    ["measure", "--quantity", "scaling", "--lam", "-2", "--grid", "16"]]
+
+
+@pytest.mark.parametrize("argv", _MALFORMED, ids=" ".join)
+def test_malformed_input_is_one_usage_error(capsys, argv):
+    # a ValueError where the spec or value is read, not a traceback or a
+    # silent misreading
+    rc, out, err = invoke(capsys, argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_csv_format_rejected_for_json_verbs(capsys):

@@ -302,7 +302,7 @@ def test_dilate_identity_factor(rng):
     assert np.array_equal(dilate(H1, 1.0, g), g)
 
 
-@pytest.mark.parametrize("lam", [0.0, -2.0])
+@pytest.mark.parametrize("lam", [0.0, -2.0, np.nan])
 def test_dilate_rejects_nonpositive_factor(lam):
     with pytest.raises(GroupError):
         dilate(H1, lam, [1.0, 0.0, 0.0])

@@ -18,6 +18,7 @@ from carnot_calc import (
     bump2,
     coordinate_harmonicity_residuals,
     coordinate_laplacians,
+    dilate_levelset,
     dilate_patch,
     eps_area,
     first_variation_analytic,
@@ -458,6 +459,14 @@ def test_eps_area_monotone_and_bounded():
         prev = val
 
 
+@pytest.mark.parametrize("eps", [-1.0, -1e-300, np.nan])
+def test_eps_area_rejects_negative_or_nan_eps(eps):
+    # the excess over the perimeter is >= 0 only for eps >= 0
+    P = build_surface("t-graph:parab").patch
+    with pytest.raises(ValueError, match="eps must be >= 0"):
+        eps_area(P, eps, nu=16, nv=16)
+
+
 def test_eps_area_on_plane_is_eps_independent():
     P = build_surface("vertical-plane:1,0,0", domain=(0, 1, 0, 1)).patch
     vals = [eps_area(P, eps, nu=16, nv=16).value for eps in (0, 1e-3, 1e-1)]
@@ -483,6 +492,16 @@ def test_perimeter_scales_cubically(sid, lam):
     P = build_surface(sid).patch
     assert scaling_ratio(P, lam, nu=64, nv=64) == \
         pytest.approx(lam**3, rel=1e-6)
+
+
+@pytest.mark.parametrize("lam", [0.0, -2.0, np.nan])
+def test_dilations_reject_a_nonpositive_or_nan_factor(lam):
+    cat = build_surface("t-graph:parab")
+    for dilated in (lambda: scaling_ratio(cat.patch, lam, nu=16, nv=16),
+                    lambda: dilate_patch(cat.patch, lam),
+                    lambda: dilate_levelset(cat.levelset, lam)):
+        with pytest.raises(ValueError, match="factor must be positive"):
+            dilated()
 
 
 @pytest.mark.parametrize("n", [64, 130])
@@ -621,13 +640,15 @@ def test_laplacian_variants_differ_by_omega_term(rng):
 def test_ambient_route_matches_patch_route(rng):
     cat = build_surface("t-graph:parab")
     field = build_field(H1, "x")
-    for _ in range(5):
-        u, v = rng.uniform(0.6, 1.4, size=2)
-        amb = ambient_tangential_laplacian(cat.levelset, field,
-                                           cat.patch.point(u, v))
-        # restrict x to the patch: x(u, v) = u
-        pat = tangential_laplacian(cat.patch, lambda a, b: a + 0.0 * b, u, v)
-        assert abs(amb - pat) < 1e-5
+    for variant in ("plain", "hat"):
+        for _ in range(5):
+            u, v = rng.uniform(0.6, 1.4, size=2)
+            amb = ambient_tangential_laplacian(cat.levelset, field,
+                                               cat.patch.point(u, v), variant)
+            # restrict x to the patch: x(u, v) = u
+            pat = tangential_laplacian(cat.patch, lambda a, b: a + 0.0 * b,
+                                       u, v, variant)
+            assert abs(amb - pat) < 1e-5
 
 
 def test_ambient_laplacian_ignores_off_surface_extension(rng):
