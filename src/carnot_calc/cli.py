@@ -33,7 +33,7 @@ _ASCII = json.encoder.encode_basestring_ascii  # a str as a JSON literal
 
 _CSV_HELP = """\
 CSV columns by verb:
-  curvature:  u, v, p, q, omega, W, H_param[, H_levelset], A, obar
+  curvature:  u, v, p, q, omega, W, H_param, H_levelset, A, obar
               (H_param, H_levelset, A, obar empty at characteristic nodes)
   identities: identity_id, surface_id, residual, tolerance, pass
   flow-check: u, v, residual, tolerance, pass
@@ -149,7 +149,11 @@ def _parse_component(spec, domain):
         return lambda u, v: c + 0.0 * u + 0.0 * v
     s = str(spec)
     if s.startswith("bump:"):
-        cu, cv, ru, rv = (float(z) for z in s[5:].split(","))
+        try:
+            cu, cv, ru, rv = (float(z) for z in s[5:].split(","))
+        except ValueError:
+            raise ValueError("cannot parse deformation component %r: "
+                             "expected bump:cu,cv,ru,rv" % s) from None
         return bump2(cu, cv, ru, rv)
     if s.startswith("poly:"):
         return _poly2(json.loads(s[5:]))
@@ -168,6 +172,10 @@ def parse_field_spec(spec, domain):
     if not isinstance(doc, dict):
         raise ValueError("deformation field must be a JSON object or "
                          "'auto', not %s" % json.dumps(doc))
+    for key in doc:
+        if key not in ("a", "b", "k", "name"):
+            raise ValueError("deformation field key %s is not one of a, b, "
+                             "k, name" % json.dumps(key))
     return var.DeformationField(_parse_component(doc.get("a"), domain),
                                 _parse_component(doc.get("b"), domain),
                                 _parse_component(doc.get("k"), domain),
@@ -182,9 +190,8 @@ def cmd_curvature(surface, points):
     S = build_surface(surface, grid=None)
     k = max(2, int(np.ceil(np.sqrt(points))))
     cols = curvature_grid(S.patch, nu=k, nv=k)
-    order = ["u", "v", "p", "q", "omega", "W", "H_param", "H_levelset",
+    names = ["u", "v", "p", "q", "omega", "W", "H_param", "H_levelset",
              "A", "obar"]
-    names = [nm for nm in order if nm in cols]
     # characteristic nodes have no H, A or obar: null (JSON) or empty (CSV)
     cells = [[x if ok else None
               for x, ok in zip(cols[nm].tolist(),
@@ -211,8 +218,6 @@ def cmd_measure(surface, grid, quantity, eps, lam):
 
 def cmd_identities(surface, points):
     S = build_surface(surface)
-    if S.levelset is None:
-        raise ValueError("surface %r has no level-set form" % surface)
     U, V = np.array(_sample_lattice(S.patch.domain, points)).T
     records = identity_battery(S.levelset, S.patch.point(U, V).T)
     worst = {}  # in IDENTITY_IDS order, as the records come
@@ -250,9 +255,9 @@ def cmd_variation(surface, grid, field, mode):
 _FAMILY_FORMS = "bump-lattice[:<nc>,<nr>] or random:<count>,<seed>"
 
 
-def _parse_family(spec, P, nquad):
+def _parse_family(spec, domain):
     if spec in (None, "bump-lattice"):
-        return None  # stability_scan builds the default lattice
+        return {}  # stability_scan's keywords; it builds the lattice
     kind, colon, params = str(spec).partition(":")
     if kind not in ("bump-lattice", "random") or not colon:
         raise UsageError("unknown stability family %r (expected %s)"
@@ -266,18 +271,15 @@ def _parse_family(spec, P, nquad):
                          " non-negative integers" % (spec, _FAMILY_FORMS)
                          ) from None
     if kind == "bump-lattice":
-        u0, u1, v0, v1 = P.domain
-        cell = max(u1 - u0, v1 - v0) / float(nquad)
-        return var.product_bump_lattice(P.domain, first, second,
-                                        margin=cell)
-    return var.random_product_bumps(P.domain, first,
-                                    np.random.default_rng(second))
+        return {"n_centers": first, "n_radii": second}
+    return {"bumps": var.random_product_bumps(
+        domain, first, np.random.default_rng(second))}
 
 
 def cmd_stability(surface, grid, family):
     P = build_surface(surface).patch
-    scan = var.stability_scan(P, bumps=_parse_family(family, P, grid),
-                              nu=grid, nv=grid)
+    scan = var.stability_scan(P, nu=grid, nv=grid,
+                              **_parse_family(family, P.domain))
     return {"surface": surface, "family": family or "bump-lattice",
             "grid": [grid, grid], "count": scan["count"],
             "min_value": scan["min_value"], "argmin": scan["argmin"],

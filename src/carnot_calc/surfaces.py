@@ -190,7 +190,7 @@ class ParamPatch:
     """
 
     def __init__(self, group, x, y, t, domain, grid=(128, 128), name="patch",
-                 uv_of_point=None, levelset=None):
+                 levelset=None):
         if not (group.is_heisenberg and group.dim == 3):
             raise ValueError("parametric patches are implemented on H^1")
         self.group = group
@@ -200,7 +200,6 @@ class ParamPatch:
             raise ValueError("domain rectangle is empty")
         self.grid = (int(grid[0]), int(grid[1]))
         self.name = name
-        self.uv_of_point = uv_of_point
         self.levelset = levelset
 
     def components(self, u, v):
@@ -534,10 +533,8 @@ def intrinsic_to_patch(Gr):
         H1, ScalarField(H1, Phi, name=Gr.name + "-level", check=False),
         name=Gr.name + "-levelset")
 
-    return ParamPatch(
-        H1, x, y, t, Gr.domain, Gr.grid, name=Gr.name,
-        uv_of_point=lambda xc, yc, tc: (yc, tc + 0.5 * xc * yc),
-        levelset=level)
+    return ParamPatch(H1, x, y, t, Gr.domain, Gr.grid, name=Gr.name,
+                      levelset=level)
 
 
 # ---------------------------------------------------------------------------
@@ -636,14 +633,13 @@ def horizontal_plane_residual(G, g0, g):
 
 
 class CatalogSurface:
-    """A named surface with parametric and (usually) level-set forms."""
+    """A named surface: its parametric patch and the patch's level-set
+    companion (None for a patch without one)."""
 
-    def __init__(self, sid, patch, levelset=None):
+    def __init__(self, sid, patch):
         self.id = sid
         self.patch = patch
-        self.levelset = levelset if levelset is not None else patch.levelset
-        if self.levelset is not None:
-            patch.levelset = self.levelset
+        self.levelset = patch.levelset
 
 
 def _poly2(terms):
@@ -663,75 +659,49 @@ def _poly2(terms):
     return fn
 
 
+def _poly_patch(name, x, y, t, domain, grid, phi=None):
+    """Patch theta(u, v) = (x, y, t) of two-variable term lists.
+
+    phi, a term list in (x, y, t), gives the level-set companion
+    {phi = 0}; its sign must orient grad phi along theta_u ^ theta_v.
+    """
+    level = None if phi is None else LevelSetSurface(
+        H1, poly_field(H1, phi, name=name + "-level"), name=name)
+    return ParamPatch(H1, _poly2(x), _poly2(y), _poly2(t), domain, grid,
+                      name=name, levelset=level)
+
+
 _NAMED_HEIGHTS = {
     "zero": [],
     "parab": [[1.0, [2, 0]], [1.0, [0, 2]]],
     "xy": [[1.0, [1, 1]]],
 }
+_U, _V = [[1.0, [1, 0]]], [[1.0, [0, 1]]]  # the term lists of u and v
 
 
 def _tgraph(hid, domain, grid):
+    """t = h(u, v) over (x, y) = (u, v), the level set of t - h."""
     if hid in _NAMED_HEIGHTS:
         terms = _NAMED_HEIGHTS[hid]
     elif hid.startswith("poly:"):
         terms = json.loads(hid[5:])
     else:
         raise ValueError("unknown t-graph height %r" % hid)
-    h = _poly2(terms)
-    phi_terms = [[1.0, [0, 0, 1]]] + [[-float(c), [int(e[0]), int(e[1]), 0]]
-                                      for c, e in terms]
-    level = LevelSetSurface(H1, poly_field(H1, phi_terms, name="t-height"),
-                            name="t-graph:" + hid)
-
-    def x(u, v):
-        return u + _zero_like(v)
-
-    def y(u, v):
-        return v + _zero_like(u)
-
-    return ParamPatch(H1, x, y, h, domain, grid, name="t-graph:" + hid,
-                      uv_of_point=lambda xc, yc, tc: (xc, yc),
-                      levelset=level)
+    phi = [[1.0, [0, 0, 1]]] + [[-c, [i, j, 0]]
+                                for c, (i, j) in _poly_terms(terms, 2)]
+    return _poly_patch("t-graph:" + hid, _U, _V, terms, domain, grid, phi)
 
 
 def _vertical_plane(a, b, c, domain, grid):
+    """The plane ax + by = c: (x, y) = (x0, y0) + u (-b, a) / r, t = v."""
     r = float(np.hypot(a, b))
     if r == 0.0:
         raise ValueError("vertical plane needs (a, b) != (0, 0)")
     x0, y0 = a * c / r ** 2, b * c / r ** 2
-
-    def x(u, v):
-        return x0 - (b / r) * u + _zero_like(v)
-
-    def y(u, v):
-        return y0 + (a / r) * u + _zero_like(v)
-
-    def t(u, v):
-        return v + _zero_like(u)
-
-    phi = poly_field(H1, [[a, [1, 0, 0]], [b, [0, 1, 0]], [-c, [0, 0, 0]]],
-                     name="ax+by-c")
-    return ParamPatch(
-        H1, x, y, t, domain, grid, name="vertical-plane:%g,%g,%g" % (a, b, c),
-        uv_of_point=lambda xc, yc, tc:
-            ((-b * (xc - x0) + a * (yc - y0)) / r, tc),
-        levelset=LevelSetSurface(H1, phi, name="vertical-plane"))
-
-
-def _xyt_graph(domain, grid):
-    def x(u, v):
-        return u * v
-
-    def y(u, v):
-        return u + _zero_like(v)
-
-    def t(u, v):
-        return v + _zero_like(u)
-
-    phi = poly_field(H1, [[1.0, [1, 0, 0]], [-1.0, [0, 1, 1]]], name="x-yt")
-    return ParamPatch(H1, x, y, t, domain, grid, name="xyt-graph",
-                      uv_of_point=lambda xc, yc, tc: (yc, tc),
-                      levelset=LevelSetSurface(H1, phi, name="xyt-graph"))
+    return _poly_patch("vertical-plane:%g,%g,%g" % (a, b, c),
+                       [[x0, [0, 0]], [-b / r, [1, 0]]],
+                       [[y0, [0, 0]], [a / r, [1, 0]]], _V, domain, grid,
+                       [[a, [1, 0, 0]], [b, [0, 1, 0]], [-c, [0, 0, 0]]])
 
 
 def _intrinsic(iid, domain, grid):
@@ -756,8 +726,6 @@ def _intrinsic(iid, domain, grid):
 _DEFAULT_DOMAINS = {
     "vertical-plane": (-2.0, 2.0, -2.0, 2.0),
     "t-graph:zero": (1.0, 2.0, 0.0, 1.0),
-    "t-graph:parab": (0.5, 1.5, 0.5, 1.5),
-    "t-graph:xy": (0.5, 1.5, 0.5, 1.5),
     # wide enough in u for the unstable stretched bumps to fit
     "xyt-graph": (-6.0, 6.0, -3.0, 3.0),
     "intrinsic": (-1.0, 1.0, -1.0, 1.0),
@@ -776,9 +744,8 @@ def build_surface(sid, domain=None, grid=None):
     if isinstance(sid, dict):
         dom = domain or tuple(sid.get("domain", (-1.0, 1.0, -1.0, 1.0)))
         gr = grid or tuple(sid.get("grid", (128, 128)))
-        patch = ParamPatch(H1, _poly2(sid["x"]), _poly2(sid["y"]),
-                           _poly2(sid["t"]), dom, gr,
-                           name=sid.get("name", "custom-patch"))
+        patch = _poly_patch(sid.get("name", "custom-patch"), sid["x"],
+                            sid["y"], sid["t"], dom, gr)
         return CatalogSurface(patch.name, patch)
     sid = str(sid).strip()
     grid = grid or (128, 128)
@@ -791,7 +758,10 @@ def build_surface(sid, domain=None, grid=None):
         return CatalogSurface(sid, _tgraph(sid.split(":", 1)[1], dom, grid))
     if sid == "xyt-graph":
         dom = domain or _DEFAULT_DOMAINS[sid]
-        return CatalogSurface(sid, _xyt_graph(dom, grid))
+        # x = y t over (y, t) = (u, v), the level set of x - y t
+        return CatalogSurface(sid, _poly_patch(
+            sid, [[1.0, [1, 1]]], _U, _V, dom, grid,
+            [[1.0, [1, 0, 0]], [-1.0, [0, 1, 1]]]))
     if sid.startswith("intrinsic:"):
         dom = domain or _DEFAULT_DOMAINS["intrinsic"]
         return CatalogSurface(sid, _intrinsic(sid.split(":", 1)[1], dom, grid))

@@ -198,6 +198,28 @@ def test_variation_rejects_an_unparseable_component(capsys):
     assert "cannot parse deformation component" in err
 
 
+@pytest.mark.parametrize("key", ["A", "c", "names"])
+def test_variation_rejects_an_unknown_field_key(capsys, key):
+    # a misspelled coefficient must not silently become the zero field
+    rc, out, err = invoke(capsys, ["variation", "--surface", "t-graph:parab",
+                                   "--grid", "16",
+                                   "--field", json.dumps({key: "auto"})])
+    assert (rc, out) == (2, "")
+    assert err == ("error: deformation field key %s is not one of a, b, k,"
+                   " name\n" % json.dumps(key))
+
+
+@pytest.mark.parametrize("bump", ["bump:1,1", "bump:1,x,1,1",
+                                  "bump:1,1,1,1,1", "bump:"])
+def test_variation_malformed_bump_names_component_and_form(capsys, bump):
+    rc, out, err = invoke(capsys, ["variation", "--surface", "t-graph:parab",
+                                   "--grid", "16",
+                                   "--field", json.dumps({"a": bump})])
+    assert (rc, out) == (2, "")
+    assert err == ("error: cannot parse deformation component %r: expected"
+                   " bump:cu,cv,ru,rv\n" % bump)
+
+
 def test_poly_component_matches_hand_written_polynomial():
     terms = [[0.5, [2, 1]], [-1.25, [0, 3]], [2, [1, 0]], [0.75, [0, 0]]]
     fn = cli._parse_component("poly:" + json.dumps(terms), (0, 1, 0, 1))

@@ -153,19 +153,6 @@ def test_param_frame_vertical_plane():
     assert fr.omega == pytest.approx(0.0, abs=1e-14)
 
 
-def test_cross_representation_agreement(rng):
-    # same surface, two descriptions: normalized frames must agree
-    cat = build_surface("t-graph:parab")
-    P, S = cat.patch, cat.levelset
-    for _ in range(15):
-        u, v = rng.uniform(0.55, 1.45, size=2)
-        fp = frame_param(P, (u, v))
-        fl = frame_levelset(S, P.point(u, v))
-        assert np.max(np.abs(fp.pbar - fl.pbar)) < 1e-8
-        assert abs(fp.obar - fl.obar) < 1e-8
-        assert np.max(np.abs(fp.nuH_vector() - fl.nuH_vector())) < 1e-8
-
-
 @pytest.mark.parametrize("sid", ["t-graph:parab", "xyt-graph", "intrinsic:xyt",
                                  "vertical-plane:1,0.5,-0.25"])
 def test_param_frame_fd_engine_matches_analytic(sid):
@@ -433,14 +420,6 @@ def test_intrinsic_companion_levelset_vanishes(rng):
         assert abs(P.levelset.phi.value(g)) < 1e-12
 
 
-def test_intrinsic_uv_roundtrip(rng):
-    Gr = IntrinsicGraph(lambda u, v: u * v, (-1, 1, -1, 1), name="uv")
-    P = intrinsic_to_patch(Gr)
-    u, v = rng.uniform(-0.9, 0.9, size=2)
-    uv = P.uv_of_point(*P.point(u, v))
-    assert np.allclose(uv, [u, v], atol=1e-12)
-
-
 # -- graph derivative -------------------------------------------------------------
 
 def test_burgers_zero_graph_is_u_derivative(rng):
@@ -545,6 +524,26 @@ def test_catalog_every_id_builds_and_frames():
         v = 0.3 * dom[2] + 0.7 * dom[3]
         fr = frame_param(cat.patch, (u, v), normalized=False)
         assert np.all(np.isfinite(fr.p))
+
+
+@pytest.mark.parametrize("sid", catalog_ids())
+def test_cross_representation_agreement(sid, rng):
+    # same surface, two descriptions: the patch lies on its level-set
+    # companion, and the normalized frames agree (a sign error in a phi
+    # table would flip pbar and obar)
+    cat = build_surface(TEMPLATE_EXAMPLES.get(sid, sid))
+    P, S = cat.patch, cat.levelset
+    u0, u1, v0, v1 = P.domain
+    for _ in range(15):
+        u = rng.uniform(u0 + 0.05 * (u1 - u0), u1 - 0.05 * (u1 - u0))
+        v = rng.uniform(v0 + 0.05 * (v1 - v0), v1 - 0.05 * (v1 - v0))
+        g = P.point(u, v)
+        assert abs(S.phi.value(g)) <= 1e-12
+        fp = frame_param(P, (u, v))
+        fl = frame_levelset(S, g)
+        assert np.max(np.abs(fp.pbar - fl.pbar)) <= 1e-12
+        assert np.max(np.abs(fp.obar - fl.obar)) <= 1e-12
+        assert np.max(np.abs(fp.nuH_vector() - fl.nuH_vector())) < 1e-8
 
 
 def test_build_surface_rejects_unknown_id():
