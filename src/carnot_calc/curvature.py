@@ -78,9 +78,10 @@ def levelset_fields(S, g, order=2):
     G = S.group
     g = np.asarray(g, dtype=float)
     pts = np.atleast_2d(g)
-    n, dim, m = len(pts), G.dim, G.m
+    m = G.m
     ph = S.phi.jet(pts, order=order)
-    grad = np.broadcast_to(ph.g, (dim, n)).T
+    # phi's partials broadcast to its (n,) values, stacked on a last axis
+    grad = np.stack(np.broadcast_arrays(ph.v, *ph.g)[1:], axis=-1)
     A = frame_at(G, pts)
     At = np.swapaxes(A, -1, -2)
     comps = _dot(At, grad[:, None, :])
@@ -94,7 +95,8 @@ def levelset_fields(S, g, order=2):
            "pbar": pbar, "obar": obar}
     if order < 2:
         return _first_point(out, g)
-    hess = np.moveaxis(np.broadcast_to(ph.h, (dim, dim, n)), -1, 0)
+    hess = np.stack([np.stack(np.broadcast_arrays(ph.v, *row)[1:], axis=-1)
+                     for row in ph.h], axis=1)
     J = frame_jacobian(G, pts)
     # dcomps[k, l, i] = d/dg_l of <N, frame_i> at the k-th point
     dcomps = (_dot(np.swapaxes(J, -1, -2), grad[:, None, None, :])

@@ -11,6 +11,8 @@ exists as an independent cross-check of the analytic path.
 import json
 import math
 import numbers
+import operator
+from itertools import repeat
 
 import numpy as np
 
@@ -32,12 +34,90 @@ __all__ = [
 # forward-mode jets
 
 
+class Partials(tuple):
+    """The partial derivatives of a jet, one entry per variable (one row of
+    entries per variable for the Hessian).
+
+    Each entry is an array or a number with its own broadcast shape, so a
+    partial that depends on one variable stays one row or column wide; the
+    float 0.0 marks a partial that is zero everywhere.  p[k, l] reads
+    p[k][l], and np.asarray(p) stacks the entries broadcast to one shape.
+    """
+
+    __slots__ = ()
+
+    def __getitem__(self, key):
+        if isinstance(key, tuple):
+            return self[key[0]][key[1]]
+        return tuple.__getitem__(self, key)
+
+    def __array__(self, dtype=None, copy=None):
+        try:
+            return np.array([tuple(e) if isinstance(e, Partials) else e
+                             for e in self], dtype=dtype)
+        except ValueError:  # entries of different shapes
+            return np.stack(np.broadcast_arrays(
+                *(np.asarray(e, dtype=dtype) for e in self)))
+
+
+def _times(a, b):
+    """a * b, where a float 0.0 factor gives the structural zero 0.0 and a
+    float 1.0 factor passes the other one through."""
+    if type(a) is float:
+        if a == 0.0:
+            return 0.0
+        if a == 1.0:
+            return b
+    if type(b) is float:
+        if b == 0.0:
+            return 0.0
+        if b == 1.0:
+            return a
+    return a * b
+
+
+def _plus(a, b):
+    """a + b, where a float 0.0 term passes the other one through."""
+    if type(a) is float and a == 0.0:
+        return b
+    if type(b) is float and b == 0.0:
+        return a
+    return a + b
+
+
+def _minus(a, b):
+    """a - b, with the structural zeros of _plus."""
+    if type(b) is float and b == 0.0:
+        return a
+    if type(a) is float and a == 0.0:
+        return -b
+    return a - b
+
+
+def _each(fn, g, h, *args):
+    """fn(entry, *args) of every entry of the partials g and h (h None: a
+    first-order jet's), as the partials (g, h) of a new jet."""
+    args = [repeat(a) for a in args]
+    return (Partials(map(fn, g, *args)),
+            None if h is None else Partials(Partials(map(fn, row, *args))
+                                            for row in h))
+
+
+def _zeros(n, order=2):
+    """Partials of a constant: n structural zeros, and the n x n Hessian
+    zeros unless order is 1."""
+    g = Partials((0.0,) * n)
+    return g, (None if order < 2 else Partials((g,) * n))
+
+
 class Jet:
     """Second-order truncated Taylor scalar: value, gradient, Hessian.
 
-    Components may be floats or numpy arrays (broadcasting over grids).
-    h=None marks a first-order jet; constants keep h=0 so they never
-    downgrade the order of an expression.
+    v is a float or a numpy array; g holds the n first partials and h the
+    n x n second partials as Partials, each entry in its own broadcast
+    shape and the float 0.0 where a partial is zero everywhere.  h=None
+    marks a first-order jet.  A plain number in an operation is a constant
+    with no partials, so it never downgrades the order of an expression.
     """
 
     __slots__ = ("v", "g", "h")
@@ -47,70 +127,61 @@ class Jet:
         self.g = g
         self.h = h
 
-    # -- helpers -----------------------------------------------------------
-
-    @staticmethod
-    def _lift(x):
-        if isinstance(x, Jet):
-            return x
-        return Jet(x, 0.0, 0.0)
-
-    @staticmethod
-    def _outer(a, b):
-        if np.isscalar(a) and a == 0.0:
-            return 0.0
-        if np.isscalar(b) and b == 0.0:
-            return 0.0
-        a = np.asarray(a)
-        b = np.asarray(b)
-        return a[:, None, ...] * b[None, :, ...]
-
-    def _both(self, other):
-        o = Jet._lift(other)
-        keep = self.h is not None and o.h is not None
-        return o, keep
-
     # -- ring operations ----------------------------------------------------
 
     def __neg__(self):
-        return Jet(-self.v, -self.g, None if self.h is None else -self.h)
+        return Jet(-self.v, *_each(operator.neg, self.g, self.h))
+
+    def _sum(self, other, op, entry_op):
+        """self op other for op + or -, entry_op _plus or _minus."""
+        if not isinstance(other, Jet):
+            return Jet(op(self.v, other), self.g, self.h)
+        h = None
+        if self.h is not None and other.h is not None:
+            h = Partials(Partials(map(entry_op, a, b))
+                         for a, b in zip(self.h, other.h))
+        return Jet(op(self.v, other.v), Partials(map(entry_op, self.g,
+                                                     other.g)), h)
 
     def __add__(self, other):
-        o, keep = self._both(other)
-        return Jet(self.v + o.v, self.g + o.g,
-                   self.h + o.h if keep else None)
+        return self._sum(other, operator.add, _plus)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o, keep = self._both(other)
-        return Jet(self.v - o.v, self.g - o.g,
-                   self.h - o.h if keep else None)
+        return self._sum(other, operator.sub, _minus)
 
     def __rsub__(self, other):
-        o, keep = self._both(other)
-        return Jet(o.v - self.v, o.g - self.g,
-                   o.h - self.h if keep else None)
+        return Jet(other - self.v, *_each(operator.neg, self.g, self.h))
 
     def __mul__(self, other):
-        o, keep = self._both(other)
-        v = self.v * o.v
-        g = self.g * o.v + o.g * self.v
+        if not isinstance(other, Jet):
+            return Jet(self.v * other, *_each(_times, self.g, self.h, other))
+        sv, ov, sg, og = self.v, other.v, self.g, other.g
+        g = Partials([_plus(_times(a, ov), _times(b, sv))
+                      for a, b in zip(sg, og)])
         h = None
-        if keep:
-            h = (self.h * o.v + o.h * self.v
-                 + Jet._outer(self.g, o.g) + Jet._outer(o.g, self.g))
-        return Jet(v, g, h)
+        if self.h is not None and other.h is not None:
+            h = Partials([Partials([
+                _plus(_plus(_plus(_times(sa, ov), _times(oa, sv)),
+                            _times(a, ob)), _times(b, sb))
+                for sa, oa, ob, sb in zip(srow, orow, og, sg)])
+                for srow, orow, a, b in zip(self.h, other.h, sg, og)])
+        return Jet(sv * ov, g, h)
 
     __rmul__ = __mul__
 
     def _chain(self, f0, f1, f2):
         """Compose with a scalar function given f(v), f'(v) and a callable
         returning f''(v), called only when the Hessian is kept."""
-        g = f1 * self.g
+        g = Partials([_times(f1, a) for a in self.g])
         h = None
         if self.h is not None:
-            h = f1 * self.h + f2() * Jet._outer(self.g, self.g)
+            c = f2()
+            h = Partials([Partials([
+                _plus(_times(f1, e), _times(c, _times(a, b)))
+                for e, b in zip(row, self.g)])
+                for row, a in zip(self.h, self.g)])
         return Jet(f0, g, h)
 
     def reciprocal(self):
@@ -118,17 +189,17 @@ class Jet:
         return self._chain(iv, -iv * iv, lambda: 2.0 * iv * iv * iv)
 
     def __truediv__(self, other):
-        o = Jet._lift(other)
-        return self * o.reciprocal()
+        return self * (other.reciprocal() if isinstance(other, Jet)
+                       else 1.0 / other)
 
     def __rtruediv__(self, other):
-        return Jet._lift(other) * self.reciprocal()
+        return self.reciprocal() * other
 
     def __pow__(self, k):
         if isinstance(k, Jet):
             raise TypeError("jet exponents are not supported")
         if k == 0:
-            return Jet._lift(np.ones_like(self.v) * 1.0)
+            return Jet(np.ones_like(self.v) * 1.0, *_zeros(len(self.g)))
         if k == 1:
             return self
         if k == 2:
@@ -175,22 +246,22 @@ jet_log = _dispatch("log")
 def seed_jets(coords, order=2):
     """Independent-variable jets for a coordinate tuple (arrays allowed).
 
-    The seeds broadcast against each other with the same number of axes,
-    but an axis along which a coordinate repeats (stride 0, as in the views
-    of np.broadcast_arrays) keeps length 1: seeds of u[:, None] and
-    v[None, :] grids are (rows, 1) and (1, columns), so an expression in one
-    coordinate alone is computed once per distinct value.
+    The seed values broadcast against each other with the same number of
+    axes, but an axis along which a coordinate repeats (stride 0, as in the
+    views of np.broadcast_arrays) keeps length 1: seeds of u[:, None] and
+    v[None, :] grids are (rows, 1) and (1, columns).  Their partials are
+    the floats 1.0 and 0.0, so an expression in one coordinate alone, and
+    each of its partials, is computed once per distinct value.
     """
     coords = np.broadcast_arrays(*[np.asarray(c, dtype=float) for c in coords])
     n = len(coords)
+    h = _zeros(n, order)[1]
     out = []
     for i, c in enumerate(coords):
         # + 0.0 copies the distinct values (and turns -0.0 into 0.0)
         c = c[tuple(slice(0, 1) if st == 0 else slice(None)
                     for st in c.strides)] + 0.0
-        g = np.zeros((n,) + c.shape)
-        g[i] = 1.0
-        h = np.zeros((n, n) + c.shape) if order >= 2 else None
+        g = Partials((0.0,) * i + (1.0,) + (0.0,) * (n - 1 - i))
         out.append(Jet(c, g, h))
     return out
 
@@ -218,13 +289,9 @@ def _bump_of_square(s):
     m = v < 1.0
     safe = np.where(m, 1.0 - v, 1.0)
     f0 = np.where(m, np.exp(-1.0 / safe), 0.0)
-    f1 = np.where(m, -f0 / safe ** 2, 0.0)
-    g = f1 * s.g
-    h = None
-    if s.h is not None:
-        f2 = np.where(m, f0 / safe ** 4 - 2.0 * f0 / safe ** 3, 0.0)
-        h = f1 * s.h + f2 * Jet._outer(s.g, s.g)
-    return Jet(f0, g, h)
+    return s._chain(f0, np.where(m, -f0 / safe ** 2, 0.0),
+                    lambda: np.where(m, f0 / safe ** 4 - 2.0 * f0 / safe ** 3,
+                                     0.0))
 
 
 def bump1(center=0.0, radius=1.0):
@@ -337,28 +404,29 @@ class ScalarField:
         """Coordinate-space jet at g (exact for jet-safe fn or callbacks).
 
         g may be one point (dim,) or a batch (n, dim), whose jet holds (n,)
-        values, (dim, n) gradients and (dim, dim, n) Hessians; callbacks
-        are called once per point of a batch.
+        values and gradient and Hessian entries that broadcast to (n,);
+        callbacks are called once per point of a batch.
         """
         g = np.asarray(g, dtype=float)
         if self.gradient is not None and (order < 2 or self.hessian is not None):
+            hess = None
             if g.ndim > 1:
                 jets = [self.jet(gk, order) for gk in g]
-                return Jet(np.array([j.v for j in jets]),
-                           np.stack([j.g for j in jets], axis=-1),
-                           None if order < 2 else
-                           np.stack([j.h for j in jets], axis=-1))
-            grad = np.asarray(self.gradient(*g), dtype=float)
-            hess = None
-            if order >= 2:
-                hess = np.asarray(self.hessian(*g), dtype=float)
-                hess = 0.5 * (hess + hess.T)
-            return Jet(self.fn(*g), grad, hess)
+                v = np.array([j.v for j in jets])
+                grad = np.stack([np.asarray(j.g) for j in jets], axis=-1)
+                if order >= 2:
+                    hess = np.stack([np.asarray(j.h) for j in jets], axis=-1)
+            else:
+                v = self.fn(*g)
+                grad = np.asarray(self.gradient(*g), dtype=float)
+                if order >= 2:
+                    hess = np.asarray(self.hessian(*g), dtype=float)
+                    hess = 0.5 * (hess + hess.T)
+            return Jet(v, Partials(grad),
+                       None if hess is None else Partials(map(Partials, hess)))
         out = self.fn(*seed_jets(g.T, order=order))
         if not isinstance(out, Jet):  # constant field
-            n, shape = g.shape[-1], g.shape[:-1]
-            out = Jet(out + np.zeros(shape), np.zeros((n,) + shape),
-                      np.zeros((n, n) + shape) if order >= 2 else None)
+            out = Jet(out + np.zeros(g.shape[:-1]), *_zeros(g.shape[-1], order))
         return out
 
 
@@ -396,7 +464,7 @@ def _coordinate_jet(field, g, order, engine):
     eye = np.eye(n)
     for i in range(n):
         grad[i] = (field.fn(*(g + h * eye[i])) - field.fn(*(g - h * eye[i]))) / (2 * h)
-    return Jet(field.fn(*g), grad)
+    return Jet(field.fn(*g), Partials(grad))
 
 
 def x_derivative(G, field, i, g, engine=ANALYTIC):
@@ -429,17 +497,18 @@ def horizontal_jet(G, field, g, engine=ANALYTIC):
     A = frame_at(G, g)
     if engine.mode == "analytic":
         jet = _coordinate_jet(field, g, 2, engine)
+        grad, hess = np.asarray(jet.g), np.asarray(jet.h)
         dA = frame_jacobian(G, g)
-        gradH = A[:, :m].T @ jet.g
+        gradH = A[:, :m].T @ grad
         raw = np.empty((m, m))
         for i in range(m):
             for j in range(m):
                 # X_i X_j f = col_i^T Hf col_j + (X_i of col_j) . grad f
                 dcol = np.einsum("k,kl->l", A[:, i], dA[:, :, j])
-                raw[i, j] = A[:, i] @ jet.h @ A[:, j] + dcol @ jet.g
+                raw[i, j] = A[:, i] @ hess @ A[:, j] + dcol @ grad
     else:
         # one frame per distinct point: g and g +- h2 X_i(g)
-        jet = _coordinate_jet(field, g, 1, engine)
+        grad = np.asarray(_coordinate_jet(field, g, 1, engine).g)
         h, h2 = engine.step1(g), engine.step2(g)
         gradH = [_central(field, g, A[:, i], h) for i in range(m)]
         raw = np.empty((m, m))
@@ -457,7 +526,7 @@ def horizontal_jet(G, field, g, engine=ANALYTIC):
         "hessH": hessH,
         "lapH": float(np.trace(hessH)),
         "infH": float(gradH @ hessH @ gradH),
-        "comps": A.T @ jet.g,
+        "comps": A.T @ grad,
     }
 
 
@@ -491,21 +560,27 @@ def _poly_terms(terms, arity):
     return [(float(c), tuple(int(e) for e in exps)) for c, exps in terms]
 
 
+def _poly_sum(parsed, coords, total=0.0):
+    """total plus the terms c x_1^e_1 ... x_N^e_N of a _poly_terms list at
+    the coordinates (numbers, arrays or jets), added term by term; each
+    power x_k^e is computed once per call."""
+    powers = {}
+    for c, exps in parsed:
+        term = c
+        for k, e in enumerate(exps):
+            if e:
+                if (k, e) not in powers:
+                    powers[k, e] = coords[k] ** e
+                term = term * powers[k, e]
+        total = term + total
+    return total
+
+
 def poly_field(G, terms, name="poly"):
     """Polynomial from a coefficient list [[c, [e_1, ..., e_N]], ...]."""
     parsed = _poly_terms(terms, G.dim)
-
-    def fn(*coords):
-        total = 0.0
-        for c, exps in parsed:
-            term = c
-            for x, e in zip(coords, exps):
-                if e:
-                    term = term * x ** e
-            total = term + total
-        return total
-
-    return ScalarField(G, fn, name=name, check=False)
+    return ScalarField(G, lambda *coords: _poly_sum(parsed, coords),
+                       name=name, check=False)
 
 
 def _coordinate_names(G):

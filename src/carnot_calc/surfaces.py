@@ -12,9 +12,9 @@ import json
 import numpy as np
 
 from .groups import _dilation_factor, build_group, frame_at
-from .fields import (ANALYTIC, Jet, ScalarField, _coordinate_jet, _poly_terms,
-                     build_field, jet_partial, jet_sqrt, poly_field,
-                     seed_jets)
+from .fields import (ANALYTIC, Jet, Partials, ScalarField, _coordinate_jet,
+                     _poly_sum, _poly_terms, _zeros, build_field, jet_partial,
+                     jet_sqrt, poly_field, seed_jets)
 
 __all__ = [
     "CharacteristicPointError", "DegenerateSurfaceError", "SurfaceFrame",
@@ -177,8 +177,8 @@ def _as_jet(out, like):
     """Lift a constant returned by a component callable to a jet like `like`."""
     if isinstance(out, Jet):
         return out
-    h = None if like.h is None else 0.0 * like.h
-    return Jet(out + 0.0 * like.v, 0.0 * like.g, h)
+    return Jet(out + 0.0 * like.v,
+               *_zeros(len(like.g), 1 if like.h is None else 2))
 
 
 class ParamPatch:
@@ -254,7 +254,7 @@ def _fd_patch_jets(P, u, v, h):
         f0 = float(f(u, v))
         du = (float(f(u + h, v)) - float(f(u - h, v))) / (2 * h)
         dv = (float(f(u, v + h)) - float(f(u, v - h))) / (2 * h)
-        out.append(Jet(f0, np.array([du, dv])))
+        out.append(Jet(f0, Partials((du, dv))))
     return out
 
 
@@ -339,12 +339,12 @@ def patch_fields_jets(P, u, v, order=2):
     their jets); "partials" keeps the first-order jets of the components'
     u- and v-partials, from which tangential_second rebuilds the gamma/det
     jets once per frame.  order=1 evaluates on first-order seeds and
-    returns plain value arrays x, y, p, q, omega and W only, bit-identical
-    to the order-2 values; quadratures of W and omega alone (perimeter and
-    eps-area) run on it.
+    returns plain value arrays x, y, p, q, omega and W only, on the nodes
+    (see _on_nodes) and bit-identical to the order-2 values; quadratures
+    of W and omega alone (perimeter and eps-area) run on it.
     """
     if order == 1:
-        return _value_fields(*P.jets(u, v, order=1))
+        return _on_nodes(_value_fields(*P.jets(u, v, order=1)), u, v)
     if order != 2:
         raise ValueError("order must be 1 or 2")
     uj, vj = seed_jets((u, v), order=2)
@@ -388,12 +388,12 @@ def zy_second(P, f, u, v, order=2):
     """First and second tangential derivatives of f, exactly, on a patch.
 
     f(u, v) must be jet-safe to second order (or None, to get just the frame
-    fields).  Returns plain arrays: W, p, q, omega, pbar, qbar, obar, their
-    Z-derivatives Zpbar, Zqbar, Zobar, the curvature
-    H = qbar Z(pbar) - pbar Z(qbar) and the evaluated frame "flds" (the
-    patch_fields_jets dict: jets of the normal, plain arrays of beta,
-    gamma and det), plus f's derivatives from tangential_second(flds, f),
-    Z2f included.
+    fields).  Returns plain arrays on the nodes of u and v (see _on_nodes):
+    W, p, q, omega, pbar, qbar, obar, their Z-derivatives Zpbar, Zqbar,
+    Zobar, the curvature H = qbar Z(pbar) - pbar Z(qbar) and the evaluated
+    frame "flds" (the patch_fields_jets dict: jets of the normal, plain
+    arrays of beta, gamma and det), plus f's derivatives from
+    tangential_second(flds, f), Z2f included.
     order=1 (f None only) returns just the values of patch_fields_jets at
     order 1: x, y, p, q, omega and W.
     """
@@ -414,7 +414,19 @@ def zy_second(P, f, u, v, order=2):
         out["H"] = out["qbar"] * out["Zpbar"] - out["pbar"] * out["Zqbar"]
     if f is not None:
         out.update(tangential_second(flds, f))
-    return out
+    return _on_nodes(out, u, v)
+
+
+def _on_nodes(values, u, v):
+    """The dict values with every array or number broadcast (zero-copy) to
+    the node shape of u and v, and the frame "flds" passed through.  Nodes
+    given as block views (a repeated axis of stride 0, which seed_jets
+    keeps at length 1) keep each value in its own broadcast shape."""
+    if 0 in np.asarray(u).strides + np.asarray(v).strides:
+        return values
+    shape = np.broadcast_shapes(np.shape(u), np.shape(v))
+    return {k: x if k == "flds" or np.shape(x) == shape
+            else np.broadcast_to(x, shape) for k, x in values.items()}
 
 
 def _first_derivatives(flds, value, f_u, f_v, rdet):
@@ -645,18 +657,8 @@ class CatalogSurface:
 def _poly2(terms):
     """Two-variable polynomial (u, v) -> sum c u^i v^j, jet-safe."""
     parsed = _poly_terms(terms, 2)
-
-    def fn(u, v):
-        total = _zero_like(u) + _zero_like(v)
-        for c, (i, j) in parsed:
-            term = c
-            if i:
-                term = term * u ** i
-            if j:
-                term = term * v ** j
-            total = total + term
-        return total
-    return fn
+    return lambda u, v: _poly_sum(parsed, (u, v),
+                                  _zero_like(u) + _zero_like(v))
 
 
 def _poly_patch(name, x, y, t, domain, grid, phi=None):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carnot_calc import fields
-from carnot_calc.fields import _coordinate_jet
+from carnot_calc.fields import _coordinate_jet, _zeros
 from carnot_calc import (
     DerivativeEngine,
     FD,
@@ -72,9 +72,10 @@ def test_seed_jets_vectorized():
     assert np.allclose(fj.v, u * v)
     assert np.allclose(fj.g[0], v)
     assert np.allclose(fj.h[0][1], np.ones(5))
-    # c - jet equals the lifted constant minus the jet, at orders 2 and 1
+    # c - jet equals the constant jet minus the jet, at orders 2 and 1
     for j in (fj, jet_partial(fj, 0)):
-        out, ref = 2.5 - j, Jet._lift(2.5) - j
+        out = 2.5 - j
+        ref = Jet(2.5, *_zeros(2, 1 if j.h is None else 2)) - j
         assert np.array_equal(out.v, ref.v) and np.array_equal(out.g, ref.g)
         if j.h is None:
             assert out.h is None and ref.h is None
@@ -84,11 +85,18 @@ def test_seed_jets_vectorized():
 
 def test_seed_jets_keep_repeated_axes_at_length_one():
     # broadcast views of row and column nodes seed (3 x 1) and (1 x 4)
-    # jets; expressions in both come out on the grid, equal to full seeds
+    # jets whose partials are the structural floats 1.0 and 0.0;
+    # expressions in both come out on the grid, equal to full seeds
     u, v = np.linspace(0.0, 1.0, 3), np.linspace(-1.0, 0.0, 4)
     uj, vj = seed_jets(np.broadcast_arrays(u[:, None], v), order=2)
     assert [j.v.shape for j in (uj, vj)] == [(3, 1), (1, 4)]
-    assert [j.h.shape for j in (uj, vj)] == [(2, 2, 3, 1), (2, 2, 1, 4)]
+    assert [tuple(j.g) for j in (uj, vj)] == [(1.0, 0.0), (0.0, 1.0)]
+    assert all(type(e) is float and e == 0.0
+               for j in (uj, vj) for row in j.h for e in row)
+    # a partial in one coordinate stays one column or row wide
+    sq = uj * uj + vj * vj
+    assert [np.shape(e) for e in sq.g] == [(3, 1), (1, 4)]
+    assert [[e for e in row] for row in sq.h] == [[2.0, 0.0], [0.0, 2.0]]
     U, V = np.meshgrid(u, v, indexing="ij")
     fj = bump2(0.5, -0.5, 0.8, 0.9)(uj, vj) * uj
     ref = bump2(0.5, -0.5, 0.8, 0.9)(*seed_jets((U, V), order=2)) \
@@ -97,7 +105,25 @@ def test_seed_jets_keep_repeated_axes_at_length_one():
         assert np.array_equal(getattr(fj, part), getattr(ref, part))
     # a scalar beside an array keeps the array's number of axes
     uj, vj = seed_jets((u, 0.5), order=1)
-    assert vj.v.shape == (1,) and (uj * vj).g.shape == (2, 3)
+    assert vj.v.shape == (1,)
+    assert [np.shape(e) for e in (uj * vj).g] == [(1,), (3,)]
+    assert np.asarray((uj * vj).g).shape == (2, 3)
+
+
+def test_constant_times_jet_has_no_cross_partials():
+    # a plain number is a constant with no partials: 2.0 * jet scales each
+    # partial entry and keeps the structural zeros, with no zero arrays
+    uj, vj = seed_jets((np.linspace(0.0, 1.0, 5), 0.25), order=2)
+    for j in (uj, vj, uj * uj):
+        out = 2.0 * j
+        assert np.array_equal(out.v, 2.0 * j.v)
+        for k in range(2):
+            assert np.array_equal(out.g[k], 2.0 * j.g[k])
+            for l in range(2):
+                assert np.array_equal(out.h[k, l], 2.0 * j.h[k, l])
+        # the cross partial is the float 0.0
+        assert type(out.h[0, 1]) is float and out.h[0, 1] == 0.0
+    assert type((2.0 * uj).g[1]) is float and (2.0 * uj * uj).g[1] == 0.0
 
 
 # -- bumps --------------------------------------------------------------------
@@ -121,8 +147,8 @@ def test_bump1_support_and_smoothness():
         (xj,) = seed_jets((x,), order=order)
         bj = b(xj)
         assert np.all(bj.v == 0.0) and not np.any(np.signbit(bj.v))
-        assert np.all(bj.g == 0.0)
-        assert order == 1 or np.all(bj.h == 0.0)
+        assert np.all(np.asarray(bj.g) == 0.0)
+        assert order == 1 or np.all(np.asarray(bj.h) == 0.0)
 
 
 def test_bump2_jets_match_finite_differences():

@@ -214,20 +214,28 @@ def test_patch_fields_order1_values_equal_order2(name):
     f2 = patch_fields_jets(P, U, V, order=2)
     assert set(f1) == {"x", "y", "p", "q", "omega", "W"}
     for key in ("W", "omega", "p", "q", "x", "y"):
-        assert isinstance(f1[key], np.ndarray)
-        assert np.array_equal(f1[key], f2[key].v, equal_nan=True), key
+        # order 1 on the nodes, order 2 in each jet value's own shape
+        assert isinstance(f1[key], np.ndarray) and f1[key].shape == U.shape
+        assert np.array_equal(f1[key], np.broadcast_to(f2[key].v, U.shape),
+                              equal_nan=True), key
 
 
 def test_tgraph_component_jets_keep_seed_shapes():
     # seeds of (rows x 1) and (1 x columns) node views: a component in one
-    # coordinate alone keeps that coordinate's shape
+    # coordinate alone keeps that coordinate's shape, and so does each
+    # partial in one coordinate; partials that are constant stay floats
     P = build_surface("t-graph:parab").patch
     u, v = np.broadcast_arrays(np.linspace(0.5, 1.5, 5)[:, None],
                                np.linspace(0.5, 1.5, 7))
     for order in (1, 2):
         x, y, t = P.components(*seed_jets((u, v), order=order))
         assert (x.v.shape, y.v.shape, t.v.shape) == ((5, 1), (1, 7), (5, 7))
-        assert x.g.shape == (2, 5, 1) and y.g.shape == (2, 1, 7)
+        assert (tuple(x.g), tuple(y.g)) == ((1.0, 0.0), (0.0, 1.0))
+        assert [np.shape(e) for e in t.g] == [(5, 1), (1, 7)]
+        if order == 2:
+            assert [list(row) for row in t.h] == [[2.0, 0.0], [0.0, 2.0]]
+            assert all(type(e) is float for j in (x, y, t) for row in j.h
+                       for e in row)
 
 
 def _count_gamma_jets(monkeypatch):
@@ -346,7 +354,7 @@ def test_zy_second_curved_patch_finite(rng):
 
 def _first_order(u, v):
     # a surface function carrying first derivatives only
-    return Jet(u.v * v.v, u.g * v.v + v.g * u.v)
+    return Jet(u.v * v.v, tuple(a * v.v + b * u.v for a, b in zip(u.g, v.g)))
 
 
 def test_first_order_surface_function_raises():
@@ -544,6 +552,27 @@ def test_cross_representation_agreement(sid, rng):
         assert np.max(np.abs(fp.pbar - fl.pbar)) <= 1e-12
         assert np.max(np.abs(fp.obar - fl.obar)) <= 1e-12
         assert np.max(np.abs(fp.nuH_vector() - fl.nuH_vector())) < 1e-8
+
+
+@pytest.mark.parametrize("sid", catalog_ids())
+def test_zy_second_equal_on_block_views_and_full_grids(sid):
+    # the quadrature passes zy_second (rows x columns) broadcast views, on
+    # which values keep their minimal shapes; every value must equal that
+    # of full-size meshgrid copies, so reports do not depend on blocks
+    P = build_surface(TEMPLATE_EXAMPLES.get(sid, sid)).patch
+    u0, u1, v0, v1 = P.domain
+    u, v = np.linspace(u0, u1, 9), np.linspace(v0, v1, 7)
+    views = np.broadcast_arrays(u[:, None], v)
+    copies = np.meshgrid(u, v, indexing="ij")
+    for order in (1, 2):
+        a, b = (zy_second(P, None, U, V, order=order) for U, V in
+                (views, copies))
+        assert set(a) == set(b)
+        for key in set(a) - {"flds"}:
+            assert isinstance(b[key], np.ndarray), key
+            assert b[key].shape == (9, 7), key
+            assert np.array_equal(np.broadcast_to(a[key], (9, 7)), b[key],
+                                  equal_nan=True), key
 
 
 def test_build_surface_rejects_unknown_id():
