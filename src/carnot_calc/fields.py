@@ -52,12 +52,14 @@ class Partials(tuple):
         return tuple.__getitem__(self, key)
 
     def __array__(self, dtype=None, copy=None):
-        try:
-            return np.array([tuple(e) if isinstance(e, Partials) else e
-                             for e in self], dtype=dtype)
-        except ValueError:  # entries of different shapes
-            return np.stack(np.broadcast_arrays(
-                *(np.asarray(e, dtype=dtype) for e in self)))
+        nested = isinstance(self[0], Partials)
+        leaves = [e for row in self for e in row] if nested else list(self)
+        shape = ()  # at one point every entry is a number
+        if any(isinstance(e, np.ndarray) for e in leaves):
+            shape = np.broadcast_shapes(*map(np.shape, leaves))
+            leaves = [np.broadcast_to(e, shape) for e in leaves]
+        return np.array(leaves, dtype=dtype).reshape(
+            (len(self),) * (1 + nested) + shape)
 
 
 def _times(a, b):

@@ -419,11 +419,7 @@ def zy_second(P, f, u, v, order=2):
 
 def _on_nodes(values, u, v):
     """The dict values with every array or number broadcast (zero-copy) to
-    the node shape of u and v, and the frame "flds" passed through.  Nodes
-    given as block views (a repeated axis of stride 0, which seed_jets
-    keeps at length 1) keep each value in its own broadcast shape."""
-    if 0 in np.asarray(u).strides + np.asarray(v).strides:
-        return values
+    the node shape of u and v, and the frame "flds" passed through."""
     shape = np.broadcast_shapes(np.shape(u), np.shape(v))
     return {k: x if k == "flds" or np.shape(x) == shape
             else np.broadcast_to(x, shape) for k, x in values.items()}

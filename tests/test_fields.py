@@ -1,8 +1,11 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carnot_calc import fields
+from carnot_calc import cli, fields
 from carnot_calc.fields import _coordinate_jet, _zeros
 from carnot_calc import (
     DerivativeEngine,
@@ -108,6 +111,48 @@ def test_seed_jets_keep_repeated_axes_at_length_one():
     assert vj.v.shape == (1,)
     assert [np.shape(e) for e in (uj * vj).g] == [(1,), (3,)]
     assert np.asarray((uj * vj).g).shape == (2, 3)
+
+
+def test_stacked_partials_broadcast_every_entry_to_one_shape():
+    # a Hessian whose rows mix floats and arrays stacks to (2, 2, nodes),
+    # each entry equal to the partial it broadcasts
+    u, v = np.linspace(0.0, 1.0, 3), np.linspace(-1.0, 0.0, 4)
+    uj, vj = seed_jets(np.broadcast_arrays(u[:, None], v), order=2)
+    for j, shape in ((2.0 * vj ** 3, (1, 4)), (2.0 * uj ** 3, (3, 1)),
+                     (uj * vj ** 3, (3, 4))):
+        g, h = np.asarray(j.g), np.asarray(j.h)
+        assert g.shape == (2,) + shape and h.shape == (2, 2) + shape
+        for k in range(2):
+            assert np.array_equal(g[k], np.broadcast_to(j.g[k], shape))
+            for l in range(2):
+                assert np.array_equal(h[k, l],
+                                      np.broadcast_to(j.h[k, l], shape))
+    # at one point every entry is a number
+    assert np.asarray(uj.h).shape == (2, 2)
+    assert np.asarray(seed_jets((0.3, 0.4, 0.5))[0].g).shape == (3,)
+
+
+def test_every_product_of_a_variation_stacks(monkeypatch):
+    # stacking the partials of each jet product, as a tracer that sizes
+    # them does, must not fail on a cubic t-graph's order-2 frames
+    mul = Jet.__mul__
+
+    def stacked(self, other):
+        out = mul(self, other)
+        np.asarray(out.g)
+        if out.h is not None:
+            np.asarray(out.h)
+        return out
+
+    monkeypatch.setattr(Jet, "__mul__", stacked)
+    monkeypatch.setattr(Jet, "__rmul__", stacked)
+    surface = ("t-graph:poly:[[1.0,[2,0]],[1.0,[0,2]],[0.05,[3,0]],"
+               "[-0.04,[2,1]],[0.03,[1,2]],[0.02,[0,3]]]")
+    for mode in ("v1", "v2-full"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run(["variation", "--surface", surface, "--mode", mode,
+                            "--grid", "16", "--field",
+                            '{"a": "bump:0.1,0.1,0.5,0.5"}']) == 0
 
 
 def test_constant_times_jet_has_no_cross_partials():

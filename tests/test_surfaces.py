@@ -557,22 +557,24 @@ def test_cross_representation_agreement(sid, rng):
 @pytest.mark.parametrize("sid", catalog_ids())
 def test_zy_second_equal_on_block_views_and_full_grids(sid):
     # the quadrature passes zy_second (rows x columns) broadcast views, on
-    # which values keep their minimal shapes; every value must equal that
-    # of full-size meshgrid copies, so reports do not depend on blocks
+    # which the jets keep their minimal shapes; every value must equal that
+    # of full-size meshgrid copies, so reports do not depend on blocks, and
+    # come back on the (rows x columns) nodes whatever the input layout
     P = build_surface(TEMPLATE_EXAMPLES.get(sid, sid)).patch
     u0, u1, v0, v1 = P.domain
     u, v = np.linspace(u0, u1, 9), np.linspace(v0, v1, 7)
-    views = np.broadcast_arrays(u[:, None], v)
-    copies = np.meshgrid(u, v, indexing="ij")
+    layouts = (np.meshgrid(u, v, indexing="ij"),
+               np.broadcast_arrays(u[:, None], v), (u[:, None], v[None, :]))
     for order in (1, 2):
-        a, b = (zy_second(P, None, U, V, order=order) for U, V in
-                (views, copies))
-        assert set(a) == set(b)
-        for key in set(a) - {"flds"}:
-            assert isinstance(b[key], np.ndarray), key
-            assert b[key].shape == (9, 7), key
-            assert np.array_equal(np.broadcast_to(a[key], (9, 7)), b[key],
-                                  equal_nan=True), key
+        ref, *others = (zy_second(P, None, U, V, order=order)
+                        for U, V in layouts)
+        for out in others:
+            assert set(out) == set(ref)
+            for key in set(ref) - {"flds"}:
+                for x in (ref[key], out[key]):
+                    assert isinstance(x, np.ndarray), key
+                    assert x.shape == (9, 7), key
+                assert np.array_equal(out[key], ref[key], equal_nan=True), key
 
 
 def test_build_surface_rejects_unknown_id():
