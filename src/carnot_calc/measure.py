@@ -191,7 +191,7 @@ def _fold(run, k):
             np.append(parts, pairwise_sum(run[whole:])))
 
 
-def _integrate(grid, frames, densities):
+def _integrate(grid, frames, densities, excluded=False):
     """Integrals against du dv over the grid's nodes, streamed in blocks
     of rows, for one or more patches at once.
 
@@ -213,25 +213,27 @@ def _integrate(grid, frames, densities):
     an iterable of integrand arrays (density times W) that broadcast to
     the frame's nodes, reduced one at a time.
     zz["band"] marks the frame's nodes inside the characteristic band: they
-    are dropped, and their weighted W-mass is returned as the frame's
-    excluded mass (a block with no such node skips both steps, whose
-    results would be its values and zeros).  Densities are evaluated with
-    numpy's divide and invalid warnings off, since the values they would
-    flag are the dropped ones.
+    are dropped, and with excluded their weighted W-mass is summed as the
+    frame's excluded mass (a block with no such node skips both steps,
+    whose results would be its values and zeros).  Densities are evaluated
+    with numpy's divide and invalid warnings off, since the values they
+    would flag are the dropped ones.
 
     Each integral, and each frame's excluded mass, has one buffer of the
     grid's ceil(nodes / 2^k) level-k parts: a block's weighted values are
     folded (_fold) and written at its first node's part.  The buffers of
     all integrals are summed in one pass of the tree (_pairwise_rows).
-    Returns (integrals, excluded), the list of each frame's integrals and
-    the list of each frame's excluded mass, in the order of frames.
+    Returns (integrals, masses): the list of each frame's integrals and,
+    with excluded, the list of each frame's excluded mass (else None), in
+    the order of frames.
     """
     u, v = grid.u, grid.v
     k = max(0, math.ceil(math.log2(_BLOCK_NODES / (grid.nv + 1))))
     size = -(-u.size * v.size >> k)
     # per frame: the level-k parts of each integral; those of the excluded
-    # mass, a list that stays empty while no node is dropped
-    integrals, excluded = [], []
+    # mass, a list that stays empty while no node is dropped or unless
+    # excluded
+    integrals, masses = [], []
 
     def write(buffers, i, values, drop):
         """The integrand values on the block's nodes times the weights,
@@ -253,21 +255,23 @@ def _integrate(grid, frames, densities):
                                       rows)):
             if f == len(integrals):  # the first block
                 integrals.append([])
-                excluded.append([])
+                masses.append([])
             W = zz["W"]
             mask = zz["band"] = _characteristic_band(W, zz["omega"])
             if mask.any():
                 mask = np.broadcast_to(mask, ws.shape)
-                write(excluded[f], 0, np.abs(W), ~mask)
+                if excluded:
+                    write(masses[f], 0, np.abs(W), ~mask)
             else:  # nothing is dropped or excluded
                 mask = None
             with np.errstate(divide="ignore", invalid="ignore"):
                 for i, vals in enumerate(densities(zz, rows)):
                     write(integrals[f], i, vals, mask)
-    stacked = [parts for frame in integrals + excluded for parts in frame]
+    stacked = [parts for frame in integrals + masses for parts in frame]
     sums = iter(_pairwise_rows(np.reshape(stacked, (-1, size))).tolist())
     return ([[next(sums) for _ in frame] for frame in integrals],
-            [next(sums) if parts else 0.0 for parts in excluded])
+            [next(sums) if parts else 0.0 for parts in masses]
+            if excluded else None)
 
 
 def _patch_frames(P, order=2):
@@ -296,26 +300,29 @@ def _family_perimeters(P, members, grid):
     return [value for (value,) in integrals]
 
 
-def _density_integral(P, density, grid, order=2):
+def _density_integral(frames, density, grid, excluded=False):
     """(value, excluded mass) of density * W over grid's nodes (see
-    integrate_patch)."""
+    integrate_patch), frames the frames callable of _integrate for one
+    patch; the mass is summed only with excluded, else it is None."""
     def densities(zz, rows):
         W = zz["W"]
         return (W if density is None else density(zz) * W,)
 
-    [(value,)], [excluded] = _integrate(grid, _patch_frames(P, order),
-                                        densities)
-    return value, excluded
+    [(value,)], masses = _integrate(grid, frames, densities, excluded)
+    return value, None if masses is None else masses[0]
 
 
-def _supported_integral(P, density, support, nu, nv):
+def _supported_integral(P, density, support, nu, nv, frames=None):
     """integrate_patch(P, density, ...).value for a density that is exactly
     0 off the box support (None: the whole grid), taken on the sub-grid of
     the support's nodes (QuadratureGrid.restricted): it differs from the
     whole grid's value by rounding only, and a box that holds no node
-    gives 0.0 without evaluating a frame."""
+    gives 0.0 without evaluating a frame.  frames is the frames callable
+    of _integrate (None: _patch_frames(P), zy_second's order-2 frame)."""
     grid = _grid_for(P, nu, nv).restricted(support)
-    return 0.0 if grid is None else _density_integral(P, density, grid)[0]
+    if grid is None:
+        return 0.0
+    return _density_integral(frames or _patch_frames(P), density, grid)[0]
 
 
 def integrate_patch(P, density, nu=None, nv=None, error_estimate=True,
@@ -329,13 +336,13 @@ def integrate_patch(P, density, nu=None, nv=None, error_estimate=True,
     eps_area use it.  Densities that read Z/B derivatives (first and
     second variation, quadratic_form) need the default order=2.
     """
-    grid = _grid_for(P, nu, nv)
-    value, excluded = _density_integral(P, density, grid, order)
+    grid, frames = _grid_for(P, nu, nv), _patch_frames(P, order)
+    value, excluded = _density_integral(frames, density, grid, excluded=True)
     est = None
     if error_estimate:
         half = grid.halved()
         if half is not None:
-            est = abs(value - _density_integral(P, density, half, order)[0])
+            est = abs(value - _density_integral(frames, density, half)[0])
     return IntegralResult(value, est, excluded, (grid.nu, grid.nv))
 
 

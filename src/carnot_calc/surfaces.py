@@ -429,21 +429,48 @@ def _first_derivatives(flds, value, f_u, f_v, rdet):
     """value, Zf, Bf = (T - obar Y)f, Tf and Yf as plain arrays, from the
     value arrays of f and its u-, v-partials and of 1 / det, in the
     operation order of the jet route Zf = (f_u gamma_v - f_v gamma_u) / det."""
+    obar = flds["obar"]
+    obar = obar.v if isinstance(obar, Jet) else obar  # an order-2 frame's
     Zf = (f_u * flds["gamma_v"] - f_v * flds["gamma_u"]) * rdet
     Bf = (flds["beta_u"] * f_v - flds["beta_v"] * f_u) * rdet
-    denom = 1.0 + flds["obar"].v ** 2
+    denom = 1.0 + obar ** 2
     return {"value": value, "Zf": Zf, "Bf": Bf, "Tf": Bf / denom,
-            "Yf": -flds["obar"].v * Bf / denom}
+            "Yf": -obar * Bf / denom}
+
+
+def _tangent_frame(P, u, v):
+    """The frame that tangential() reads, on first-order jets: plain
+    arrays W, omega, pbar, qbar and obar on the nodes of u and v (see
+    _on_nodes), and "flds", which holds the first-order seeds and the value
+    arrays of obar, beta_u, beta_v, gamma_u, gamma_v and det.  pbar, qbar
+    and obar come from the components' values and beta, gamma and det from
+    their first partials, each by the operations of zy_second's order-2
+    frame, so every value and tangential(flds, f) equals its bit for bit;
+    the frame's own derivatives (Zpbar, H, ...) are not formed."""
+    uj, vj = seed_jets((u, v), order=1)
+    xj, yj, tj = (_as_jet(c, uj) for c in P.components(uj, vj))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p, q, omega, W = _normal_components(xj.v, yj.v, xj.g, yj.g, tj.g)
+        rW = 1.0 / W
+        pbar, qbar, obar = p * rW, q * rW, omega * rW
+        gamma_u, gamma_v, beta_u, beta_v, det = _gamma_beta_det(
+            xj.v, yj.v, xj.g, yj.g, tj.g, pbar, qbar)
+    flds = {"seeds": (uj, vj), "obar": obar, "beta_u": beta_u,
+            "beta_v": beta_v, "gamma_u": gamma_u, "gamma_v": gamma_v,
+            "det": det}
+    return _on_nodes({"W": W, "omega": omega, "pbar": pbar, "qbar": qbar,
+                      "obar": obar, "flds": flds}, u, v)
 
 
 @np.errstate(divide="ignore", invalid="ignore")
 def tangential(flds, f):
     """Tangential derivatives of the surface function f on an evaluated frame.
 
-    flds is a patch_fields_jets (order 2) dict, e.g. zy_second(...)["flds"].
-    f is evaluated on first-order jets, so it needs to be jet-safe to first
-    order only.  Returns value, Zf, Bf = (T - obar Y)f, Tf and Yf, all plain
-    arrays; tangential_second adds Z2f = Z(Zf).
+    flds is a patch_fields_jets (order 2) dict, e.g. zy_second(...)["flds"],
+    or the first-order _tangent_frame(...)["flds"], which gives the same
+    values.  f is evaluated on first-order jets, so it needs to be jet-safe
+    to first order only.  Returns value, Zf, Bf = (T - obar Y)f, Tf and Yf,
+    all plain arrays; tangential_second adds Z2f = Z(Zf).
     """
     uj, vj = (Jet(s.v, s.g) for s in flds["seeds"])
     fj = _as_jet(f(uj, vj), uj)

@@ -14,8 +14,8 @@ lam by finite differences.
 import numpy as np
 
 from .fields import _zero, bump1, jet_partial, seed_jets
-from .surfaces import (_MovedPatch, _as_jet, patch_fields_jets, tangential,
-                       zy_second)
+from .surfaces import (_MovedPatch, _as_jet, _tangent_frame,
+                       patch_fields_jets, tangential, zy_second)
 from .measure import (_family_perimeters, _grid_for, _integrate,
                       _patch_frames, _supported_integral, integrate_patch)
 
@@ -226,7 +226,9 @@ def second_variation_full(P, D, nu=None, nv=None):
 
     Valid for compactly supported coefficients; every term involves only the
     tangential derivatives Z and B = T - obar Y of a, b, k, so it is
-    integrated on the sub-grid of D.support's nodes.
+    integrated on the sub-grid of D.support's nodes.  The frame itself is
+    never differentiated, so it is evaluated on first-order jets
+    (_tangent_frame), bit-identical to the order-2 frame.
     """
 
     def density(zz):
@@ -248,7 +250,8 @@ def second_variation_full(P, D, nu=None, nv=None):
                 + 2 * ob ** 2 * rad * Zk
                 - (rot + wedge * ob) ** 2)
 
-    return _supported_integral(P, density, D.support, nu, nv)
+    return _supported_integral(P, density, D.support, nu, nv,
+                               lambda u, v, rows: [_tangent_frame(P, u, v)])
 
 
 def _max_H(zz):

@@ -320,8 +320,11 @@ def test_integrate_is_the_pairwise_sum_of_the_whole_grid_plane(case):
             excluded.append(pairwise_sum(np.where(band, np.abs(W) * ws, 0.0)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(measure, "_BLOCK_NODES", block_nodes)
+        assert measure._integrate(grid, frames, densities,
+                                  excluded=True) == (integrals, excluded)
+        # the excluded mass is summed only when asked for
         assert measure._integrate(grid, frames, densities) == (integrals,
-                                                               excluded)
+                                                               None)
 
 
 @settings(max_examples=40, deadline=None)
@@ -521,6 +524,31 @@ def test_ratio_families_equal_per_patch_routes(n, sid, domain):
         area(dilate_patch(P, 1.7)) / base
     assert translation_ratio(P, g0, nu=n, nv=n) == \
         area(left_translate_patch(P, g0)) / base
+
+
+def test_only_integrate_patch_folds_the_excluded_mass(monkeypatch):
+    # the origin, a node of the 16^2 grid on (-1, 1)^2, is in the
+    # parabola's characteristic band; the ratios read no excluded mass, so
+    # each of scaling_ratio's two perimeters folds its integral alone (one
+    # block: 2 folds, not 4), while integrate_patch, which reports the
+    # mass, folds it beside its integral (2 folds, 1 without a band node)
+    P = build_surface("t-graph:parab", domain=(-1, 1, -1, 1)).patch
+    expected = scaling_ratio(P, 2.0, nu=16, nv=16)
+    reported = integrate_patch(P, None, nu=16, nv=16, error_estimate=False)
+    folds, inner = [], measure._fold
+
+    def counting(run, k):
+        folds.append(k)
+        return inner(run, k)
+
+    monkeypatch.setattr(measure, "_fold", counting)
+    assert scaling_ratio(P, 2.0, nu=16, nv=16) == expected
+    assert len(folds) == 2
+    folds.clear()
+    again = integrate_patch(P, None, nu=16, nv=16, error_estimate=False)
+    assert (again.value, again.excluded_mass) == (reported.value,
+                                                  reported.excluded_mass)
+    assert len(folds) == 2
 
 
 small = st.floats(-2.0, 2.0, allow_nan=False)

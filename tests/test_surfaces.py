@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +36,7 @@ from carnot_calc import (
     intrinsic_to_patch,
     left_translate_patch,
     patch_fields_jets,
+    perimeter,
     restrict_to_patch,
     second_variation_full,
     seed_jets,
@@ -552,6 +555,57 @@ def test_cross_representation_agreement(sid, rng):
         assert np.max(np.abs(fp.pbar - fl.pbar)) <= 1e-12
         assert np.max(np.abs(fp.obar - fl.obar)) <= 1e-12
         assert np.max(np.abs(fp.nuH_vector() - fl.nuH_vector())) < 1e-8
+
+
+@pytest.mark.parametrize("sid", catalog_ids())
+def test_tangent_frame_equals_the_order_two_frame(sid):
+    # the first-order frame that v2-full runs on: the values it returns
+    # and tangential() on it equal zy_second's order-2 frame bit for bit
+    P = build_surface(TEMPLATE_EXAMPLES.get(sid, sid)).patch
+    u0, u1, v0, v1 = P.domain
+    U, V = np.broadcast_arrays(np.linspace(u0, u1, 9)[:, None],
+                               np.linspace(v0, v1, 7))
+    ref, first = zy_second(P, None, U, V), surfaces._tangent_frame(P, U, V)
+    pairs = [(first[k], ref[k]) for k in first if k != "flds"]
+
+    def f(u, v):
+        return u * u * v + 0.5 * v
+
+    tf, tr = tangential(first["flds"], f), tangential(ref["flds"], f)
+    pairs += [(tf[k], tr[k]) for k in tr]
+    for a, b in pairs:
+        a, b = np.broadcast_arrays(a, b)
+        assert a.tobytes() == b.tobytes()
+
+
+# Two isometries of H^1 as moves of a patch's components: the rotation by
+# 0.7 about the t-axis, and the reflection (x, y, t) -> (x, -y, -t).  Both
+# are group automorphisms that preserve the horizontal metric, so |H|, W
+# and the perimeter of a moved patch are those of the patch.
+_C, _S = math.cos(0.7), math.sin(0.7)
+_ISOMETRIES = {
+    "rotation": lambda u, v, x, y, t: (_C * x - _S * y, _S * x + _C * y, t),
+    "reflection": lambda u, v, x, y, t: (x, -y, -t),
+}
+
+
+@pytest.mark.parametrize("move", sorted(_ISOMETRIES))
+@pytest.mark.parametrize("sid", ["t-graph:parab", "xyt-graph",
+                                 "intrinsic:uv"])
+def test_isometries_keep_curvature_width_and_perimeter(sid, move):
+    P = build_surface(sid).patch
+    Q = surfaces._MovedPatch(P, _ISOMETRIES[move], P.name + "~" + move)
+    u0, u1, v0, v1 = P.domain
+    U, V = np.meshgrid(np.linspace(u0, u1, 13), np.linspace(v0, v1, 11),
+                       indexing="ij")
+    a, b = zy_second(P, None, U, V), zy_second(Q, None, U, V)
+    off_band = np.isfinite(a["H"])
+    assert np.array_equal(off_band, np.isfinite(b["H"]))
+    assert off_band.sum() >= 140
+    assert np.max(np.abs(np.abs(a["H"]) - np.abs(b["H"]))[off_band]) <= 1e-14
+    assert np.max(np.abs(a["W"] - b["W"])) <= 1e-12
+    assert perimeter(Q, nu=128, nv=128).value == \
+        perimeter(P, nu=128, nv=128).value
 
 
 @pytest.mark.parametrize("sid", catalog_ids())

@@ -383,6 +383,26 @@ def test_second_variation_routes_agree():
     assert v2_num == pytest.approx(v2_full, rel=1e-6)
 
 
+@pytest.mark.parametrize("sid", ["t-graph:parab", "xyt-graph",
+                                 "intrinsic:uv"])
+def test_second_variation_full_equals_the_order_two_route(monkeypatch, sid):
+    # v2-full never differentiates the frame, so it runs on first-order
+    # jets (_tangent_frame); zy_second's order-2 frame in its place gives
+    # the same bits, for a supported field (its sub-grid) and for
+    # polynomial coefficients (the whole grid)
+    P = build_surface(sid).patch
+    fields = [parse_field_spec("auto", P.domain),
+              DeformationField(lambda u, v: 0.3 * u * v,
+                               lambda u, v: u - 0.5 * v,
+                               lambda u, v: 0.2 * u * u + v)]
+    first = [variation.second_variation_full(P, D, nu=32, nv=32)
+             for D in fields]
+    monkeypatch.setattr(variation, "_tangent_frame",
+                        lambda P, u, v: surfaces.zy_second(P, None, u, v))
+    assert [variation.second_variation_full(P, D, nu=32, nv=32)
+            for D in fields] == first
+
+
 def test_geometric_mode_requires_minimal_surface():
     P = build_surface("t-graph:parab").patch
     D = parab_normal_deformation(bump2(1.0, 1.0, 0.4, 0.4))
