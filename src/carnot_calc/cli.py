@@ -32,10 +32,10 @@ IDENTITY_TOL = 1e-4
 FLOW_TOL = 1e-4
 _ASCII = json.encoder.encode_basestring_ascii  # a str as a JSON literal
 # Freed memory that glibc's malloc keeps at the top of its heap: 64
-# float64 arrays of a quadrature block's size (4 MiB), room for the jet
-# temporaries of an order-2 block.  Without it, anything over 128 KiB
-# freed at the heap top goes back to the kernel, and the next block
-# faults the same pages back in, zero-filled.
+# float64 arrays of a quadrature block's size (8 MiB at 16384 nodes),
+# room for the jet temporaries of an order-2 block.  Without it, anything
+# over 128 KiB freed at the heap top goes back to the kernel, and the
+# next block faults the same pages back in, zero-filled.
 HEAP_TOP_PAD = 64 * msr._BLOCK_NODES * np.dtype(float).itemsize
 _M_TOP_PAD = -2  # mallopt's parameter number (glibc's malloc.h)
 

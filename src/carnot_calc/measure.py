@@ -8,16 +8,19 @@ rows that holds _BLOCK_NODES nodes (so a grid of no more nodes is one
 block), the frame is evaluated once per block on seeds of the block's
 u-nodes (rows x 1) and the grid's v-nodes (1 x columns), and every
 density is folded k levels of the pairwise tree per block, so no
-whole-grid frame is ever held.  A family of patches
-moved from one patch (the dilation and translation ratios, the deformed
-patches of numeric_variation) shares one pass: each block evaluates the
-base components once and forms every member's frame from them.  Since a u-only or
-v-only subexpression is computed once per row or column, each node still
-sees the same float operations in the same order.  pairwise_sum pairs
-neighbours level by level, so an aligned group of 2^k nodes collapses to
-the same level-k node inside the whole-array tree as on its own, and the
-pairwise sum of the level-k nodes of all blocks (the ragged tail of the
-last block summed on its own) is the whole-array sum bit for bit.
+whole-grid frame is ever held, and a block's frame is freed before the
+next one is formed.  A family of patches moved from one patch (the
+dilation and translation ratios, the deformed patches of
+numeric_variation) shares one pass: each block evaluates the base
+components once and forms the members' frames from them one at a time
+(numeric_variation's deformed components too), so a block's peak memory
+does not grow with the family.  Since a u-only or v-only subexpression
+is computed once per row or column, each node still sees the same float
+operations in the same order.  pairwise_sum pairs neighbours level by
+level, so an aligned group of 2^k nodes collapses to the same level-k
+node inside the whole-array tree as on its own, and the pairwise sum of
+the level-k nodes of all blocks (the ragged tail of the last block
+summed on its own) is the whole-array sum bit for bit.
 Densities are elementwise, so results are bit-stable for a given grid
 regardless of the block size.  An integrand that is exactly 0 off a box
 (one built from a compactly supported deformation or test function) is
@@ -57,9 +60,11 @@ __all__ = [
 # rows that holds at least this many nodes (at least one row), or the
 # whole grid: small enough that the order-2 jet temporaries of one block
 # stay near cache instead of streaming whole-grid arrays, large enough
-# that the per-block Python work stays small, and a grid that fits in one
-# block pays that work once.
-_BLOCK_NODES = 8192
+# that the per-block Python work (~145 us per order-1 block) stays small,
+# and a grid that fits in one block pays that work once.  32768 was
+# faster still, but raised the bench's peak RSS by ~10%: the order-2
+# frame's temporaries grow with the block.
+_BLOCK_NODES = 16384
 
 
 def pairwise_sum(values):
@@ -204,14 +209,17 @@ def _integrate(grid, frames, densities, excluded=False):
     frames(u, v, rows) receives the nodes as zero-copy (rows x columns)
     views of the u- and v-nodes, so seeds taken from them are (rows x 1)
     and (1 x columns) and frame arrays may keep either shape, plus the
-    slice of grid rows they lie on, and returns a list of frame dicts, one
-    per patch: any dicts holding W and omega that broadcast to those nodes
-    (a zy_second dict, the order-1 values of patch_fields_jets, the graph
-    integrands of intrinsic_stability_form).  A family of patches shares
-    in frames what their components have in common.  densities(zz, rows)
-    receives one frame dict and the same slice of grid rows, and returns
-    an iterable of integrand arrays (density times W) that broadcast to
-    the frame's nodes, reduced one at a time.
+    slice of grid rows they lie on, and returns an iterable of frame
+    dicts, one per patch: any dicts holding W and omega that broadcast to
+    those nodes (a zy_second dict, the order-1 values of
+    patch_fields_jets, the graph integrands of intrinsic_stability_form).
+    A family of patches shares in frames what their components have in
+    common, and a frames iterator that forms each frame only when asked
+    holds one at a time: every reference to a frame, its W, band mask and
+    density values is dropped before the next frame or block is formed.
+    densities(zz, rows) receives one frame dict and the same slice of grid
+    rows, and returns an iterable of integrand arrays (density times W)
+    that broadcast to the frame's nodes, reduced one at a time.
     zz["band"] marks the frame's nodes inside the characteristic band: they
     are dropped, and with excluded their weighted W-mass is summed as the
     frame's excluded mass (a block with no such node skips both steps,
@@ -248,25 +256,35 @@ def _integrate(grid, frames, densities, excluded=False):
         at = rows.start * v.size >> k
         buffers[i][at:at + parts.size] = parts
 
+    def fold_frame(f, zz):
+        """Fold the block's integrals of zz, the f-th frame, and with
+        excluded its band mass, into that frame's buffers (made on the
+        first block); W, the mask and the density values die on return."""
+        if f == len(integrals):
+            integrals.append([])
+            masses.append([])
+        W = zz["W"]
+        mask = zz["band"] = _characteristic_band(W, zz["omega"])
+        if mask.any():
+            mask = np.broadcast_to(mask, ws.shape)
+            if excluded:
+                write(masses[f], 0, np.abs(W), ~mask)
+        else:  # nothing is dropped or excluded
+            mask = None
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i, vals in enumerate(densities(zz, rows)):
+                write(integrals[f], i, vals, mask)
+
     for start in range(0, u.size, 1 << k):
         rows = slice(start, min(start + (1 << k), u.size))
         ws = np.outer(grid.wu[rows], grid.wv)
-        for f, zz in enumerate(frames(*np.broadcast_arrays(u[rows, None], v),
-                                      rows)):
-            if f == len(integrals):  # the first block
-                integrals.append([])
-                masses.append([])
-            W = zz["W"]
-            mask = zz["band"] = _characteristic_band(W, zz["omega"])
-            if mask.any():
-                mask = np.broadcast_to(mask, ws.shape)
-                if excluded:
-                    write(masses[f], 0, np.abs(W), ~mask)
-            else:  # nothing is dropped or excluded
-                mask = None
-            with np.errstate(divide="ignore", invalid="ignore"):
-                for i, vals in enumerate(densities(zz, rows)):
-                    write(integrals[f], i, vals, mask)
+        # no enumerate: its reused result tuple would keep the last frame
+        # alive while frames forms the next one
+        f = 0
+        for zz in frames(*np.broadcast_arrays(u[rows, None], v), rows):
+            fold_frame(f, zz)
+            f += 1
+            del zz  # freed before the next frame or block is formed
     stacked = [parts for frame in integrals + masses for parts in frame]
     sums = iter(_pairwise_rows(np.reshape(stacked, (-1, size))).tolist())
     return ([[next(sums) for _ in frame] for frame in integrals],
@@ -285,16 +303,24 @@ def _family_perimeters(P, members, grid):
     family of patches moved from P, in one pass.
 
     members(u, v, x, y, t) receives first-order seeds and P's components on
-    them, evaluated once per block, and returns the components (x, y, t) of
-    every member; each member's frame is that of its own patch at order 1,
-    so on a whole grid each value equals the member's perimeter(...).value.
+    them, evaluated once per block, and returns an iterable of the
+    components (x, y, t) of every member; each member's frame is that of
+    its own patch at order 1, so on a whole grid each value equals the
+    member's perimeter(...).value.  The members' frames go to _integrate
+    one at a time, so when members yields each member's components only
+    when it is reached (numeric_variation's generator), a block holds one
+    member's components and frame whatever the family's size.
     """
     def frames(u, v, rows):
         uj, vj = seed_jets((u, v), order=1)
-        # only what _integrate reads, so no member's p, q outlive its W
-        return [{nm: zz[nm] for nm in ("W", "omega")} for zz in (
-            _value_fields(*(_as_jet(c, uj) for c in comps))
-            for comps in members(uj, vj, *P.components(uj, vj)))]
+
+        def frame(comps):
+            zz = _value_fields(*(_as_jet(c, uj) for c in comps))
+            # only what _integrate reads, so no member's p, q outlive it
+            return {"W": zz["W"], "omega": zz["omega"]}
+
+        # map keeps no member's components once its frame is formed
+        return map(frame, members(uj, vj, *P.components(uj, vj)))
 
     integrals, _ = _integrate(grid, frames, lambda zz, rows: (zz["W"],))
     return [value for (value,) in integrals]

@@ -100,8 +100,10 @@ def numeric_variation(P, D, order=1, nu=None, nv=None):
     scaling them, so a deformation that moves nothing reads exactly 0.0.
     The perimeters of the distinct lam (4 for order 1, 7 for order 2) come
     from one pass over the sub-grid of D.support's nodes (the whole grid
-    without a support) that evaluates P's components, the rates (a, b, s)
-    and the deformed frames once per block.  Only terms that cancel are
+    without a support) that evaluates P's components and the rates
+    (a, b, s) once per block, then forms each deformed patch's components
+    and frame one patch at a time, so the pass holds no more memory for 7
+    lam than for 4.  Only terms that cancel are
     dropped: each stencil's weights sum to 0, and off the box every deformed
     patch is P, so the value moves from the whole grid's by rounding only.
     On the whole grid each perimeter equals that of deform_patch(P, D, lam).
@@ -116,7 +118,7 @@ def numeric_variation(P, D, order=1, nu=None, nv=None):
 
     def members(u, v, x, y, t):
         rate = _deformation_rate(D, u, v, x, y)
-        return [_deformed(lam, (x, y, t), rate) for lam in lams]
+        return (_deformed(lam, (x, y, t), rate) for lam in lams)
 
     grid = _grid_for(P, nu, nv).restricted(D.support)
     if grid is None:

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import io
 import json
 import os
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import carnot_calc.cli as cli
+from carnot_calc import measure
 from carnot_calc.cli import emit_report, run
 from carnot_calc.fields import seed_jets
 
@@ -339,17 +341,47 @@ _GLIBC = platform.libc_ver()[0] == "glibc"
 
 @pytest.mark.skipif(not _GLIBC, reason="heap-top padding is glibc's mallopt")
 def test_a_repeated_run_faults_in_no_block_pages(capsys):
-    # run pads glibc's heap top, so the second scan reuses the first one's
-    # block temporaries instead of faulting zero-filled pages back in
-    # (~700 minor faults per run without the pad)
+    # run pads glibc's heap top, so a repeated scan reuses the earlier
+    # runs' block temporaries instead of faulting zero-filled pages back in
+    # (~700 minor faults per run without the pad).  Two warm-up runs, so
+    # the count does not depend on what ran before in the process: in a
+    # fresh interpreter under -X dev, the second run still faults ~80
+    # pages, and the third 0-2
     import resource
     argv = ["stability", "--surface", "xyt-graph", "--grid", "96"]
-    invoke(capsys, argv)
+    for _ in range(2):
+        invoke(capsys, argv)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     rc, _, _ = invoke(capsys, argv)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert rc == 0
     assert faults < 60
+
+
+def _bench_workloads():
+    """bench/workloads.py, the benchmark's seeded case generator."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench"
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  path / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_quadrature_reports_do_not_depend_on_the_block_size(capsys,
+                                                           monkeypatch):
+    # every seed-1 quadrature case and reference case of the benchmark
+    # prints the same bytes and exit code with blocks of 8192 nodes as with
+    # the default size
+    workloads = _bench_workloads()
+    inp, cases = workloads.cases("quadrature", 1)
+    argvs = [case.argv
+             for case in cases + workloads.reference_cases("quadrature", inp)]
+    assert len(argvs) == 9 and measure._BLOCK_NODES != 8192
+    default = [invoke(capsys, argv) for argv in argvs]
+    monkeypatch.setattr(measure, "_BLOCK_NODES", 8192)
+    assert [invoke(capsys, argv) for argv in argvs] == default
+    assert {rc for rc, _, _ in default} == {0}
 
 
 def _no_c_library(name):

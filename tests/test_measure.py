@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 import types
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from carnot_calc import measure, surfaces
+from carnot_calc import measure, surfaces, variation
 from carnot_calc import (
     DeformationField,
     Jet,
@@ -524,6 +526,70 @@ def test_ratio_families_equal_per_patch_routes(n, sid, domain):
         area(dilate_patch(P, 1.7)) / base
     assert translation_ratio(P, g0, nu=n, nv=n) == \
         area(left_translate_patch(P, g0)) / base
+
+
+@pytest.mark.parametrize("count", [1, 0], ids=["one-density", "none"])
+def test_integrate_frees_each_frame_before_forming_the_next(monkeypatch,
+                                                            count):
+    # 17 rows of 9 nodes at 64 block nodes: blocks of 8, 8 and 1 rows, two
+    # frames each, formed one at a time.  When frames forms one, every W
+    # returned before it, with its dict, band mask and density values,
+    # must be freed; also when densities yields nothing, as a stability
+    # scan of product bumps only does
+    monkeypatch.setattr(measure, "_BLOCK_NODES", 64)
+    grid = measure.QuadratureGrid((0.0, 1.0, 0.0, 1.0), 16, 8)
+    returned = []
+
+    def frame(u, v, f):
+        W = 1.0 + f + u * v
+        returned.append(weakref.ref(W))
+        return {"W": W, "omega": 0.0 * u}
+
+    def frames(u, v, rows):
+        for f in range(2):
+            assert all(ref() is None for ref in returned)
+            yield frame(u, v, f)
+
+    integrals, _ = measure._integrate(
+        grid, frames, lambda zz, rows: (2.0 * zz["W"],)[:count])
+    assert len(returned) == 3 * 2
+    ws = np.outer(grid.wu, grid.wv)
+    uv = np.outer(grid.u, grid.v)
+    assert integrals == [[pairwise_sum(2.0 * (1.0 + f + uv) * ws)][:count]
+                         for f in range(2)]
+
+
+def test_a_family_pass_holds_one_member_at_a_time():
+    # members built as numeric_variation builds them, on the whole 256^2
+    # grid: the traced peak of a pass over 8 deformed patches stays within
+    # 1.25 times that of a pass over 2, since each member's components and
+    # frame are freed before the next member is formed; numeric_variation
+    # itself peaks no higher for its 7 patches (order 2) than for its 4
+    P = build_surface("t-graph:parab").patch
+    D = DeformationField(lambda u, v: 0.3 * u * v, lambda u, v: u - v,
+                         lambda u, v: 0.5 * v * v)
+    grid = measure.QuadratureGrid(P.domain, 256, 256)
+
+    def peak(run, *args):
+        tracemalloc.start()
+        try:
+            run(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def family(lams):
+        def members(u, v, x, y, t):
+            rate = variation._deformation_rate(D, u, v, x, y)
+            return (variation._deformed(lam, (x, y, t), rate)
+                    for lam in lams)
+
+        measure._family_perimeters(P, members, grid)
+
+    lams = [m * 1e-3 for m in (1, -1, 2, -2, 3, -3, 4, -4)]
+    assert peak(family, lams) <= 1.25 * peak(family, lams[:2])
+    assert peak(variation.numeric_variation, P, D, 2, 256, 256) <= \
+        1.25 * peak(variation.numeric_variation, P, D, 1, 256, 256)
 
 
 def test_only_integrate_patch_folds_the_excluded_mass(monkeypatch):
